@@ -21,16 +21,20 @@ permuted order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .errors import InvariantViolationError, StructuralError, SupportCapError
-from .parallel import ordered_map
-from .perms import Perm, inverse, is_permutation
+from .perms import Perm, inverse, is_permutation, orbits
 from .system import FiniteSystem, Observable
 
 SUPPORT_CAP_DEFAULT = 10_000_000
+# Distinct (system, order, cap) builds kept alive: a d=3 ``verify`` needs 8
+# (a d=2 one needs 5), so a whole run builds each of them once.
+BUILD_CACHE_SIZE = 8
 
 CubePoint = tuple[int, ...]
 TupleMap = Callable[[CubePoint], CubePoint]
@@ -79,17 +83,21 @@ def vertex_bits(vertex, k: int) -> int:
     return bits
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparseCubeMeasure:
     """Probability measure on X^(2^k) as a map from cube points to masses.
 
     Entries are pruned to strictly positive mass and must sum to exactly 1.
-    Treat instances as immutable; operations always return fresh measures.
+    Instances are immutable: ``entries`` is a read-only copy of the mapping
+    passed in, so one built measure can be shared by every caller.
     """
 
     k: int
     base_n: int
-    entries: dict[CubePoint, Fraction]
+    entries: Mapping[CubePoint, Fraction]
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     @property
     def width(self) -> int:
@@ -145,7 +153,6 @@ def relative_self_product(
     m: SparseCubeMeasure,
     perm: Perm,
     cap: int = SUPPORT_CAP_DEFAULT,
-    threads: int = 1,
 ) -> SparseCubeMeasure:
     """Self-coupling of ``m`` that is independent inside each orbit cell.
 
@@ -168,31 +175,17 @@ def relative_self_product(
                 f"permutation does not preserve the measure at {point}"
             )
 
-    cells: list[list[CubePoint]] = []
-    seen: set[CubePoint] = set()
-    for point in sorted(m.entries):
-        if point in seen:
-            continue
-        cell = [point]
-        seen.add(point)
-        q = act(point)
-        while q != point:
-            cell.append(q)
-            seen.add(q)
-            q = act(q)
-        cells.append(cell)
-
+    cells = orbits(m.entries, act)
     needed = sum(len(c) * len(c) for c in cells)
     if needed > cap:
         raise SupportCapError(needed, cap)
 
-    def cell_entries(cell: list[CubePoint]) -> list[tuple[CubePoint, Fraction]]:
-        cw = sum((m.entries[p] for p in cell), Fraction(0))
-        return [(p + q, m.entries[p] * m.entries[q] / cw) for p in cell for q in cell]
-
     entries: dict[CubePoint, Fraction] = {}
-    for chunk in ordered_map(cell_entries, cells, threads):
-        entries.update(chunk)
+    for cell in cells:
+        cw = sum((m.entries[p] for p in cell), Fraction(0))
+        entries.update(
+            (p + q, m.entries[p] * m.entries[q] / cw) for p in cell for q in cell
+        )
     return SparseCubeMeasure(m.k + 1, m.base_n, entries)
 
 
@@ -200,18 +193,24 @@ def build_box_measure(
     sys: FiniteSystem,
     order: Sequence[int],
     cap: int = SUPPORT_CAP_DEFAULT,
-    threads: int = 1,
 ) -> SparseCubeMeasure:
     """Iterated relative self-product over the transforms named by ``order``.
 
     Stage j couples two copies of the stage j-1 measure over the orbit
     cells of transform order[j-1] acting diagonally, writing the copies
     into digit j.  All 2^d marginals of the result equal the base weights.
+    Equal (system, order, cap) inputs return the same immutable measure
+    while it stays among the last BUILD_CACHE_SIZE built; a build that
+    raises is never cached.
     """
-    order = normalize_order(sys, order)
+    return _build(sys, normalize_order(sys, order), cap)
+
+
+@functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
+def _build(sys: FiniteSystem, order: tuple[int, ...], cap: int) -> SparseCubeMeasure:
     m = measure_from_weights(sys.weights)
     for idx in order:
-        m = relative_self_product(m, sys.transforms[idx], cap=cap, threads=threads)
+        m = relative_self_product(m, sys.transforms[idx], cap=cap)
     return m
 
 

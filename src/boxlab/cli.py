@@ -6,10 +6,10 @@ structural error, 3 support cap exceeded, 4 internal consistency failure
 (independent computation routes disagree), 5 failing verification property.
 
 All output is canonical: entries sorted, JSON keys sorted, seeds echoed.
-Identical configuration (including --seed and --threads) yields
-byte-identical output; --threads only changes how work is scheduled.
-The support cap defaults to 10^7 entries and can be overridden by --cap
-or the BOXLAB_CAP environment variable.
+Identical configuration (including --seed) yields byte-identical output.
+--threads is accepted and ignored: evaluation is serial.  The support cap
+defaults to 10^7 entries and can be overridden by --cap or the BOXLAB_CAP
+environment variable; caps and draw counts must be positive.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .averages import Interval, multi_average, multi_average_limit
 from .box_measure import SUPPORT_CAP_DEFAULT, build_box_measure
-from .draws import random_observable
 from .errors import (
     BoxlabError,
     InvariantViolationError,
@@ -33,12 +32,7 @@ from .errors import (
     StructuralError,
     SupportCapError,
 )
-from .magic import (
-    build_star_system,
-    magic_check,
-    star_conditional_expectation,
-    wstar_partition,
-)
+from .magic import build_star_system, magic_failures
 from .seminorm import (
     gowers_norm_pow,
     seminorm_oracle_pow,
@@ -75,19 +69,22 @@ class RunConfig:
     fmt: str
     seed: int
     draws: int
-    threads: int
 
 
-def _default_cap() -> int:
-    env = os.environ.get("BOXLAB_CAP")
-    if env is None:
-        return SUPPORT_CAP_DEFAULT
-    try:
-        cap = int(env)
-    except ValueError as exc:
-        raise StructuralError(f"BOXLAB_CAP must be an integer, got {env!r}") from exc
+def _cap(args: argparse.Namespace) -> int:
+    """--cap, else BOXLAB_CAP, else the default; it must be positive."""
+    if args.cap is not None:
+        cap, source = args.cap, "--cap"
+    else:
+        env = os.environ.get("BOXLAB_CAP")
+        if env is None:
+            return SUPPORT_CAP_DEFAULT
+        try:
+            cap, source = int(env), "BOXLAB_CAP"
+        except ValueError as exc:
+            raise StructuralError(f"BOXLAB_CAP must be an integer, got {env!r}") from exc
     if cap <= 0:
-        raise StructuralError(f"BOXLAB_CAP must be positive, got {cap}")
+        raise StructuralError(f"{source} must be positive, got {cap}")
     return cap
 
 
@@ -111,15 +108,17 @@ def _parse_interval(text: str) -> Interval:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
+    draws = getattr(args, "draws", 200)
+    if draws < 1:
+        raise StructuralError(f"--draws must be at least 1, got {draws}")
     return RunConfig(
         command=args.command,
         paths=[p for p in getattr(args, "paths", [])],
         order=getattr(args, "order", None),
-        cap=args.cap if args.cap is not None else _default_cap(),
+        cap=_cap(args),
         fmt=getattr(args, "format", "json"),
         seed=getattr(args, "seed", 0),
-        draws=getattr(args, "draws", 200),
-        threads=getattr(args, "threads", 1),
+        draws=draws,
     )
 
 
@@ -141,7 +140,7 @@ def cmd_box_measure(args) -> int:
     system = load_system(args.system)
     _require_valid_for_cli(system)
     order = _parse_order(args.order, system.d)
-    m = build_box_measure(system, order, cap=cfg.cap, threads=cfg.threads)
+    m = build_box_measure(system, order, cap=cfg.cap)
     print(dumps(measure_to_dict(m)))
     return EXIT_OK
 
@@ -238,19 +237,8 @@ def cmd_magic_check(args) -> int:
     system = load_system(args.system)
     _require_valid_for_cli(system)
     order = _parse_order(args.order, system.d)
-    star = build_star_system(system, order, cap=cfg.cap, threads=cfg.threads)
-    wstar = wstar_partition(star)
-    rng = random.Random(cfg.seed)
-    failures = []
-    for i in range(cfg.draws):
-        G = random_observable(rng, star.size)
-        F = G - star_conditional_expectation(star, G, wstar)
-        res = magic_check(star, F, cap=cfg.cap)
-        if not res.holds or res.star_pow != 0:
-            failures.append(
-                {"draw": i, "G": [format_rational(v) for v in G.values],
-                 "star_pow": format_rational(res.star_pow)}
-            )
+    star = build_star_system(system, order, cap=cfg.cap)
+    failures = list(magic_failures(star, random.Random(cfg.seed), cfg.draws, cfg.cap))
     payload = {
         "carrier": star.size,
         "draws": cfg.draws,
@@ -267,9 +255,7 @@ def cmd_verify(args) -> int:
     system = load_system(args.system)
     _require_valid_for_cli(system)
     order = _parse_order(args.order, system.d)
-    outcomes = run_suite(
-        system, order, seed=cfg.seed, draws=cfg.draws, cap=cfg.cap, threads=cfg.threads
-    )
+    outcomes = run_suite(system, order, seed=cfg.seed, draws=cfg.draws, cap=cfg.cap)
     failed = [o for o in outcomes if o.status == "FAIL"]
     if cfg.fmt == "csv":
         buf = io.StringIO()
@@ -307,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=None,
                        help="sparse support cap (default 10^7 or BOXLAB_CAP)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; output is identical for any value")
+                       help="accepted for compatibility and ignored; "
+                            "evaluation is serial")
         if order:
             p.add_argument("--order", default=None,
                            help="comma-separated 0-based transform indices "

@@ -15,9 +15,10 @@ factor has seminorm zero).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .box_measure import (
     SUPPORT_CAP_DEFAULT,
@@ -30,9 +31,11 @@ from .box_measure import (
     side_transform,
     vertex_bits,
 )
+from .draws import random_observable
 from .errors import InvariantViolationError, PreconditionError, StructuralError
 from .perms import Perm, commute, compose, inverse
 from .seminorm import SeminormValue, seminorm_pow, zed_partition
+from .serialize import format_rational
 from .system import (
     FiniteSystem,
     Observable,
@@ -74,7 +77,6 @@ class StarSystem:
         self.star_transforms = star_transforms
         self.diag_transforms = diag_transforms
         self.index = {t: i for i, t in enumerate(carrier)}
-        self._box: SparseCubeMeasure | None = None
 
     @property
     def d(self) -> int:
@@ -94,12 +96,8 @@ class StarSystem:
         return FiniteSystem(self.weights, tuple(transforms))
 
     def box_measure(self, cap: int = SUPPORT_CAP_DEFAULT) -> SparseCubeMeasure:
-        """Cube measure of the extension itself (cached after first build)."""
-        if self._box is None:
-            self._box = build_box_measure(
-                self.as_finite_system(), tuple(range(self.d)), cap=cap
-            )
-        return self._box
+        """Cube measure of the extension itself (shared by equal extensions)."""
+        return build_box_measure(self.as_finite_system(), tuple(range(self.d)), cap=cap)
 
     def __repr__(self) -> str:
         return f"StarSystem(base_n={self.base.n}, d={self.d}, carrier={self.size})"
@@ -122,12 +120,11 @@ def build_star_system(
     sys: FiniteSystem,
     order: Sequence[int],
     cap: int = SUPPORT_CAP_DEFAULT,
-    threads: int = 1,
 ) -> StarSystem:
     """Materialize the extension on the support of the cube measure."""
     order = normalize_order(sys, order)
     d = len(order)
-    m = build_box_measure(sys, order, cap=cap, threads=threads)
+    m = build_box_measure(sys, order, cap=cap)
     carrier = tuple(sorted(m.entries))
     weights = tuple(m.entries[t] for t in carrier)
     index = {t: i for i, t in enumerate(carrier)}
@@ -137,7 +134,6 @@ def build_star_system(
         star.append(_carrier_permutation(carrier, index, side_transform(perm, d, pos)))
         diag.append(_carrier_permutation(carrier, index, diagonal_transform(perm, d)))
     out = StarSystem(sys, order, carrier, weights, tuple(star), tuple(diag))
-    out._box = None
     _check_star_invariants(out)
     return out
 
@@ -293,8 +289,8 @@ def star_seminorm_pow(
     """Box seminorm power of a carrier observable, for the side transforms.
 
     Integrates against the cube measure of the extension viewed as a finite
-    system; the measure is cached on the star, so repeated evaluations pay
-    only for the integral.  Support caps guard the sparse growth.
+    system; that measure is built once and shared, so repeated evaluations
+    pay only for the integral.  Support caps guard the sparse growth.
     """
     if F.n != star.size:
         raise StructuralError(f"observable has {F.n} values, carrier has {star.size}")
@@ -321,6 +317,26 @@ def magic_check(
     star_pow = star_seminorm_pow(star, F, cap=cap).pow
     holds = (not expectation_is_zero) or (star_pow == 0)
     return MagicCheck(expectation_is_zero, star_pow, holds)
+
+
+def magic_failures(
+    star: StarSystem, rng: random.Random, draws: int, cap: int = SUPPORT_CAP_DEFAULT
+) -> Iterator[dict]:
+    """Check the magic property on ``draws`` random observables.
+
+    Each draw G from ``rng`` is projected to F = G - E(G | wstar), which has
+    zero expectation, so F must have zero extended seminorm.  Yields the
+    record of each draw where it does not.  Lazy: a caller that stops at the
+    first record stops drawing from ``rng`` there.
+    """
+    wstar = wstar_partition(star)
+    for i in range(draws):
+        G = random_observable(rng, star.size)
+        F = G - star_conditional_expectation(star, G, wstar)
+        res = magic_check(star, F, cap=cap)
+        if not res.holds or res.star_pow != 0:
+            yield {"draw": i, "G": [format_rational(v) for v in G.values],
+                   "star_pow": format_rational(res.star_pow)}
 
 
 def vertex_product_observable(star: StarSystem, fs: Mapping) -> Observable:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 Perm = tuple[int, ...]
+T = TypeVar("T")
 
 
 def identity(n: int) -> Perm:
@@ -51,22 +52,31 @@ def power(p: Perm, k: int) -> Perm:
     return result
 
 
+def orbits(points: Iterable[T], step: Callable[[T], T]) -> list[tuple[T, ...]]:
+    """Orbits of ``step``, which must permute ``points``.
+
+    Each orbit is listed from its smallest point, and orbits come in the
+    sorted order of those points.
+    """
+    seen: set[T] = set()
+    out = []
+    for start in sorted(points):
+        if start in seen:
+            continue
+        orbit = [start]
+        seen.add(start)
+        x = step(start)
+        while x != start:
+            seen.add(x)
+            orbit.append(x)
+            x = step(x)
+        out.append(tuple(orbit))
+    return out
+
+
 def cycles(p: Perm) -> list[tuple[int, ...]]:
     """Cycle decomposition; each cycle starts at its smallest element."""
-    seen = [False] * len(p)
-    out = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = p[start]
-        while x != start:
-            seen[x] = True
-            cyc.append(x)
-            x = p[x]
-        out.append(tuple(cyc))
-    return out
+    return orbits(range(len(p)), p.__getitem__)
 
 
 def period(p: Perm) -> int:

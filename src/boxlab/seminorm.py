@@ -38,6 +38,7 @@ from .system import (
     FiniteSystem,
     Observable,
     Partition,
+    components,
     conditional_expectation,
     transform_period,
 )
@@ -89,11 +90,10 @@ def seminorm_pow(
     order: Sequence[int],
     f: Observable,
     cap: int = SUPPORT_CAP_DEFAULT,
-    threads: int = 1,
 ) -> SeminormValue:
     """Cube-measure route: integrate f at every vertex against the cube measure."""
     order = normalize_order(sys, order)
-    m = build_box_measure(sys, order, cap=cap, threads=threads)
+    m = build_box_measure(sys, order, cap=cap)
     value = integrate_product(m, _full_vertex_map(f, len(order)))
     return SeminormValue(len(order), value, order)
 
@@ -260,32 +260,14 @@ def zed_partition(
     the origin coordinate matches some indicator of the off-origin block on
     the whole support.  Zero-weight points become singleton cells.
     """
-    order = normalize_order(sys, order)
     m = build_box_measure(sys, order, cap=cap)
-    parent = list(range(sys.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rep_for_sharp: dict[tuple[int, ...], int] = {}
-    for point in m.entries:
-        p, sharp = point[0], point[1:]
-        if sharp in rep_for_sharp:
-            rx, ry = find(p), find(rep_for_sharp[sharp])
-            if rx != ry:
-                parent[ry] = rx
-        else:
-            rep_for_sharp[sharp] = p
-    supported = set(sys.support())
-    groups: dict[int, list[int]] = {}
-    for x in supported:
-        groups.setdefault(find(x), []).append(x)
-    cells = list(groups.values())
-    cells.extend([x] for x in range(sys.n) if x not in supported)
-    return Partition.from_cells(cells, sys.n)
+    # join each origin value to the first one seen with the same off-origin
+    # tuple; zero-weight points occur in no support point, so stay singletons
+    first_origin: dict[tuple[int, ...], int] = {}
+    return components(
+        sys.n,
+        ((first_origin.setdefault(point[1:], point[0]), point[0]) for point in m.entries),
+    )
 
 
 def zed_equivalence_check(

@@ -2,9 +2,9 @@
 
 Rationals travel as strings, either "p/q" or a plain integer string.
 Sparse measures serialize in canonical tuple order so identical inputs
-produce byte-identical output regardless of construction order or thread
-count.  Parse failures raise StructuralError (the CLI maps those to its
-parse-error exit code).
+produce byte-identical output regardless of construction order.  Parse
+failures raise StructuralError (the CLI maps those to its parse-error exit
+code); JSON booleans are never read as numbers.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def system_from_dict(payload: dict) -> FiniteSystem:
     if not isinstance(payload, dict):
         raise StructuralError("system file must hold a JSON object")
     n = _require(payload, "points", "system")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise StructuralError(f"system: 'points' must be a positive integer, got {n!r}")
     weights = _require(payload, "weights", "system")
     transforms = _require(payload, "transforms", "system")
@@ -68,8 +68,6 @@ def system_from_dict(payload: dict) -> FiniteSystem:
     for i, t in enumerate(transforms):
         if not isinstance(t, list) or len(t) != n:
             raise StructuralError(f"system: transform {i} must be an array of {n} ints")
-        if not all(isinstance(v, int) for v in t):
-            raise StructuralError(f"system: transform {i} holds non-integer entries")
         parsed_transforms.append(tuple(t))
     labels = payload.get("labels")
     if labels is not None:
@@ -118,7 +116,7 @@ def measure_from_dict(payload: dict, base_n: int | None = None) -> SparseCubeMea
         raise StructuralError("measure file must hold a JSON object")
     k = _require(payload, "k", "measure")
     raw_entries = _require(payload, "entries", "measure")
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise StructuralError(f"measure: invalid dimension {k!r}")
     if not isinstance(raw_entries, list):
         raise StructuralError("measure: 'entries' must be a list")
@@ -127,7 +125,7 @@ def measure_from_dict(payload: dict, base_n: int | None = None) -> SparseCubeMea
     top = -1
     for item in raw_entries:
         point = tuple(_require(item, "tuple", "measure entry"))
-        if len(point) != width or not all(isinstance(c, int) for c in point):
+        if len(point) != width or not all(type(c) is int for c in point):
             raise StructuralError(f"measure: entry tuple {point} must hold {width} ints")
         if point in entries:
             raise StructuralError(f"measure: duplicate entry for {point}")
@@ -135,7 +133,7 @@ def measure_from_dict(payload: dict, base_n: int | None = None) -> SparseCubeMea
         top = max(top, max(point))
     if base_n is None:
         base_n = top + 1
-    return SparseCubeMeasure(k, base_n, entries)
+    return SparseCubeMeasure(k, base_n, entries).check()
 
 
 def seminorm_to_dict(value: SeminormValue) -> dict:

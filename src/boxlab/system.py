@@ -24,9 +24,12 @@ from .perms import period as _perm_period
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions, and strings like '3/4'; floats are rejected."""
-    if isinstance(value, float):
-        raise StructuralError(f"exact rational required, got float {value!r}")
+    """Coerce ints, Fractions, and strings like '3/4'; floats and bools are
+    rejected."""
+    if isinstance(value, (float, bool)):
+        raise StructuralError(
+            f"exact rational required, got {type(value).__name__} {value!r}"
+        )
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -56,7 +59,10 @@ class FiniteSystem:
         n = len(weights)
         transforms = []
         for idx, t in enumerate(self.transforms):
-            arr = tuple(int(v) for v in t)
+            arr = tuple(t)
+            # exact type: a bool (JSON true/false) is an int subclass
+            if not all(type(v) is int for v in arr):
+                raise StructuralError(f"transform {idx} holds non-integer entries")
             if len(arr) != n:
                 raise StructuralError(
                     f"transform {idx} has length {len(arr)}, expected {n}"
@@ -213,12 +219,9 @@ def join_partitions(parts: Sequence[Partition]) -> Partition:
     return Partition.from_cells(groups.values(), n)
 
 
-def group_orbit_partition(perms: Sequence[Perm], n: int) -> Partition:
-    """Partition into orbits of the group generated by ``perms``.
-
-    Cells are the jointly invariant sets: union-find over every edge
-    x -> p(x).  Coarser than each individual orbit partition.
-    """
+def components(n: int, edges: Iterable[tuple[int, int]]) -> Partition:
+    """Connected components of the graph on {0, ..., n-1} with these edges,
+    found by union-find.  Points on no edge become singleton cells."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -227,17 +230,26 @@ def group_orbit_partition(perms: Sequence[Perm], n: int) -> Partition:
             x = parent[x]
         return x
 
-    for p in perms:
-        if len(p) != n:
-            raise StructuralError("permutation length does not match point count")
-        for x in range(n):
-            rx, ry = find(x), find(p[x])
-            if rx != ry:
-                parent[ry] = rx
+    for x, y in edges:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
     groups: dict[int, list[int]] = {}
     for x in range(n):
         groups.setdefault(find(x), []).append(x)
     return Partition.from_cells(groups.values(), n)
+
+
+def group_orbit_partition(perms: Sequence[Perm], n: int) -> Partition:
+    """Partition into orbits of the group generated by ``perms``.
+
+    Cells are the jointly invariant sets: the components of the graph with
+    every edge x -> p(x).  Coarser than each individual orbit partition.
+    """
+    for p in perms:
+        if len(p) != n:
+            raise StructuralError("permutation length does not match point count")
+    return components(n, ((x, p[x]) for p in perms for x in range(n)))
 
 
 @dataclass(frozen=True)

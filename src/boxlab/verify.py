@@ -2,9 +2,8 @@
 
 Each property evaluates a numbered batch of seeded draws (or an exhaustive
 family, for the symmetry laws) and reports PASS, FAIL with a serialized
-counterexample, or SKIP with the reason.  All draw data is generated up
-front from the seed, so the outcome and its serialization are independent
-of the thread count used for evaluation.
+counterexample, or SKIP with the reason.  Draws come from one generator
+seeded by the seed, so equal inputs give byte-identical outcomes.
 """
 
 from __future__ import annotations
@@ -42,14 +41,11 @@ from .draws import (
 from .errors import SupportCapError
 from .magic import (
     build_star_system,
-    magic_check,
+    magic_failures,
     normstar_check,
     span0_orthogonality_check,
-    star_conditional_expectation,
-    wstar_partition,
     zed_from_sharp,
 )
-from .parallel import ordered_map
 from .perms import period
 from .seminorm import (
     csg_check,
@@ -94,7 +90,6 @@ class _Suite:
     seed: int
     draws: int
     cap: int
-    threads: int
     star_draws: int = field(init=False)
 
     def __post_init__(self):
@@ -143,7 +138,7 @@ class _Suite:
         )
 
     def check_box_measure_laws(self) -> PropertyOutcome:
-        m = build_box_measure(self.sys, self.order, cap=self.cap, threads=self.threads)
+        m = build_box_measure(self.sys, self.order, cap=self.cap)
         if m.total_mass() != 1:
             return PropertyOutcome("box-measure-laws", "FAIL", "total mass differs from 1")
         for bits in range(1 << self.d):
@@ -179,7 +174,7 @@ class _Suite:
         )
 
     def check_index_permutation(self) -> PropertyOutcome:
-        m = build_box_measure(self.sys, self.order, cap=self.cap, threads=self.threads)
+        m = build_box_measure(self.sys, self.order, cap=self.cap)
         sigmas = list(itertools.permutations(range(self.d)))
         if self.d > 3:
             sigmas = [tuple(self.rng.sample(range(self.d), self.d)) for _ in range(6)]
@@ -207,14 +202,10 @@ class _Suite:
 
     def check_seminorm_routes(self) -> PropertyOutcome:
         fs = [random_observable(self.rng, self.sys.n) for _ in range(self.draws)]
-
-        def one(f: Observable):
+        for i, f in enumerate(fs):
             a = seminorm_pow(self.sys, self.order, f, cap=self.cap).pow
             b = seminorm_oracle_pow(self.sys, self.order, f).pow
             c = a if self.d < 2 else seminorm_recursion_pow(self.sys, self.order, f, cap=self.cap).pow
-            return a, b, c
-
-        for i, (a, b, c) in enumerate(ordered_map(one, fs, self.threads)):
             if not (a == b == c):
                 return PropertyOutcome(
                     "seminorm-routes", "FAIL",
@@ -231,11 +222,8 @@ class _Suite:
     def check_csg(self) -> PropertyOutcome:
         batches = [random_vertex_functions(self.rng, self.sys.n, self.d, False)
                    for _ in range(self.draws)]
-
-        def one(fs):
-            return csg_check(self.sys, self.order, fs, cap=self.cap)
-
-        for i, res in enumerate(ordered_map(one, batches, self.threads)):
+        for i, fs in enumerate(batches):
+            res = csg_check(self.sys, self.order, fs, cap=self.cap)
             if not res.holds:
                 return PropertyOutcome(
                     "csg", "FAIL", "product bound violated",
@@ -305,11 +293,8 @@ class _Suite:
             rest = [random_bounded_observable(self.rng, self.sys.n)
                     for _ in range(self.sys.d - 1)]
             cases.append([f1, *rest])
-
-        def one(f_list):
-            return characteristic_bound_check(self.sys, f_list, cap=self.cap)
-
-        for i, res in enumerate(ordered_map(one, cases, self.threads)):
+        for i, f_list in enumerate(cases):
+            res = characteristic_bound_check(self.sys, f_list, cap=self.cap)
             if not res.holds:
                 return PropertyOutcome(
                     "characteristic-bound", "FAIL", "limit norm exceeds the seminorm",
@@ -355,7 +340,7 @@ class _Suite:
     # -- star-space properties (guarded by a size budget) ------------------
 
     def _star_or_skip(self, name: str):
-        star = build_star_system(self.sys, self.order, cap=self.cap, threads=self.threads)
+        star = build_star_system(self.sys, self.order, cap=self.cap)
         estimate = star.size
         for t in star.star_transforms:
             estimate *= period(t)
@@ -371,23 +356,17 @@ class _Suite:
         star, skip = self._star_or_skip("magic")
         if skip:
             return skip
-        wstar = wstar_partition(star)
-        for i in range(self.star_draws):
-            G = random_observable(self.rng, star.size)
-            F = G - star_conditional_expectation(star, G, wstar)
-            res = magic_check(star, F, cap=self.cap)
-            if not res.holds or res.star_pow != 0:
-                return PropertyOutcome(
-                    "magic", "FAIL", "zero expectation does not force zero seminorm",
-                    {"draw": i, "G": _obs_json(G),
-                     "star_pow": format_rational(res.star_pow)},
-                )
+        failure = next(magic_failures(star, self.rng, self.star_draws, self.cap), None)
+        if failure is not None:
+            return PropertyOutcome(
+                "magic", "FAIL", "zero expectation does not force zero seminorm", failure
+            )
         return PropertyOutcome(
             "magic", "PASS", f"{self.star_draws} draws on carrier of {star.size}"
         )
 
     def check_span0(self) -> PropertyOutcome:
-        star = build_star_system(self.sys, self.order, cap=self.cap, threads=self.threads)
+        star = build_star_system(self.sys, self.order, cap=self.cap)
         zed = zed_partition(self.sys, self.order, cap=self.cap)
         for i in range(self.star_draws):
             fs = random_vertex_functions(self.rng, self.sys.n, self.d, True)
@@ -425,9 +404,8 @@ def run_suite(
     seed: int = 0,
     draws: int = 200,
     cap: int = SUPPORT_CAP_DEFAULT,
-    threads: int = 1,
 ) -> list[PropertyOutcome]:
     from .box_measure import normalize_order
 
-    suite = _Suite(sys, normalize_order(sys, order), seed, draws, cap, threads)
+    suite = _Suite(sys, normalize_order(sys, order), seed, draws, cap)
     return suite.run()

@@ -109,10 +109,37 @@ def test_support_cap_error_names_the_cap():
     assert "10" in str(err.value)
 
 
-def test_threaded_build_is_identical():
-    serial = build_box_measure(Z4_TWO, (0, 1), threads=1)
-    for threads in (2, 8):
-        assert build_box_measure(Z4_TWO, (0, 1), threads=threads) == serial
+def test_equal_builds_share_one_measure(roster_case):
+    _, sys, order = roster_case
+    m = build_box_measure(sys, order)
+    assert build_box_measure(sys, list(order)) is m
+    fresh = measure_from_weights(sys.weights)
+    for idx in order:
+        fresh = relative_self_product(fresh, sys.transforms[idx])
+    assert m == fresh
+    assert list(m.entries) == list(fresh.entries)
+
+
+def test_measure_entries_are_read_only():
+    m = build_box_measure(Z4_TWO, (0, 1))
+    point = next(iter(m.entries))
+    with pytest.raises(TypeError):
+        m.entries[point] = F(1)
+    with pytest.raises(AttributeError):
+        m.k = 3
+
+
+def test_smaller_cap_still_raises_after_a_cached_build():
+    build_box_measure(Z4_TWO, (1, 0))
+    with pytest.raises(SupportCapError):
+        build_box_measure(Z4_TWO, (1, 0), cap=10)
+
+
+def test_measure_copies_the_entries_it_is_given():
+    entries = {(0,): F(1)}
+    m = SparseCubeMeasure(0, 1, entries)
+    entries[(0,)] = F(2)
+    assert m.entries == {(0,): F(1)}
 
 
 # ------------------------------------------------------ tuple maps

@@ -240,7 +240,8 @@ def test_magic_check_injected_fault_exits_5(z4_file, monkeypatch):
     from boxlab.magic import MagicCheck
 
     monkeypatch.setattr(
-        cli, "magic_check", lambda star, F, cap=None: MagicCheck(True, Fraction(1), False)
+        "boxlab.magic.magic_check",
+        lambda star, F, cap=None: MagicCheck(True, Fraction(1), False),
     )
     code, out, _ = run_cli(["magic-check", z4_file, "--draws", "2"])
     assert code == 5
@@ -273,7 +274,7 @@ def test_verify_csv(z4_file):
 def test_verify_injected_failure_exits_5(z4_file, monkeypatch):
     from boxlab.verify import PropertyOutcome
 
-    def fake_suite(sys, order, seed=0, draws=0, cap=0, threads=1):
+    def fake_suite(sys, order, seed=0, draws=0, cap=0):
         return [
             PropertyOutcome("system-valid", "PASS", "ok"),
             PropertyOutcome("csg", "FAIL", "bound violated", {"draw": 3}),
@@ -294,3 +295,24 @@ def test_verify_exit_1_on_invalid_system(tmp_path):
     )
     code, _, _ = run_cli(["verify", str(path)])
     assert code == 1
+
+
+# ------------------------------------------------------- malformed counts
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{system}", "--draws", "-3"],
+        ["verify", "{system}", "--draws", "0"],
+        ["magic-check", "{system}", "--draws", "-1"],
+        ["box-measure", "{system}", "--cap", "-5"],
+        ["box-measure", "{system}", "--cap", "0"],
+    ],
+    ids=["verify-draws-negative", "verify-draws-zero", "magic-draws-negative",
+         "cap-negative", "cap-zero"],
+)
+def test_non_positive_counts_exit_2(z4_file, argv):
+    code, out, err = run_cli([a.replace("{system}", z4_file) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "parse"

@@ -5,6 +5,7 @@ from boxlab.perms import (
     identity,
     inverse,
     is_permutation,
+    orbits,
     period,
     power,
 )
@@ -35,6 +36,14 @@ def test_power_negative_and_period():
 
 def test_cycles_start_at_minimum():
     assert cycles((1, 0, 3, 4, 2)) == [(0, 1), (2, 3, 4)]
+
+
+def test_orbits_of_a_map_on_tuples():
+    def swap(point):
+        return (point[1], point[0])
+
+    points = [(2, 2), (1, 0), (0, 1), (2, 0), (0, 2)]
+    assert orbits(points, swap) == [((0, 1), (1, 0)), ((0, 2), (2, 0)), ((2, 2),)]
 
 
 def test_commute():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from boxlab.box_measure import build_box_measure
-from boxlab.errors import StructuralError
+from boxlab.errors import InvariantViolationError, StructuralError
 from boxlab.seminorm import seminorm_pow
 from boxlab.serialize import (
     approx_root_str,
@@ -52,6 +52,9 @@ def test_system_with_labels_round_trip():
         lambda p: p.update(weights=["1/4", "1/4", "1/0", "1/4"]),
         lambda p: p.update(weights=["1/4", "1/4", "abc", "1/4"]),
         lambda p: p.update(labels=["x"]),
+        lambda p: p.update(points=True, weights=["1"], transforms=[[0]]),
+        lambda p: p.update(weights=["1/4", "1/4", "1/4", True]),
+        lambda p: p.update(transforms=[[True, 0, 3, 2]]),
     ],
 )
 def test_system_parse_errors(mutate):
@@ -89,6 +92,22 @@ def test_measure_parse_errors():
             {"k": 0, "entries": [{"tuple": [0], "mass": "1/2"},
                                  {"tuple": [0], "mass": "1/2"}]}
         )
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"k": 0, "entries": [{"tuple": [0], "mass": "5"}]},
+        {"k": 0, "entries": [{"tuple": [0], "mass": "3/2"},
+                             {"tuple": [1], "mass": "-1/2"}]},
+        {"k": 0, "entries": []},
+        {"k": 0, "entries": [{"tuple": [3], "mass": "1"}]},
+    ],
+    ids=["mass-5", "negative-mass", "empty", "outside-base"],
+)
+def test_measure_invariants_are_checked(payload):
+    with pytest.raises(InvariantViolationError):
+        measure_from_dict(payload, base_n=2)
 
 
 def test_seminorm_payload():

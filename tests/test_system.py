@@ -9,6 +9,8 @@ from boxlab.system import (
     FiniteSystem,
     Observable,
     Partition,
+    as_fraction,
+    components,
     conditional_expectation,
     group_orbit_partition,
     join_partitions,
@@ -58,6 +60,24 @@ def test_structural_errors_raise():
         FiniteSystem((0.5, 0.5), ())  # floats rejected
     with pytest.raises(StructuralError):
         FiniteSystem(uniform(2), (), labels=("only-one",))
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [(1.7, 0.2), (True, False), (1, False), ("1", "0")],
+    ids=["floats", "bools", "mixed-bool", "strings"],
+)
+def test_non_integer_transform_entries_are_rejected(transform):
+    with pytest.raises(StructuralError):
+        FiniteSystem(uniform(2), (transform,))
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_bools_are_not_rationals(value):
+    with pytest.raises(StructuralError):
+        as_fraction(value)
+    with pytest.raises(StructuralError):
+        Observable((value,))
 
 
 # ----------------------------------------------------------- partitions
@@ -114,6 +134,11 @@ def test_group_orbit_partition_klein():
     assert part == Partition.trivial(4)
     single = group_orbit_partition(((1, 0, 3, 2),), 4)
     assert single.cells == ((0, 1), (2, 3))
+
+
+def test_components_leave_points_on_no_edge_as_singletons():
+    part = components(5, [(3, 0), (4, 3), (1, 1)])
+    assert part.cells == ((0, 3, 4), (1,), (2,))
 
 
 # ------------------------------------------------- conditional expectation
