@@ -31,6 +31,7 @@ from .box_measure import (
     apply_digit_flip,
     apply_index_permutation,
     build_box_measure,
+    cube_integral,
     diagonal_transform,
     integrate_product,
     marginal,

@@ -293,30 +293,33 @@ def van_der_corput_bound(
     for v in vecs:
         if len(v) != dim:
             raise StructuralError("vectors have mixed dimensions")
+    # integer numerators: coordinates over the lcm of their denominators,
+    # weights over theirs; an inner product of norm 1 reads ``unit``
+    scale = math.lcm(*(c.denominator for v in vecs for c in v))
+    weights = [Fraction(w) for w in weights]
+    wscale = math.lcm(*(w.denominator for w in weights))
+    unit = scale * scale * wscale
+    w_int = [w.numerator * (wscale // w.denominator) for w in weights]
+    ints = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vecs]
 
-    def ip(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        return sum((w * a * b for w, a, b in zip(weights, u, v)), Fraction(0))
+    def ip(u: Sequence[int], v: Sequence[int]) -> int:
+        return sum(w * a * b for w, a, b in zip(w_int, u, v))
 
-    for i, v in enumerate(vecs):
-        if ip(v, v) > 1:
+    norms = [ip(v, v) for v in ints]
+    for i, norm in enumerate(norms):
+        if norm > unit:
             raise PreconditionError(f"vector {i} has norm above 1")
 
-    mean = tuple(sum((v[j] for v in vecs), Fraction(0)) / N for j in range(dim))
-    lhs = ip(mean, mean)
+    sums = [sum(column) for column in zip(*ints)]
+    lhs = Fraction(ip(sums, sums), N * N * unit)
 
-    def correlation(h: int) -> Fraction:
-        total = Fraction(0)
-        for n in range(N):
-            if 0 <= n + h < N:
-                total += ip(vecs[n + h], vecs[n])
-        return total / N
-
-    corr = Fraction(0)
-    for h in range(-H, H + 1):
-        weight = Fraction(H - abs(h), H * H)
-        if weight:
-            corr += weight * correlation(h)
-    rhs = Fraction(4 * H, N) + abs(corr)
+    # The weight (H - |h|) / H^2 vanishes at |h| = H, and the lag -h
+    # correlation equals the lag h one, so only the Gram diagonals
+    # 0 <= h < H are summed, each once.
+    corr = H * sum(norms)
+    for h in range(1, H):
+        corr += 2 * (H - h) * sum(ip(ints[n + h], ints[n]) for n in range(N - h))
+    rhs = Fraction(4 * H, N) + abs(Fraction(corr, H * H * N * unit))
     return VdcBound(lhs, rhs, lhs <= rhs)
 
 

@@ -17,11 +17,19 @@ every side transformation (the permutation on coordinates whose digit i is
 0, identity elsewhere), and re-indexing the digits by a permutation maps
 the cube measure of one transformation order to the cube measure of the
 permuted order.
+
+Integrals need not build the last stage: it couples two copies of the
+previous stage independently inside each orbit cell, so
+:func:`cube_integral` sums the integrand per cell of the previous stage,
+in integer numerators.  :func:`integrate_product` stays the plain
+reference over a built measure.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -149,18 +157,14 @@ def normalize_order(sys: FiniteSystem, order: Sequence[int]) -> tuple[int, ...]:
     return order
 
 
-def relative_self_product(
-    m: SparseCubeMeasure,
-    perm: Perm,
-    cap: int = SUPPORT_CAP_DEFAULT,
-) -> SparseCubeMeasure:
-    """Self-coupling of ``m`` that is independent inside each orbit cell.
+def _orbit_cells(
+    m: SparseCubeMeasure, perm: Perm, cap: int
+) -> list[tuple[CubePoint, ...]]:
+    """Orbit cells of ``perm`` acting coordinatewise on the support of ``m``.
 
-    ``perm`` acts on cube points coordinatewise and must preserve ``m``
-    entrywise.  With cells C the orbits of that action restricted to the
-    support, the output gives mass m(y) * m(y') / m(C) to the concatenated
-    point (y, y') whenever y and y' lie in the same cell.  The two factors
-    occupy the new highest digit, first factor at digit value 0.
+    Raises unless ``perm`` preserves ``m`` entrywise, and raises
+    SupportCapError when the self-coupling over these cells, which has
+    sum |C|^2 entries, would exceed ``cap``.
     """
     if len(perm) != m.base_n:
         raise StructuralError("permutation length does not match the base point count")
@@ -179,9 +183,24 @@ def relative_self_product(
     needed = sum(len(c) * len(c) for c in cells)
     if needed > cap:
         raise SupportCapError(needed, cap)
+    return cells
 
+
+def relative_self_product(
+    m: SparseCubeMeasure,
+    perm: Perm,
+    cap: int = SUPPORT_CAP_DEFAULT,
+) -> SparseCubeMeasure:
+    """Self-coupling of ``m`` that is independent inside each orbit cell.
+
+    ``perm`` acts on cube points coordinatewise and must preserve ``m``
+    entrywise.  With cells C the orbits of that action restricted to the
+    support, the output gives mass m(y) * m(y') / m(C) to the concatenated
+    point (y, y') whenever y and y' lie in the same cell.  The two factors
+    occupy the new highest digit, first factor at digit value 0.
+    """
     entries: dict[CubePoint, Fraction] = {}
-    for cell in cells:
+    for cell in _orbit_cells(m, perm, cap):
         cw = sum((m.entries[p] for p in cell), Fraction(0))
         entries.update(
             (p + q, m.entries[p] * m.entries[q] / cw) for p in cell for q in cell
@@ -212,6 +231,105 @@ def _build(sys: FiniteSystem, order: tuple[int, ...], cap: int) -> SparseCubeMea
     for idx in order:
         m = relative_self_product(m, sys.transforms[idx], cap=cap)
     return m
+
+
+@functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
+def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...], cap: int):
+    """The measure before the last stage of ``order``, in integers, grouped
+    into the orbit cells of the last transform.
+
+    Masses are scaled by M, the lcm of their denominators; W is a cell's
+    scaled mass.  Per cell this returns the coordinate columns of its
+    points (one tuple per vertex), their scaled masses, and lcm(W) / W, so
+    that a cell's term S0 * S1 / W is S0 * S1 * (lcm(W) / W) over the
+    returned denominator M * lcm(W).  Cached and raising like ``_build``.
+    """
+    m = _build(sys, order[:-1], cap)
+    cells = _orbit_cells(m, sys.transforms[order[-1]], cap)
+    den = math.lcm(*(mass.denominator for mass in m.entries.values()))
+    scaled = []
+    for cell in cells:
+        masses = tuple(
+            m.entries[p].numerator * (den // m.entries[p].denominator) for p in cell
+        )
+        scaled.append((tuple(zip(*cell)), masses, sum(masses)))
+    cell_den = math.lcm(*(w for _, _, w in scaled))
+    return (
+        tuple((columns, masses, cell_den // w) for columns, masses, w in scaled),
+        den * cell_den,
+    )
+
+
+def _cell_sum(
+    columns: tuple[tuple[int, ...], ...],
+    masses: tuple[int, ...],
+    factors: list[tuple[int, tuple[int, ...]]],
+) -> int:
+    """Sum over a cell of mass times the product of the factor values,
+    factor (bits, values) reading the coordinate column at vertex ``bits``."""
+    terms = masses
+    for bits, values in factors:
+        terms = map(operator.mul, terms, map(values.__getitem__, columns[bits]))
+    return sum(terms)
+
+
+def cube_integral(
+    sys: FiniteSystem,
+    order: Sequence[int],
+    fs: Mapping,
+    cap: int = SUPPORT_CAP_DEFAULT,
+) -> Fraction:
+    """Integrate the product over vertices of per-vertex observables against
+    the cube measure of ``order``, without building its last stage.
+
+    The last stage couples two copies of the previous stage's measure m
+    independently inside each orbit cell C of transform order[-1].  With F0
+    the product of the observables on vertices whose last digit is 0 and F1
+    the product of those whose last digit is 1, the integral is therefore
+    the sum over cells of (sum_C m F0) * (sum_C m F1) / m(C).  Masses and
+    each vertex observable are scaled to integers by the lcm of their
+    denominators, the sums run in integers, and one Fraction is built at
+    the end.
+
+    ``fs`` is as for :func:`integrate_product`.  Equals
+    ``integrate_product(build_box_measure(sys, order, cap), fs)`` and raises
+    SupportCapError exactly where that build would.
+    """
+    order = normalize_order(sys, order)
+    cells, den = _last_stage_cells(sys, order, cap)
+    k = len(order)
+    half = 1 << (k - 1)
+    fmap: dict[int, tuple[Fraction, ...]] = {}
+    for key, obs in fs.items():
+        bits = vertex_bits(key, k)
+        values = obs.values if isinstance(obs, Observable) else tuple(map(Fraction, obs))
+        if len(values) != sys.n:
+            raise StructuralError(
+                f"observable at vertex {bits} has {len(values)} values, expected {sys.n}"
+            )
+        fmap[bits] = values
+    low: list[tuple[int, tuple[int, ...]]] = []
+    high: list[tuple[int, tuple[int, ...]]] = []
+    scaled: dict[int, tuple[int, tuple[int, ...]]] = {}  # by id of the values
+    for bits in sorted(fmap):
+        values = fmap[bits]
+        if id(values) not in scaled:
+            scale = math.lcm(*(v.denominator for v in values))
+            scaled[id(values)] = (
+                scale,
+                tuple(v.numerator * (scale // v.denominator) for v in values),
+            )
+        scale, numerators = scaled[id(values)]
+        den *= scale
+        (low if bits < half else high).append((bits & (half - 1), numerators))
+    # a seminorm's two halves carry the same factors: one sum serves both
+    same = high == low
+    total = 0
+    for columns, masses, factor in cells:
+        s0 = _cell_sum(columns, masses, low)
+        s1 = s0 if same else _cell_sum(columns, masses, high)
+        total += s0 * s1 * factor
+    return Fraction(total, den)
 
 
 def diagonal_transform(perm: Perm, k: int) -> TupleMap:

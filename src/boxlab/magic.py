@@ -26,7 +26,6 @@ from .box_measure import (
     SparseCubeMeasure,
     build_box_measure,
     diagonal_transform,
-    integrate_product,
     normalize_order,
     side_transform,
     vertex_bits,
@@ -288,15 +287,14 @@ def star_seminorm_pow(
 ) -> SeminormValue:
     """Box seminorm power of a carrier observable, for the side transforms.
 
-    Integrates against the cube measure of the extension viewed as a finite
-    system; that measure is built once and shared, so repeated evaluations
-    pay only for the integral.  Support caps guard the sparse growth.
+    The measure route on the extension viewed as a finite system: the
+    integral folds the last stage of its cube measure into a per-cell sum,
+    and the stages before it are built once and shared by repeated
+    evaluations.  Support caps guard the sparse growth.
     """
     if F.n != star.size:
         raise StructuralError(f"observable has {F.n} values, carrier has {star.size}")
-    m = star.box_measure(cap=cap)
-    value = integrate_product(m, {bits: F for bits in range(1 << star.d)})
-    return SeminormValue(star.d, value, tuple(range(star.d)))
+    return seminorm_pow(star.as_finite_system(), range(star.d), F, cap=cap)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ def is_permutation(values: Iterable[int], n: int | None = None) -> bool:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """p after q: x -> p[q[x]]."""
-    return tuple(p[q[x]] for x in range(len(q)))
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p: Perm) -> Perm:

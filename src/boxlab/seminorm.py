@@ -8,7 +8,9 @@ here except the explicitly toleranced triangle check is decided exactly.
 
 Three routes compute the same power:
 
-* ``seminorm_pow``       builds the sparse cube measure and integrates;
+* ``seminorm_pow``       integrates against the sparse cube measure, with
+  its last stage folded into a per-cell sum (``cube_integral``): only the
+  stages before the last are built;
 * ``seminorm_oracle_pow`` evaluates the iterated-average formula as a finite
   multi-sum over full periods (each summand is periodic in each index, so
   the full-period average equals the limit);
@@ -20,15 +22,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .box_measure import (
     SUPPORT_CAP_DEFAULT,
-    SparseCubeMeasure,
     build_box_measure,
-    integrate_product,
+    cube_integral,
     normalize_order,
     vertex_bits,
 )
@@ -91,10 +93,10 @@ def seminorm_pow(
     f: Observable,
     cap: int = SUPPORT_CAP_DEFAULT,
 ) -> SeminormValue:
-    """Cube-measure route: integrate f at every vertex against the cube measure."""
+    """Cube-measure route: integrate f at every vertex against the cube
+    measure, with its last stage folded into a per-cell sum."""
     order = normalize_order(sys, order)
-    m = build_box_measure(sys, order, cap=cap)
-    value = integrate_product(m, _full_vertex_map(f, len(order)))
+    value = cube_integral(sys, order, _full_vertex_map(f, len(order)), cap=cap)
     return SeminormValue(len(order), value, order)
 
 
@@ -110,38 +112,6 @@ def transform_power_tables(sys: FiniteSystem, order: Sequence[int]):
     return tables
 
 
-def translated_product_integral(
-    sys: FiniteSystem,
-    fmap: dict[int, Observable],
-    power_tables,
-    exponents: Sequence[int],
-) -> Fraction:
-    """Integral of the product over vertices of shifted vertex functions.
-
-    Vertex eps picks up the translate by transform i to the power
-    exponents[i] exactly when digit i of eps is 0 (1-based digits).
-    """
-    d = len(power_tables)
-    factors = []
-    for bits in sorted(fmap):
-        comp = None
-        for i in range(d):
-            if not (bits >> i) & 1:
-                table = power_tables[i]
-                p = table[exponents[i] % len(table)]
-                comp = p if comp is None else compose(p, comp)
-        factors.append((comp, fmap[bits].values))
-    total = Fraction(0)
-    for x, w in enumerate(sys.weights):
-        if w == 0:
-            continue
-        term = w
-        for comp, values in factors:
-            term *= values[x if comp is None else comp[x]]
-        total += term
-    return total
-
-
 def integrand_table(
     sys: FiniteSystem, order: Sequence[int], fs: Mapping
 ) -> tuple[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
@@ -150,14 +120,39 @@ def integrand_table(
     Returns the per-position periods and the map from exponent residues to
     integral values.  Every interval average of the integrand reduces to a
     weighted combination of this table because each exponent is periodic.
+    Vertex eps picks up the translate by the transform at order position i,
+    to the power residues[i], exactly when bit i of eps is 0.  The weights
+    and vertex functions are scaled to integer numerators once, so each
+    cell is an integer sum over the points.
     """
     order = normalize_order(sys, order)
-    fmap = normalize_vertex_functions(fs, sys, len(order))
+    d = len(order)
+    fmap = normalize_vertex_functions(fs, sys, d)
     tables = transform_power_tables(sys, order)
     periods = tuple(len(t) for t in tables)
+    den = math.lcm(*(w.denominator for w in sys.weights))
+    weights = tuple(w.numerator * (den // w.denominator) for w in sys.weights)
+    numerators = []
+    for bits in sorted(fmap):
+        values = fmap[bits].values
+        scale = math.lcm(*(v.denominator for v in values))
+        den *= scale
+        zero_digits = [i for i in range(d) if not (bits >> i) & 1]
+        numerators.append(
+            (zero_digits, tuple(v.numerator * (scale // v.denominator) for v in values))
+        )
     out: dict[tuple[int, ...], Fraction] = {}
     for residues in itertools.product(*(range(p) for p in periods)):
-        out[residues] = translated_product_integral(sys, fmap, tables, residues)
+        terms = weights
+        for zero_digits, values in numerators:
+            comp = None
+            for i in zero_digits:
+                p = tables[i][residues[i]]
+                comp = p if comp is None else compose(p, comp)
+            if comp is not None:
+                values = tuple(map(values.__getitem__, comp))
+            terms = map(operator.mul, terms, values)
+        out[residues] = Fraction(sum(terms), den)
     return periods, out
 
 
@@ -220,12 +215,11 @@ def csg_check(
     order = normalize_order(sys, order)
     d = len(order)
     fmap = normalize_vertex_functions(fs, sys, d)
-    m = build_box_measure(sys, order, cap=cap)
-    lhs = integrate_product(m, fmap)
+    lhs = cube_integral(sys, order, fmap, cap=cap)
     lhs_pow = abs(lhs) ** (1 << d)
     rhs_pow = Fraction(1)
     for bits in range(1 << d):
-        rhs_pow *= integrate_product(m, _full_vertex_map(fmap[bits], d))
+        rhs_pow *= seminorm_pow(sys, order, fmap[bits], cap=cap).pow
     return CsgResult(lhs_pow, rhs_pow, lhs_pow <= rhs_pow)
 
 

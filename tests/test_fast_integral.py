@@ -1,0 +1,365 @@
+"""The fast exact integrals against the slow paths they replace.
+
+``cube_integral`` folds the last stage of the cube measure into a per-cell
+sum, the oracle table and van der Corput sum integer numerators; each must
+equal the plain Fraction computation exactly, and the support cap must
+fire exactly where the full build fires.
+"""
+
+import contextlib
+import io
+import itertools
+import json
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boxlab import cli
+from boxlab.averages import van_der_corput_bound
+from boxlab.box_measure import (
+    Vertex,
+    build_box_measure,
+    cube_integral,
+    integrate_product,
+    measure_from_weights,
+    relative_self_product,
+)
+from boxlab.draws import random_unit_vectors, random_vertex_functions
+from boxlab.errors import StructuralError, SupportCapError
+from boxlab.magic import build_star_system, star_seminorm_pow
+from boxlab.perms import compose
+from boxlab.seminorm import (
+    csg_check,
+    integrand_table,
+    normalize_vertex_functions,
+    seminorm_pow,
+    transform_power_tables,
+)
+from boxlab.serialize import system_to_dict
+from boxlab.system import FiniteSystem, Observable, group_orbit_partition
+from conftest import Z4_TWO
+
+
+def full_map(f: Observable, d: int) -> dict[int, Observable]:
+    return {bits: f for bits in range(1 << d)}
+
+
+def built_integral(sys, order, fs) -> Fraction:
+    return integrate_product(build_box_measure(sys, order), fs)
+
+
+def mixed_observable(rng: random.Random, n: int) -> Observable:
+    """Negative values and pairwise different denominators."""
+    return Observable(
+        tuple(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7, 9, 10))) for _ in range(n))
+    )
+
+
+def stage_sizes(sys, order) -> list[int]:
+    """Support of each stage of the full build, which is its sum of |C|^2."""
+    m = measure_from_weights(sys.weights)
+    sizes = []
+    for idx in order:
+        m = relative_self_product(m, sys.transforms[idx])
+        sizes.append(m.support_size())
+    return sizes
+
+
+def reference_translated_product_integral(sys, fmap, power_tables, exponents) -> Fraction:
+    """The oracle cell in plain Fraction arithmetic, one cell at a time."""
+    d = len(power_tables)
+    factors = []
+    for bits in sorted(fmap):
+        comp = None
+        for i in range(d):
+            if not (bits >> i) & 1:
+                table = power_tables[i]
+                p = table[exponents[i] % len(table)]
+                comp = p if comp is None else compose(p, comp)
+        factors.append((comp, fmap[bits].values))
+    total = Fraction(0)
+    for x, w in enumerate(sys.weights):
+        if w == 0:
+            continue
+        term = w
+        for comp, values in factors:
+            term *= values[x if comp is None else comp[x]]
+        total += term
+    return total
+
+
+def reference_integrand_table(sys, order, fs):
+    fmap = normalize_vertex_functions(fs, sys, len(order))
+    tables = transform_power_tables(sys, order)
+    periods = tuple(len(t) for t in tables)
+    return periods, {
+        residues: reference_translated_product_integral(sys, fmap, tables, residues)
+        for residues in itertools.product(*(range(p) for p in periods))
+    }
+
+
+def reference_van_der_corput(vectors, H, weights=None):
+    """The bound as first written: every lag, every pair, in Fractions."""
+    N = len(vectors)
+    dim = len(vectors[0])
+    if weights is None:
+        weights = [Fraction(1)] * dim
+    vecs = [tuple(Fraction(c) for c in v) for v in vectors]
+
+    def ip(u, v):
+        return sum((w * a * b for w, a, b in zip(weights, u, v)), Fraction(0))
+
+    mean = tuple(sum((v[j] for v in vecs), Fraction(0)) / N for j in range(dim))
+    lhs = ip(mean, mean)
+
+    def correlation(h):
+        total = Fraction(0)
+        for n in range(N):
+            if 0 <= n + h < N:
+                total += ip(vecs[n + h], vecs[n])
+        return total / N
+
+    corr = Fraction(0)
+    for h in range(-H, H + 1):
+        weight = Fraction(H - abs(h), H * H)
+        if weight:
+            corr += weight * correlation(h)
+    rhs = Fraction(4 * H, N) + abs(corr)
+    return lhs, rhs, lhs <= rhs
+
+
+# ------------------------------------------------------------- roster
+
+def test_seminorm_pow_equals_built_integral(roster_case):
+    name, sys, order = roster_case
+    rng = random.Random(101)
+    d = len(order)
+    fs = [Observable.zero(sys.n), Observable.constant(Fraction(-2, 3), sys.n)]
+    fs += [mixed_observable(rng, sys.n) for _ in range(6)]
+    for f in fs:
+        assert seminorm_pow(sys, order, f).pow == built_integral(sys, order, full_map(f, d)), name
+
+
+def test_cube_integral_distinct_and_missing_vertices(roster_case):
+    name, sys, order = roster_case
+    rng = random.Random(103)
+    d = len(order)
+    for _ in range(4):
+        fs = {bits: mixed_observable(rng, sys.n) for bits in range(1 << d)}
+        assert cube_integral(sys, order, fs) == built_integral(sys, order, fs), name
+        partial = {bits: f for bits, f in fs.items() if rng.random() < 0.5}
+        assert cube_integral(sys, order, partial) == built_integral(sys, order, partial), name
+    assert cube_integral(sys, order, {}) == 1
+
+
+def test_cube_integral_accepts_vertex_keys_and_value_sequences():
+    f = (Fraction(1), Fraction(-1, 2), Fraction(0), Fraction(3, 7))
+    fs = {Vertex(2, 0): f, Vertex(2, 3): Observable(f)}
+    assert cube_integral(Z4_TWO, (0, 1), fs) == built_integral(Z4_TWO, (0, 1), {0: f, 3: f})
+    with pytest.raises(StructuralError):
+        cube_integral(Z4_TWO, (0, 1), {0: f[:3]})
+    with pytest.raises(StructuralError):
+        cube_integral(Z4_TWO, (0, 1), {4: f})
+
+
+def test_csg_matches_built_integrals(roster_case):
+    name, sys, order = roster_case
+    rng = random.Random(107)
+    d = len(order)
+    m = build_box_measure(sys, order)
+    for _ in range(3):
+        fs = random_vertex_functions(rng, sys.n, d, False)
+        fs[1] = mixed_observable(rng, sys.n)
+        res = csg_check(sys, order, fs)
+        assert res.lhs_pow == abs(integrate_product(m, fs)) ** (1 << d), name
+        rhs = math.prod(integrate_product(m, full_map(fs[b], d)) for b in range(1 << d))
+        assert res.rhs_pow == rhs, name
+        assert res.holds == (res.lhs_pow <= rhs)
+
+
+def test_star_seminorm_equals_built_star_measure(roster_case):
+    name, sys, order = roster_case
+    rng = random.Random(109)
+    star = build_star_system(sys, order)
+    # z5-three's extension measure has 78 125 entries: two draws keep it brief
+    m = star.box_measure()
+    for _ in range(2):
+        F = mixed_observable(rng, star.size)
+        expected = integrate_product(m, full_map(F, star.d))
+        assert star_seminorm_pow(star, F).pow == expected, name
+
+
+def test_integer_oracle_table_equals_fraction_reference(roster_case):
+    name, sys, order = roster_case
+    rng = random.Random(113)
+    d = len(order)
+    for _ in range(2):
+        fs = {bits: mixed_observable(rng, sys.n) for bits in range(1 << d)}
+        assert integrand_table(sys, order, fs) == reference_integrand_table(sys, order, fs), name
+    partial = {0: mixed_observable(rng, sys.n)}
+    assert integrand_table(sys, order, partial) == reference_integrand_table(sys, order, partial)
+
+
+# ------------------------------------------------------------- support cap
+
+def test_cap_raises_exactly_where_the_full_build_does(roster_case):
+    name, sys, order = roster_case
+    rng = random.Random(127)
+    d = len(order)
+    fs = {bits: mixed_observable(rng, sys.n) for bits in range(1 << d)}
+    f = fs[0]
+    sizes = stage_sizes(sys, order)
+    for cap in sorted({s - 1 for s in sizes if s > 1} | set(sizes)):
+        try:
+            build_box_measure(sys, order, cap=cap)
+        except SupportCapError as exc:
+            needed = exc.needed
+        else:
+            needed = None
+        routes = (
+            lambda: seminorm_pow(sys, order, f, cap=cap),
+            lambda: csg_check(sys, order, fs, cap=cap),
+            lambda: cube_integral(sys, order, fs, cap=cap),
+        )
+        for route in routes:
+            if needed is None:
+                route()
+            else:
+                with pytest.raises(SupportCapError) as err:
+                    route()
+                assert (err.value.needed, err.value.cap) == (needed, cap), name
+    # a cap at the largest stage's sum of |C|^2 is enough
+    assert seminorm_pow(sys, order, f, cap=max(sizes)).pow == built_integral(
+        sys, order, full_map(f, d)
+    )
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_seminorm_measure_cli_cap(tmp_path):
+    system = tmp_path / "z4.json"
+    system.write_text(json.dumps(system_to_dict(Z4_TWO)))
+    obs = tmp_path / "f.json"
+    obs.write_text(json.dumps({"values": ["1", "-1/2", "2/3", "0"]}))
+    full = stage_sizes(Z4_TWO, (0, 1))[-1]
+    base = ["seminorm", str(system), str(obs), "--method", "measure", "--cap"]
+    code, out, err = _run_cli(base + [str(full - 1)])
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "support-cap" and payload["cap"] == full - 1
+    assert f"need {full} entries" in payload["message"]
+    code, out, _ = _run_cli(base + [str(full)])
+    assert code == 0 and json.loads(out)["pow"]
+
+
+# ------------------------------------------------------------- van der Corput
+
+def test_van_der_corput_equals_reference():
+    rng = random.Random(131)
+    for _ in range(120):
+        N = rng.randint(1, 20)
+        H = rng.randint(1, N)
+        dim = rng.randint(1, 4)
+        weights = None
+        if rng.random() < 0.5:
+            raw = [Fraction(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(dim)]
+            total = sum(raw) or Fraction(1)
+            weights = [w / total for w in raw]
+        vecs = random_unit_vectors(rng, N, dim, weights)
+        res = van_der_corput_bound(vecs, H, weights)
+        assert (res.lhs, res.rhs, res.holds) == reference_van_der_corput(vecs, H, weights)
+
+
+# ------------------------------------------------------------- Hypothesis
+
+@st.composite
+def commuting_systems(draw, max_n: int = 6, max_d: int = 3):
+    """Translations on disjoint abelian blocks (cyclic, or the Klein group
+    on a block of 4), weights constant on the joint orbits, some orbits
+    null: the shapes of ``draws.random_commuting_system``."""
+    n = draw(st.integers(2, max_n))
+    d = draw(st.integers(1, max_d))
+    sizes, remaining = [], n
+    while remaining:
+        size = draw(st.integers(1, remaining))
+        sizes.append(size)
+        remaining -= size
+    transforms = [[0] * n for _ in range(d)]
+    start = 0
+    for size in sizes:
+        klein = size == 4 and draw(st.booleans())
+        for t in transforms:
+            shift = draw(st.integers(0, size - 1))
+            for x in range(size):
+                t[start + x] = start + (x ^ shift if klein else (x + shift) % size)
+        start += size
+    perms = tuple(tuple(t) for t in transforms)
+    cells = group_orbit_partition(perms, n).cells
+    units = draw(st.lists(st.integers(0, 3), min_size=len(cells), max_size=len(cells)))
+    if not any(units):
+        units[0] = 1
+    total = sum(u * len(c) for u, c in zip(units, cells))
+    weights = [Fraction(0)] * n
+    for u, cell in zip(units, cells):
+        for x in cell:
+            weights[x] = Fraction(u, total)
+    order = tuple(draw(st.permutations(range(d))))
+    return FiniteSystem(tuple(weights), perms), order
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@st.composite
+def systems_with_vertex_functions(draw):
+    sys, order = draw(commuting_systems())
+    vertex = st.lists(rationals, min_size=sys.n, max_size=sys.n).map(Observable)
+    fs = draw(st.dictionaries(st.integers(0, (1 << len(order)) - 1), vertex))
+    return sys, order, fs
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_with_vertex_functions())
+def test_hypothesis_cube_integral_equals_built(case):
+    sys, order, fs = case
+    assert cube_integral(sys, order, fs) == built_integral(sys, order, fs)
+    if fs:
+        f = next(iter(fs.values()))
+        assert seminorm_pow(sys, order, f).pow == built_integral(
+            sys, order, full_map(f, len(order))
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_with_vertex_functions())
+def test_hypothesis_integer_oracle_equals_reference(case):
+    sys, order, fs = case
+    assert integrand_table(sys, order, fs) == reference_integrand_table(sys, order, fs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda N: st.tuples(
+            st.lists(
+                st.lists(st.fractions(-1, 1, max_denominator=5), min_size=2, max_size=2),
+                min_size=N, max_size=N,
+            ),
+            st.integers(1, N),
+        )
+    )
+)
+def test_hypothesis_van_der_corput_equals_reference(case):
+    vectors, H = case
+    vecs = [tuple(c / 2 for c in v) for v in vectors]  # norm at most 1
+    res = van_der_corput_bound(vecs, H)
+    assert (res.lhs, res.rhs, res.holds) == reference_van_der_corput(vecs, H)
