@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .box_measure import SUPPORT_CAP_DEFAULT, normalize_order
 from .errors import PreconditionError, StructuralError
-from .perms import Perm, compose, identity, inverse
+from .perms import Perm, compose, inverse
 from .seminorm import (
     SeminormValue,
     integrand_table,
@@ -92,21 +92,6 @@ def _residue_counts(start: int, length: int, modulus: int) -> list[int]:
     return [base + (1 if (r - start) % modulus < extra else 0) for r in range(modulus)]
 
 
-def _orbit_product_values(sys: FiniteSystem, f_list: Sequence[Observable]) -> list[Observable]:
-    """For each residue r modulo the common period, the pointwise product
-    of the observables composed with the r-th powers of their transforms."""
-    L = common_period(sys)
-    out = []
-    current = [f for f in f_list]
-    for _ in range(L):
-        prod = current[0]
-        for g in current[1:]:
-            prod = prod * g
-        out.append(prod)
-        current = [g.translate(t) for g, t in zip(current, sys.transforms)]
-    return out
-
-
 def multi_average(
     sys: FiniteSystem, f_list: Sequence[Observable], interval: Interval
 ) -> AverageResult:
@@ -116,15 +101,17 @@ def multi_average(
     for f in f_list:
         if f.n != sys.n:
             raise StructuralError("observable size does not match the system")
-    L = common_period(sys)
-    counts = _residue_counts(interval.start, interval.length, L)
-    products = _orbit_product_values(sys, f_list)
+    counts = _residue_counts(interval.start, interval.length, common_period(sys))
+    # at residue r, current[i] holds the values of f_i composed with T_i^r
+    current = [f.values for f in f_list]
     total = [Fraction(0)] * sys.n
-    for r, c in enumerate(counts):
-        if c == 0:
-            continue
-        for x in range(sys.n):
-            total[x] += c * products[r].values[x]
+    for c in counts:
+        if c:
+            for x in range(sys.n):
+                total[x] += c * math.prod(vals[x] for vals in current)
+        current = [
+            tuple(map(vals.__getitem__, t)) for vals, t in zip(current, sys.transforms)
+        ]
     values = Observable(tuple(v / interval.length for v in total))
     return _average_result(sys, values, interval)
 
@@ -137,6 +124,17 @@ def multi_average_limit(sys: FiniteSystem, f_list: Sequence[Observable]) -> Aver
     """
     L = common_period(sys)
     return multi_average(sys, f_list, Interval(0, L))
+
+
+def _weighted_table_sum(table: Mapping, counts: Sequence[Sequence[int]]) -> Fraction:
+    """Sum of the integrand table, each residue tuple weighted by how many
+    exponent tuples of the interval box fall on it."""
+    total = Fraction(0)
+    for residues, value in table.items():
+        weight = math.prod(count[r] for count, r in zip(counts, residues))
+        if weight:
+            total += weight * value
+    return total
 
 
 @dataclass(frozen=True)
@@ -191,15 +189,8 @@ def multilinear_average_J(
     counts = [
         _residue_counts(iv.start, iv.length, L) for iv, L in zip(intervals, periods)
     ]
-    total = Fraction(0)
-    for residues, value in table.items():
-        weight = 1
-        for i, r in enumerate(residues):
-            weight *= counts[i][r]
-        if weight:
-            total += weight * value
     box = math.prod(iv.length for iv in intervals)
-    return total / box
+    return _weighted_table_sum(table, counts) / box
 
 
 @dataclass(frozen=True)
@@ -244,14 +235,8 @@ def uniformity_scan(
     max_abs = Fraction(0)
     scanned = 0
     for combo in itertools.product(starts, repeat=d):
-        total = Fraction(0)
         counts = [count_cache[(s, L)] for s, L in zip(combo, periods)]
-        for residues, value in table.items():
-            weight = 1
-            for i, r in enumerate(residues):
-                weight *= counts[i][r]
-            if weight:
-                total += weight * value
+        total = _weighted_table_sum(table, counts)
         scanned += 1
         max_abs = max(max_abs, abs(total / box))
     sem = seminorm_pow(sys, order, fmap[0], cap=cap)

@@ -26,7 +26,6 @@ from fractions import Fraction
 from .averages import Interval, multi_average, multi_average_limit
 from .box_measure import SUPPORT_CAP_DEFAULT, build_box_measure
 from .errors import (
-    BoxlabError,
     InvariantViolationError,
     PreconditionError,
     StructuralError,
@@ -46,10 +45,9 @@ from .serialize import (
     load_observable,
     load_system,
     measure_to_dict,
-    observable_to_dict,
     seminorm_to_dict,
 )
-from .system import FiniteSystem, Observable, validate_system
+from .system import FiniteSystem, validate_system
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -62,9 +60,6 @@ EXIT_PROPERTY = 5
 
 @dataclass
 class RunConfig:
-    command: str
-    paths: list[str]
-    order: tuple[int, ...] | None
     cap: int
     fmt: str
     seed: int
@@ -112,9 +107,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
     if draws < 1:
         raise StructuralError(f"--draws must be at least 1, got {draws}")
     return RunConfig(
-        command=args.command,
-        paths=[p for p in getattr(args, "paths", [])],
-        order=getattr(args, "order", None),
         cap=_cap(args),
         fmt=getattr(args, "format", "json"),
         seed=getattr(args, "seed", 0),

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .perms import Perm
 from .system import FiniteSystem, Observable, conditional_expectation, group_orbit_partition
 
 

@@ -8,11 +8,11 @@ seeded by the seed, so equal inputs give byte-identical outcomes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .averages import (
     characteristic_bound_check,
@@ -40,6 +40,7 @@ from .draws import (
 )
 from .errors import SupportCapError
 from .magic import (
+    StarSystem,
     build_star_system,
     magic_failures,
     normstar_check,
@@ -56,7 +57,7 @@ from .seminorm import (
     zed_partition,
 )
 from .serialize import format_rational
-from .system import FiniteSystem, Observable, transform_period, validate_system
+from .system import FiniteSystem, Observable, Partition, transform_period, validate_system
 
 STAR_VERIFY_BUDGET = 20_000
 
@@ -96,6 +97,18 @@ class _Suite:
         self.rng = random.Random(self.seed)
         self.d = len(self.order)
         self.star_draws = max(1, self.draws // 10)
+
+    # Built on first use and shared by the properties after it.  A build
+    # that raises SupportCapError stores nothing, so every property that
+    # needs it SKIPs with the same detail.
+
+    @functools.cached_property
+    def star(self) -> StarSystem:
+        return build_star_system(self.sys, self.order, cap=self.cap)
+
+    @functools.cached_property
+    def zed(self) -> Partition:
+        return zed_partition(self.sys, self.order, cap=self.cap)
 
     def run(self) -> list[PropertyOutcome]:
         checks = [
@@ -241,9 +254,8 @@ class _Suite:
         return PropertyOutcome("csg", "PASS", f"{len(batches)} draws + equality case")
 
     def check_lemma_z(self) -> PropertyOutcome:
-        zed = zed_partition(self.sys, self.order, cap=self.cap)
-        star = build_star_system(self.sys, self.order, cap=self.cap)
-        if zed_from_sharp(star) != zed:
+        zed = self.zed
+        if zed_from_sharp(self.star) != zed:
             return PropertyOutcome(
                 "lemma-z", "FAIL", "component and invariant-set routes disagree"
             )
@@ -340,7 +352,7 @@ class _Suite:
     # -- star-space properties (guarded by a size budget) ------------------
 
     def _star_or_skip(self, name: str):
-        star = build_star_system(self.sys, self.order, cap=self.cap)
+        star = self.star
         estimate = star.size
         for t in star.star_transforms:
             estimate *= period(t)
@@ -366,8 +378,7 @@ class _Suite:
         )
 
     def check_span0(self) -> PropertyOutcome:
-        star = build_star_system(self.sys, self.order, cap=self.cap)
-        zed = zed_partition(self.sys, self.order, cap=self.cap)
+        star, zed = self.star, self.zed
         for i in range(self.star_draws):
             fs = random_vertex_functions(self.rng, self.sys.n, self.d, True)
             fs[0] = random_zero_expectation_observable(self.rng, self.sys, zed)
@@ -383,7 +394,7 @@ class _Suite:
         star, skip = self._star_or_skip("normstar")
         if skip:
             return skip
-        zed = zed_partition(self.sys, self.order, cap=self.cap)
+        zed = self.zed
         for i in range(self.star_draws):
             fs = random_vertex_functions(self.rng, self.sys.n, self.d, True)
             fs[0] = random_zero_expectation_observable(self.rng, self.sys, zed)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxlab.averages import (
     Interval,
@@ -28,6 +30,7 @@ from boxlab.errors import PreconditionError, StructuralError
 from boxlab.seminorm import seminorm_pow, zed_partition
 from boxlab.system import FiniteSystem, Observable, conditional_expectation, orbit_partition
 from conftest import Z4_TWO, shift, uniform
+from test_fast_integral import commuting_systems, rationals
 
 
 def F(x):
@@ -115,6 +118,56 @@ def test_convergence_rate_bound(roster_case):
         lhs = diff.l2_norm_sq(sys.weights)
         rhs = Fraction(bound_scale, iv.length) ** 2
         assert lhs <= rhs, (name, iv)
+
+
+def reference_multi_average(sys, f_list, interval):
+    """The Observable-based evaluation: one product Observable per residue
+    modulo the common period, residues counted by walking the interval."""
+    L = common_period(sys)
+    products = []
+    current = list(f_list)
+    for _ in range(L):
+        prod = current[0]
+        for g in current[1:]:
+            prod = prod * g
+        products.append(prod)
+        current = [g.translate(t) for g, t in zip(current, sys.transforms)]
+    counts = [0] * L
+    for k in interval:
+        counts[k % L] += 1
+    total = [Fraction(0)] * sys.n
+    for r, c in enumerate(counts):
+        for x in range(sys.n):
+            total[x] += c * products[r].values[x]
+    return Observable(tuple(v / interval.length for v in total))
+
+
+def assert_matches_reference(sys, f_list, interval):
+    expected = reference_multi_average(sys, f_list, interval)
+    out = multi_average(sys, f_list, interval)
+    assert out.values == expected
+    assert out.interval == interval
+    assert out.l2_norm_sq == expected.l2_norm_sq(sys.weights)
+
+
+def test_multi_average_equals_observable_reference(roster_case):
+    name, sys, order = roster_case
+    rng = random.Random(29)
+    f_list = [random_observable(rng, sys.n) for _ in range(sys.d)]
+    L = common_period(sys)
+    for start in (-2 * L - 3, -5, -1, 0, 2, 7):
+        for length in (1, 2, L, L + 1, 2 * L - 1, 3 * L + 2):
+            assert_matches_reference(sys, f_list, Interval(start, length))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hypothesis_multi_average_equals_observable_reference(data):
+    sys, _ = data.draw(commuting_systems())
+    vertex = st.lists(rationals, min_size=sys.n, max_size=sys.n).map(Observable)
+    f_list = data.draw(st.lists(vertex, min_size=sys.d, max_size=sys.d))
+    interval = Interval(data.draw(st.integers(-40, 40)), data.draw(st.integers(1, 30)))
+    assert_matches_reference(sys, f_list, interval)
 
 
 # ------------------------------------------------------------- characteristic bound

@@ -237,11 +237,9 @@ def test_magic_check_passes(z4_file):
 
 
 def test_magic_check_injected_fault_exits_5(z4_file, monkeypatch):
-    from boxlab.magic import MagicCheck
-
     monkeypatch.setattr(
-        "boxlab.magic.magic_check",
-        lambda star, F, cap=None: MagicCheck(True, Fraction(1), False),
+        "boxlab.magic.star_seminorm_pow",
+        lambda star, F, cap=None: SeminormValue(star.d, Fraction(1), tuple(range(star.d))),
     )
     code, out, _ = run_cli(["magic-check", z4_file, "--draws", "2"])
     assert code == 5

@@ -10,8 +10,10 @@ from boxlab.draws import (
     random_observable,
     random_zero_expectation_observable,
 )
-from boxlab.errors import PreconditionError
+from boxlab.errors import InvariantViolationError, PreconditionError
 from boxlab.magic import (
+    StarSystem,
+    _check_star_invariants,
     build_star_system,
     derive_S_star,
     magic_check,
@@ -35,7 +37,7 @@ from boxlab.system import (
     group_orbit_partition,
     orbit_partition,
 )
-from conftest import BLOCKS4, Z2_PAIR, Z4_TWO, shift, uniform
+from conftest import BLOCKS4, NONUNIFORM, Z2_PAIR, Z4_TWO, shift, uniform
 
 
 def F(x):
@@ -113,6 +115,75 @@ def test_movers_touch_only_high_digit_coordinates(roster_case):
                     assert after[e] == perm[before[e]], name
                 else:
                     assert after[e] == before[e], name
+
+
+def test_as_finite_system_is_built_once():
+    star = build_star_system(Z4_TWO, (0, 1))
+    system = star.as_finite_system()
+    assert star.as_finite_system() is system
+    assert system.weights == star.weights and system.transforms == star.star_transforms
+
+
+# ------------------------------------------------------------- tampered extensions
+
+def tampered(star: StarSystem, **changes) -> StarSystem:
+    fields = dict(
+        base=star.base, order=star.order, carrier=star.carrier, weights=star.weights,
+        star_transforms=star.star_transforms, diag_transforms=star.diag_transforms,
+    )
+    fields.update(changes)
+    return StarSystem(**fields)
+
+
+def transposition(n: int, a: int, b: int) -> tuple[int, ...]:
+    out = list(range(n))
+    out[a], out[b] = b, a
+    return tuple(out)
+
+
+def violations(star: StarSystem) -> list[str]:
+    with pytest.raises(InvariantViolationError) as info:
+        _check_star_invariants(star)
+    return info.value.report or [str(info.value)]
+
+
+def test_side_transform_moving_weight_is_rejected():
+    star = build_star_system(NONUNIFORM, (0, 1))
+    a = 0
+    b = next(c for c in range(star.size) if star.weights[c] != star.weights[a])
+    swap = transposition(star.size, a, b)
+    report = violations(tampered(star, star_transforms=(swap, *star.star_transforms[1:])))
+    assert "transform 0 breaks measure preservation at point 0" in report
+
+
+def test_non_commuting_side_and_diagonal_are_rejected():
+    star = build_star_system(Z4_TWO, (0, 1))
+    assert len(set(star.weights)) == 1  # any permutation preserves the weights
+    swap = transposition(star.size, 0, 1)
+    side = star.star_transforms[0]
+    assert compose(side, swap) != compose(swap, side)
+    report = violations(tampered(star, diag_transforms=(swap, *star.diag_transforms[1:])))
+    # side transforms are indices 0..d-1 of the checked system, diagonals d..2d-1
+    assert "transforms 0 and 2 do not commute" in report
+    assert not any("measure preservation" in line for line in report)
+
+
+def test_side_transforms_projecting_wrongly_are_rejected():
+    # shifts by 1 and 2 swapped: still a valid system on the carrier, but side
+    # transformation 1 now lifts the shift by 2
+    star = build_star_system(Z4_TWO, (0, 1))
+    swapped = tampered(star, star_transforms=star.star_transforms[::-1])
+    assert violations(swapped) == [
+        "side transformation 1 does not project onto its base transform"
+    ]
+
+
+def test_origin_pushing_onto_other_weights_is_rejected():
+    star = build_star_system(BLOCKS4, (0,))
+    base = FiniteSystem(NONUNIFORM.weights, BLOCKS4.transforms)
+    assert violations(tampered(star, base=base)) == [
+        "origin projection does not push onto the base"
+    ]
 
 
 # ------------------------------------------------------------- lifted averaging

@@ -61,6 +61,46 @@ def test_star_budget_skips_heavy_extension():
     assert all(o.status in ("PASS", "SKIP") for o in outcomes)
 
 
+def count_calls(monkeypatch, name):
+    """Wrap ``boxlab.verify.<name>`` and record the system of every call."""
+    import boxlab.verify
+
+    real = getattr(boxlab.verify, name)
+    calls = []
+
+    def counting(sys, *args, **kwargs):
+        calls.append(sys)
+        return real(sys, *args, **kwargs)
+
+    monkeypatch.setattr(boxlab.verify, name, counting)
+    return calls
+
+
+def test_suite_builds_the_extension_and_its_partition_once(monkeypatch):
+    from conftest import Z5_THREE
+
+    for sys, order in ((Z4_TWO, (0, 1)), (Z5_THREE, (0, 1, 2))):
+        stars = count_calls(monkeypatch, "build_star_system")
+        zeds = count_calls(monkeypatch, "zed_partition")
+        outcomes = run_suite(sys, order, seed=0, draws=4)
+        assert all(o.status in ("PASS", "SKIP") for o in outcomes)
+        assert stars == [sys]
+        # the characteristic bound partitions the derived system, not the base
+        assert zeds.count(sys) == 1
+        monkeypatch.undo()
+
+
+def test_failed_extension_build_is_retried_per_property(monkeypatch):
+    stars = count_calls(monkeypatch, "build_star_system")
+    outcomes = {o.name: o for o in run_suite(Z4_TWO, (0, 1), seed=0, draws=4, cap=20)}
+    # lemma-z stops at the base partition; magic, span0 and normstar each
+    # retry the extension and SKIP with the same cap detail
+    assert len(stars) == 3
+    details = {outcomes[name].detail for name in ("magic", "span0", "normstar")}
+    assert [outcomes[name].status for name in ("magic", "span0", "normstar")] == ["SKIP"] * 3
+    assert len(details) == 1 and outcomes["lemma-z"].detail in details
+
+
 def test_outcome_serialization():
     out = PropertyOutcome("x", "FAIL", "boom", {"draw": 1})
     assert out.as_dict() == {
