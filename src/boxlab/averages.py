@@ -264,7 +264,7 @@ def van_der_corput_bound(
     term 4H/N to the absolute triangular-weighted sum of the shifted
     correlation averages, where pairs leaving the index range are dropped
     and the correlation average keeps denominator N.  Requires every vector
-    norm at most 1 and 1 <= H <= N.
+    norm at most 1, 1 <= H <= N and one non-negative weight per coordinate.
     """
     N = len(vectors)
     if N < 1:
@@ -282,6 +282,10 @@ def van_der_corput_bound(
     # weights over theirs; an inner product of norm 1 reads ``unit``
     scale = math.lcm(*(c.denominator for v in vecs for c in v))
     weights = [Fraction(w) for w in weights]
+    if len(weights) != dim:
+        raise StructuralError(f"{len(weights)} weights for vectors of dimension {dim}")
+    if any(w < 0 for w in weights):
+        raise PreconditionError("weights must be non-negative")
     wscale = math.lcm(*(w.denominator for w in weights))
     unit = scale * scale * wscale
     w_int = [w.numerator * (wscale // w.denominator) for w in weights]

@@ -341,7 +341,9 @@ def vertex_product_observable(star: StarSystem, fs: Mapping) -> Observable:
     return Observable(tuple(values))
 
 
-def span0_orthogonality_check(star: StarSystem, fs: Mapping) -> bool:
+def span0_orthogonality_check(
+    star: StarSystem, fs: Mapping, cap: int = SUPPORT_CAP_DEFAULT
+) -> bool:
     """Zero expectation of the origin factor onto the component partition
     forces the vertex product to have zero conditional expectation onto the
     partition of the carrier by the off-origin block.
@@ -352,7 +354,7 @@ def span0_orthogonality_check(star: StarSystem, fs: Mapping) -> bool:
     d = star.d
     fmap = {vertex_bits(k, d): obs for k, obs in fs.items()}
     f_origin = fmap.get(0, Observable.constant(1, star.base.n))
-    zed = zed_partition(star.base, star.order)
+    zed = zed_partition(star.base, star.order, cap=cap)
     if not conditional_expectation(f_origin, zed, star.base.weights).is_zero():
         raise PreconditionError(
             "origin observable has nonzero expectation onto the component partition"
@@ -366,14 +368,19 @@ def span0_orthogonality_check(star: StarSystem, fs: Mapping) -> bool:
 
 
 def normstar_check(
-    star: StarSystem, fs: Mapping, cap: int = SUPPORT_CAP_DEFAULT
+    star: StarSystem,
+    fs: Mapping,
+    cap: int = SUPPORT_CAP_DEFAULT,
+    star_cap: int | None = None,
 ) -> bool:
     """Zero box seminorm of the origin factor forces zero extended seminorm
-    of the vertex product.  The precondition is checked exactly."""
+    of the vertex product.  The precondition is checked exactly, on the
+    base under ``cap``; the extended seminorm runs under ``star_cap``,
+    which defaults to ``cap``."""
     d = star.d
     fmap = {vertex_bits(k, d): obs for k, obs in fs.items()}
     f_origin = fmap.get(0, Observable.constant(1, star.base.n))
     if seminorm_pow(star.base, star.order, f_origin, cap=cap).pow != 0:
         raise PreconditionError("origin observable has nonzero box seminorm")
     F = vertex_product_observable(star, fs)
-    return star_seminorm_pow(star, F, cap=cap).pow == 0
+    return star_seminorm_pow(star, F, cap=cap if star_cap is None else star_cap).pow == 0

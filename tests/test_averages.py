@@ -308,6 +308,19 @@ def test_vdc_preconditions():
         van_der_corput_bound([(F(2),)], 1)
 
 
+def test_vdc_rejects_weights_of_the_wrong_length():
+    # zip would drop the second coordinate and pass the norm check
+    with pytest.raises(StructuralError):
+        van_der_corput_bound([(F(1), F(1)), (F(1), F(-1))], 1, weights=[F(1)])
+    with pytest.raises(StructuralError):
+        van_der_corput_bound([(F(1),)], 1, weights=[F(1), F(0)])
+
+
+def test_vdc_rejects_negative_weights():
+    with pytest.raises(PreconditionError):
+        van_der_corput_bound([(F(1), F(0))], 1, weights=[F(-1), F(1)])
+
+
 def test_vdc_random_draws():
     rng = random.Random(43)
     for _ in range(60):

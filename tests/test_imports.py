@@ -1,8 +1,9 @@
-"""Every top-level import in the library modules is used.
+"""Every top-level import in the library modules is used, and no library
+module imports another one inside a function.
 
 A stdlib ``ast`` check standing in for a linter: a module-level import
 binds a name, and that name must be read somewhere else in the module.
-``__init__.py`` re-exports on purpose and is exempt.
+``__init__.py`` re-exports on purpose and is exempt from that half.
 """
 
 import ast
@@ -27,6 +28,22 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return out
 
 
+def local_boxlab_imports(tree: ast.Module) -> list[int]:
+    """Lines of the imports of ``boxlab`` modules made inside a function."""
+    lines = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom):
+                if node.level > 0 or (node.module or "").split(".")[0] == "boxlab":
+                    lines.add(node.lineno)
+            elif isinstance(node, ast.Import):
+                if any(alias.name.split(".")[0] == "boxlab" for alias in node.names):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
 def read_names(tree: ast.Module) -> set[str]:
     return {
         node.id
@@ -47,3 +64,26 @@ def test_check_flags_an_unused_import():
     tree = ast.parse("import os\nfrom fractions import Fraction\nprint(os.sep)\n")
     used = read_names(tree)
     assert [n for n in imported_names(tree) if n not in used] == ["Fraction"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_function_imports_a_boxlab_module(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = local_boxlab_imports(tree)
+    assert not lines, f"{path.name}: boxlab imports inside functions at lines {lines}"
+
+
+def test_check_flags_a_function_local_boxlab_import():
+    tree = ast.parse(
+        "import json\n"
+        "def f():\n"
+        "    import json\n"
+        "    from .system import Observable\n"
+        "    def g():\n"
+        "        import boxlab.perms\n"
+        "    return json, Observable\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        from boxlab import seminorm\n"
+    )
+    assert local_boxlab_imports(tree) == [4, 6, 10]

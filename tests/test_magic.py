@@ -10,7 +10,7 @@ from boxlab.draws import (
     random_observable,
     random_zero_expectation_observable,
 )
-from boxlab.errors import InvariantViolationError, PreconditionError
+from boxlab.errors import InvariantViolationError, PreconditionError, SupportCapError
 from boxlab.magic import (
     StarSystem,
     _check_star_invariants,
@@ -416,6 +416,19 @@ def test_normstar_guard_fires():
     assert seminorm_pow(Z2_PAIR, (0, 1), fs[0]).pow == 1
     with pytest.raises(PreconditionError):
         normstar_check(star, fs)
+
+
+def test_normstar_star_cap_bounds_only_the_extension():
+    star = build_star_system(Z4_TWO, (0, 1))
+    fs = {b: Observable.constant(1, 4) for b in range(1, 4)}
+    fs[0] = Observable.zero(4)
+    with pytest.raises(SupportCapError) as exc:
+        normstar_check(star, fs, star_cap=10)
+    assert exc.value.cap == 10
+    # the precondition on the base runs under cap and rejects first
+    fs[0] = Observable((F(1), F(-1), F(1), F(-1)))
+    with pytest.raises(PreconditionError):
+        normstar_check(star, fs, star_cap=10)
 
 
 def test_normstar_null_supported_origin_at_d2():

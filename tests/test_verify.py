@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import boxlab.seminorm
+import boxlab.verify
+from boxlab.box_measure import SUPPORT_CAP_DEFAULT
 from boxlab.system import FiniteSystem
 from boxlab.verify import PropertyOutcome, run_suite
 from conftest import BLOCKS4, Z4_TWO, ZERO_WEIGHT, uniform
@@ -51,28 +54,30 @@ def test_suite_reports_invalid_system():
 
 
 def test_star_budget_skips_heavy_extension():
-    from conftest import Z5_THREE
+    from conftest import Z5_THREE, shift
 
-    outcomes = run_suite(Z5_THREE, (0, 1, 2), seed=0, draws=2)
-    by_name = {o.name: o for o in outcomes}
-    assert by_name["magic"].status == "SKIP"
-    assert "budget" in by_name["magic"].detail
-    # every non-skipped property still passes
-    assert all(o.status in ("PASS", "SKIP") for o in outcomes)
+    # the extension of Z/7 with shifts 1,2,3 has a stage of 117 649 entries
+    z7 = FiniteSystem(uniform(7), (shift(7, 1), shift(7, 2), shift(7, 3)))
+    by_name = {o.name: o for o in run_suite(z7, (0, 1, 2), seed=0, draws=2)}
+    for name in ("magic", "normstar"):
+        assert by_name[name].status == "SKIP"
+        assert by_name[name].detail.endswith("exceeding the cap of 100000")
+    assert all(o.status in ("PASS", "SKIP") for o in by_name.values())
+    # the extension of z5-three stays under the budget
+    by_name = {o.name: o for o in run_suite(Z5_THREE, (0, 1, 2), seed=0, draws=2)}
+    assert by_name["magic"].status == "PASS" and by_name["normstar"].status == "PASS"
 
 
-def count_calls(monkeypatch, name):
-    """Wrap ``boxlab.verify.<name>`` and record the system of every call."""
-    import boxlab.verify
-
-    real = getattr(boxlab.verify, name)
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.<name>`` and record the first argument of every call."""
+    real = getattr(module, name)
     calls = []
 
-    def counting(sys, *args, **kwargs):
-        calls.append(sys)
-        return real(sys, *args, **kwargs)
+    def counting(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
 
-    monkeypatch.setattr(boxlab.verify, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -80,18 +85,34 @@ def test_suite_builds_the_extension_and_its_partition_once(monkeypatch):
     from conftest import Z5_THREE
 
     for sys, order in ((Z4_TWO, (0, 1)), (Z5_THREE, (0, 1, 2))):
-        stars = count_calls(monkeypatch, "build_star_system")
-        zeds = count_calls(monkeypatch, "zed_partition")
+        boxlab.seminorm._zed.cache_clear()
+        stars = count_calls(monkeypatch, boxlab.verify, "build_star_system")
+        partitions = count_calls(monkeypatch, boxlab.seminorm, "components")
         outcomes = run_suite(sys, order, seed=0, draws=4)
         assert all(o.status in ("PASS", "SKIP") for o in outcomes)
         assert stars == [sys]
-        # the characteristic bound partitions the derived system, not the base
-        assert zeds.count(sys) == 1
+        # one for the base, one for the characteristic bound's derived system
+        assert partitions == [sys.n, sys.n]
         monkeypatch.undo()
 
 
+def test_suite_builds_every_base_measure_under_the_run_cap(monkeypatch):
+    boxlab.seminorm._zed.cache_clear()
+    real = boxlab.seminorm.build_box_measure
+    caps = []
+
+    def recording(sys, order, cap=SUPPORT_CAP_DEFAULT):
+        caps.append(cap)
+        return real(sys, order, cap=cap)
+
+    monkeypatch.setattr(boxlab.seminorm, "build_box_measure", recording)
+    outcomes = run_suite(Z4_TWO, (0, 1), draws=20, cap=1000)
+    assert all(o.status == "PASS" for o in outcomes)
+    assert caps and set(caps) == {1000}
+
+
 def test_failed_extension_build_is_retried_per_property(monkeypatch):
-    stars = count_calls(monkeypatch, "build_star_system")
+    stars = count_calls(monkeypatch, boxlab.verify, "build_star_system")
     outcomes = {o.name: o for o in run_suite(Z4_TWO, (0, 1), seed=0, draws=4, cap=20)}
     # lemma-z stops at the base partition; magic, span0 and normstar each
     # retry the extension and SKIP with the same cap detail
