@@ -78,7 +78,9 @@ def derive_T_from_S(sys: FiniteSystem) -> tuple[Perm, ...]:
 
 
 def derived_transform_system(sys: FiniteSystem) -> FiniteSystem:
-    return FiniteSystem(sys.weights, derive_T_from_S(sys), sys.labels)
+    """The difference transforms on the same points, kept on ``sys``."""
+    return sys.memo(("derived",), lambda: FiniteSystem(
+        sys.weights, derive_T_from_S(sys), sys.labels))
 
 
 def common_period(sys: FiniteSystem) -> int:

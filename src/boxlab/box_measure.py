@@ -27,7 +27,6 @@ reference over a built measure.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -37,12 +36,9 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import InvariantViolationError, StructuralError, SupportCapError
 from .perms import Perm, inverse, is_permutation, orbits
-from .system import FiniteSystem, Observable
+from .system import FiniteSystem, Observable, as_fraction
 
 SUPPORT_CAP_DEFAULT = 10_000_000
-# Distinct (system, order, cap) builds kept alive: a d=3 ``verify`` needs 8
-# (a d=2 one needs 5), so a whole run builds each of them once.
-BUILD_CACHE_SIZE = 8
 
 CubePoint = tuple[int, ...]
 TupleMap = Callable[[CubePoint], CubePoint]
@@ -218,22 +214,20 @@ def build_box_measure(
     Stage j couples two copies of the stage j-1 measure over the orbit
     cells of transform order[j-1] acting diagonally, writing the copies
     into digit j.  All 2^d marginals of the result equal the base weights.
-    Equal (system, order, cap) inputs return the same immutable measure
-    while it stays among the last BUILD_CACHE_SIZE built; a build that
-    raises is never cached.
+    Each stage is kept on ``sys`` per (order prefix, cap), so repeated
+    calls return the same immutable measure and orders sharing a prefix
+    share its stages; a stage that raises keeps nothing.
     """
     return _build(sys, normalize_order(sys, order), cap)
 
 
-@functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
 def _build(sys: FiniteSystem, order: tuple[int, ...], cap: int) -> SparseCubeMeasure:
-    m = measure_from_weights(sys.weights)
-    for idx in order:
-        m = relative_self_product(m, sys.transforms[idx], cap=cap)
-    return m
+    if not order:
+        return measure_from_weights(sys.weights)
+    return sys.memo(("stage", order, cap), lambda: relative_self_product(
+        _build(sys, order[:-1], cap), sys.transforms[order[-1]], cap=cap))
 
 
-@functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
 def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...], cap: int):
     """The measure before the last stage of ``order``, in integers, grouped
     into the orbit cells of the last transform.
@@ -242,7 +236,7 @@ def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...], cap: int):
     scaled mass.  Per cell this returns the coordinate columns of its
     points (one tuple per vertex), their scaled masses, and lcm(W) / W, so
     that a cell's term S0 * S1 / W is S0 * S1 * (lcm(W) / W) over the
-    returned denominator M * lcm(W).  Cached and raising like ``_build``.
+    returned denominator M * lcm(W).  Kept on ``sys`` by :func:`cube_integral`.
     """
     m = _build(sys, order[:-1], cap)
     cells = _orbit_cells(m, sys.transforms[order[-1]], cap)
@@ -296,13 +290,13 @@ def cube_integral(
     SupportCapError exactly where that build would.
     """
     order = normalize_order(sys, order)
-    cells, den = _last_stage_cells(sys, order, cap)
+    cells, den = sys.memo(("cells", order, cap), lambda: _last_stage_cells(sys, order, cap))
     k = len(order)
     half = 1 << (k - 1)
     fmap: dict[int, tuple[Fraction, ...]] = {}
     for key, obs in fs.items():
         bits = vertex_bits(key, k)
-        values = obs.values if isinstance(obs, Observable) else tuple(map(Fraction, obs))
+        values = obs.values if isinstance(obs, Observable) else tuple(map(as_fraction, obs))
         if len(values) != sys.n:
             raise StructuralError(
                 f"observable at vertex {bits} has {len(values)} values, expected {sys.n}"
@@ -435,13 +429,13 @@ def apply_index_permutation(m: SparseCubeMeasure, sigma: Sequence[int]) -> Spars
 def integrate_product(m: SparseCubeMeasure, fs: Mapping) -> Fraction:
     """Integrate the product over vertices of per-vertex observables.
 
-    ``fs`` maps vertices (Vertex or bitmask int) to observables on the base
-    set; missing vertices contribute the constant 1.
+    ``fs`` maps vertices (Vertex or bitmask int) to observables or exact
+    value sequences on the base set; missing vertices contribute 1.
     """
     fmap: dict[int, tuple[Fraction, ...]] = {}
     for key, obs in fs.items():
         bits = vertex_bits(key, m.k)
-        values = obs.values if isinstance(obs, Observable) else tuple(obs)
+        values = obs.values if isinstance(obs, Observable) else tuple(map(as_fraction, obs))
         if len(values) != m.base_n:
             raise StructuralError(
                 f"observable at vertex {bits} has {len(values)} values, expected {m.base_n}"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import os
 import random
 import sys as _sys
@@ -258,8 +259,6 @@ def cmd_verify(args) -> int:
         writer.writerow(["all", "PASS" if not failed else "FAIL", f"seed={cfg.seed}"])
         print(buf.getvalue(), end="")
     else:
-        import json
-
         for o in outcomes:
             print(json.dumps(o.as_dict(), sort_keys=True))
         print(

@@ -96,7 +96,7 @@ class StarSystem:
         return self._system
 
     def box_measure(self, cap: int = SUPPORT_CAP_DEFAULT) -> SparseCubeMeasure:
-        """Cube measure of the extension itself (shared by equal extensions)."""
+        """Cube measure of the extension; repeated calls on it share one."""
         return build_box_measure(self.as_finite_system(), tuple(range(self.d)), cap=cap)
 
     def __repr__(self) -> str:

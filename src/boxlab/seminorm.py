@@ -20,7 +20,6 @@ Three routes compute the same power:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -29,7 +28,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .box_measure import (
-    BUILD_CACHE_SIZE,
     SUPPORT_CAP_DEFAULT,
     build_box_measure,
     cube_integral,
@@ -254,13 +252,13 @@ def zed_partition(
     origin values and off-origin value tuples on the support of the cube
     measure.  A set is a union of these cells exactly when its indicator at
     the origin coordinate matches some indicator of the off-origin block on
-    the whole support.  Zero-weight points become singleton cells.  Cached
-    and raising like :func:`boxlab.box_measure.build_box_measure`.
+    the whole support.  Zero-weight points become singleton cells.  Kept
+    on ``sys`` per (order, cap) and raising like :func:`build_box_measure`.
     """
-    return _zed(sys, normalize_order(sys, order), cap)
+    order = normalize_order(sys, order)
+    return sys.memo(("zed", order, cap), lambda: _zed(sys, order, cap))
 
 
-@functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
 def _zed(sys: FiniteSystem, order: tuple[int, ...], cap: int) -> Partition:
     m = build_box_measure(sys, order, cap=cap)
     # join each origin value to the first one seen with the same off-origin

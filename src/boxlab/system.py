@@ -14,7 +14,7 @@ cell-wise weighted average (zero on cells of weight zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -50,6 +50,7 @@ class FiniteSystem:
     weights: tuple[Fraction, ...]
     transforms: tuple[Perm, ...]
     labels: tuple[str, ...] | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = tuple(as_fraction(w) for w in self.weights)
@@ -91,6 +92,12 @@ class FiniteSystem:
     def support(self) -> tuple[int, ...]:
         """Points of strictly positive weight."""
         return tuple(x for x, w in enumerate(self.weights) if w > 0)
+
+    def memo(self, key, compute):
+        """``compute()``, kept under ``key`` while the system lives; a raise keeps nothing."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def __repr__(self) -> str:
         return f"FiniteSystem(n={self.n}, d={self.d})"

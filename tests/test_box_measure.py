@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from boxlab.errors import InvariantViolationError, StructuralError, SupportCapEr
 from boxlab.perms import compose
 from boxlab.system import FiniteSystem, Observable, conditional_expectation, orbit_partition
 from boxlab.draws import random_observable
+from boxlab.seminorm import zed_partition
 from conftest import BLOCKS4, Z4_TWO, uniform
 
 
@@ -133,6 +136,30 @@ def test_smaller_cap_still_raises_after_a_cached_build():
     build_box_measure(Z4_TWO, (1, 0))
     with pytest.raises(SupportCapError):
         build_box_measure(Z4_TWO, (1, 0), cap=10)
+
+
+def test_measures_are_freed_with_their_system():
+    sys = FiniteSystem(Z4_TWO.weights, Z4_TWO.transforms)
+    ref = weakref.ref(build_box_measure(sys, (0, 1)))
+    assert ref() is build_box_measure(sys, (0, 1))
+    del sys
+    gc.collect()
+    assert ref() is None
+
+
+def test_memo_computes_once_and_stays_out_of_equality_hash_and_repr():
+    warm = FiniteSystem(Z4_TWO.weights, Z4_TWO.transforms)
+    fresh = FiniteSystem(Z4_TWO.weights, Z4_TWO.transforms)
+    calls = []
+    assert warm.memo("key", lambda: calls.append(1) or len(calls)) == 1
+    assert warm.memo("key", lambda: calls.append(1) or len(calls)) == 1
+    with pytest.raises(ZeroDivisionError):
+        warm.memo("raises", lambda: 1 // 0)
+    assert warm.memo("raises", lambda: 2) == 2  # the raise kept nothing
+    build_box_measure(warm, (0, 1))
+    zed_partition(warm, (1, 0))
+    assert warm == fresh and hash(warm) == hash(fresh)
+    assert repr(warm) == repr(fresh) == "FiniteSystem(n=4, d=2)"
 
 
 def test_measure_copies_the_entries_it_is_given():

@@ -166,6 +166,15 @@ def test_cube_integral_accepts_vertex_keys_and_value_sequences():
         cube_integral(Z4_TWO, (0, 1), {4: f})
 
 
+@pytest.mark.parametrize("values", [[0.1, 0.2], [True, False]], ids=["float", "bool"])
+def test_exact_integrals_reject_floats_and_bools(values):
+    sys = FiniteSystem((Fraction(1, 2), Fraction(1, 2)), ((1, 0),))
+    with pytest.raises(StructuralError):
+        cube_integral(sys, (0,), {0: values})
+    with pytest.raises(StructuralError):
+        integrate_product(build_box_measure(sys, (0,)), {0: values})
+
+
 def test_csg_matches_built_integrals(roster_case):
     name, sys, order = roster_case
     rng = random.Random(107)

@@ -1,5 +1,5 @@
 """Every top-level import in the library modules is used, and no library
-module imports another one inside a function.
+module imports anything inside a function.
 
 A stdlib ``ast`` check standing in for a linter: a module-level import
 binds a name, and that name must be read somewhere else in the module.
@@ -28,20 +28,15 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def local_boxlab_imports(tree: ast.Module) -> list[int]:
-    """Lines of the imports of ``boxlab`` modules made inside a function."""
-    lines = set()
-    for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for node in ast.walk(func):
-            if isinstance(node, ast.ImportFrom):
-                if node.level > 0 or (node.module or "").split(".")[0] == "boxlab":
-                    lines.add(node.lineno)
-            elif isinstance(node, ast.Import):
-                if any(alias.name.split(".")[0] == "boxlab" for alias in node.names):
-                    lines.add(node.lineno)
-    return sorted(lines)
+def local_imports(tree: ast.Module) -> list[int]:
+    """Lines of the imports made inside a function."""
+    return sorted({
+        node.lineno
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
 
 
 def read_names(tree: ast.Module) -> set[str]:
@@ -69,8 +64,8 @@ def test_check_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_function_imports_a_boxlab_module(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    lines = local_boxlab_imports(tree)
-    assert not lines, f"{path.name}: boxlab imports inside functions at lines {lines}"
+    lines = local_imports(tree)
+    assert not lines, f"{path.name}: imports inside functions at lines {lines}"
 
 
 def test_check_flags_a_function_local_boxlab_import():
@@ -86,4 +81,4 @@ def test_check_flags_a_function_local_boxlab_import():
         "    def m(self):\n"
         "        from boxlab import seminorm\n"
     )
-    assert local_boxlab_imports(tree) == [4, 6, 10]
+    assert local_imports(tree) == [3, 4, 6, 10]

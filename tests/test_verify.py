@@ -1,9 +1,12 @@
+import itertools
 from fractions import Fraction
 
+import boxlab.box_measure
 import boxlab.seminorm
 import boxlab.verify
-from boxlab.box_measure import SUPPORT_CAP_DEFAULT
-from boxlab.system import FiniteSystem
+from boxlab.box_measure import SUPPORT_CAP_DEFAULT, build_box_measure
+from boxlab.seminorm import seminorm_pow
+from boxlab.system import FiniteSystem, Observable
 from boxlab.verify import PropertyOutcome, run_suite
 from conftest import BLOCKS4, Z4_TWO, ZERO_WEIGHT, uniform
 
@@ -85,7 +88,8 @@ def test_suite_builds_the_extension_and_its_partition_once(monkeypatch):
     from conftest import Z5_THREE
 
     for sys, order in ((Z4_TWO, (0, 1)), (Z5_THREE, (0, 1, 2))):
-        boxlab.seminorm._zed.cache_clear()
+        # a fresh copy carries no partition from earlier runs
+        sys = FiniteSystem(sys.weights, sys.transforms)
         stars = count_calls(monkeypatch, boxlab.verify, "build_star_system")
         partitions = count_calls(monkeypatch, boxlab.seminorm, "components")
         outcomes = run_suite(sys, order, seed=0, draws=4)
@@ -97,7 +101,7 @@ def test_suite_builds_the_extension_and_its_partition_once(monkeypatch):
 
 
 def test_suite_builds_every_base_measure_under_the_run_cap(monkeypatch):
-    boxlab.seminorm._zed.cache_clear()
+    sys = FiniteSystem(Z4_TWO.weights, Z4_TWO.transforms)
     real = boxlab.seminorm.build_box_measure
     caps = []
 
@@ -106,9 +110,22 @@ def test_suite_builds_every_base_measure_under_the_run_cap(monkeypatch):
         return real(sys, order, cap=cap)
 
     monkeypatch.setattr(boxlab.seminorm, "build_box_measure", recording)
-    outcomes = run_suite(Z4_TWO, (0, 1), draws=20, cap=1000)
+    outcomes = run_suite(sys, (0, 1), draws=20, cap=1000)
     assert all(o.status == "PASS" for o in outcomes)
     assert caps and set(caps) == {1000}
+
+
+def test_suite_leaves_every_order_built_on_its_system(monkeypatch):
+    from conftest import Z5_THREE
+
+    sys = FiniteSystem(Z5_THREE.weights, Z5_THREE.transforms)
+    run_suite(sys, (0, 1, 2), seed=0, draws=20)
+    stages = count_calls(monkeypatch, boxlab.box_measure, "relative_self_product")
+    f = Observable((Fraction(1), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1)))
+    for order in itertools.permutations(range(3)):
+        build_box_measure(sys, order)
+        seminorm_pow(sys, order, f)
+    assert stages == []
 
 
 def test_failed_extension_build_is_retried_per_property(monkeypatch):
