@@ -20,16 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .box_measure import SUPPORT_CAP_DEFAULT, normalize_order
+from .box_measure import SUPPORT_CAP_DEFAULT, normalize_order, vertex_functions
 from .errors import PreconditionError, StructuralError
 from .perms import Perm, compose, inverse
-from .seminorm import (
-    SeminormValue,
-    integrand_table,
-    normalize_vertex_functions,
-    seminorm_pow,
-)
-from .system import FiniteSystem, Observable, transform_period
+from .seminorm import SeminormValue, integrand_table, seminorm_pow
+from .system import FiniteSystem, Observable, as_fraction, transform_period
 
 
 @dataclass(frozen=True)
@@ -182,7 +177,7 @@ def multilinear_average_J(
     Vertex eps receives transform i to the power n_i exactly when digit i
     of eps is 0; the n_i range over the given intervals.  Periodicity in
     each index reduces the mean to residue counts against one full-period
-    table of integrand values.
+    table of integrand values.  ``fs`` is as for :func:`vertex_functions`.
     """
     order = normalize_order(sys, order)
     if len(intervals) != len(order):
@@ -219,13 +214,14 @@ def uniformity_scan(
     Requires sup norm <= 1 at every vertex except the origin.  Reports the
     worst absolute average, the origin seminorm, the float margin between
     them, and the exact power comparison |J|^(2^d) <= seminorm power (which
-    must hold whenever the length is a multiple of every period).
+    must hold whenever the length is a multiple of every period).  ``fs``
+    is as for :func:`vertex_functions`.
     """
     order = normalize_order(sys, order)
     d = len(order)
-    fmap = normalize_vertex_functions(fs, sys, d)
-    for bits in range(1, 1 << d):
-        if fmap[bits].max_abs() > 1:
+    fmap = vertex_functions(fs, d, sys.n)
+    for bits in sorted(fmap):
+        if bits and fmap[bits].max_abs() > 1:
             raise PreconditionError(f"vertex {bits} observable has sup norm above 1")
     periods, table = integrand_table(sys, order, fmap)
     count_cache = {
@@ -241,7 +237,7 @@ def uniformity_scan(
         total = _weighted_table_sum(table, counts)
         scanned += 1
         max_abs = max(max_abs, abs(total / box))
-    sem = seminorm_pow(sys, order, fmap[0], cap=cap)
+    sem = seminorm_pow(sys, order, fmap.get(0, Observable.constant(1, sys.n)), cap=cap)
     margin = float(max_abs) - sem.root()
     pow_bound_holds = max_abs ** (1 << d) <= sem.pow
     holds_with_delta = None if delta is None else (margin < delta)
@@ -276,14 +272,14 @@ def van_der_corput_bound(
     dim = len(vectors[0])
     if weights is None:
         weights = [Fraction(1)] * dim
-    vecs = [tuple(Fraction(c) for c in v) for v in vectors]
+    vecs = [tuple(as_fraction(c) for c in v) for v in vectors]
     for v in vecs:
         if len(v) != dim:
             raise StructuralError("vectors have mixed dimensions")
     # integer numerators: coordinates over the lcm of their denominators,
     # weights over theirs; an inner product of norm 1 reads ``unit``
     scale = math.lcm(*(c.denominator for v in vecs for c in v))
-    weights = [Fraction(w) for w in weights]
+    weights = [as_fraction(w) for w in weights]
     if len(weights) != dim:
         raise StructuralError(f"{len(weights)} weights for vectors of dimension {dim}")
     if any(w < 0 for w in weights):

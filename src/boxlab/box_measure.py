@@ -36,7 +36,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import InvariantViolationError, StructuralError, SupportCapError
 from .perms import Perm, inverse, is_permutation, orbits
-from .system import FiniteSystem, Observable, as_fraction
+from .system import FiniteSystem, Observable
 
 SUPPORT_CAP_DEFAULT = 10_000_000
 
@@ -76,15 +76,46 @@ class Vertex:
 
 
 def vertex_bits(vertex, k: int) -> int:
-    """Accept a Vertex or a raw bitmask int; validate against dimension k."""
+    """Accept a Vertex or an exact int bitmask; validate against dimension k."""
     if isinstance(vertex, Vertex):
         if vertex.k != k:
             raise StructuralError(f"vertex dimension {vertex.k} differs from {k}")
         return vertex.bits
-    bits = int(vertex)
-    if not 0 <= bits < (1 << k):
-        raise StructuralError(f"vertex bits {bits} out of range for dimension {k}")
-    return bits
+    if type(vertex) is not int:
+        raise StructuralError(
+            f"vertex must be a Vertex or an int bitmask, got {type(vertex).__name__} {vertex!r}"
+        )
+    if not 0 <= vertex < (1 << k):
+        raise StructuralError(f"vertex bits {vertex} out of range for dimension {k}")
+    return vertex
+
+
+def vertex_functions(fs: Mapping, k: int, n: int) -> dict[int, Observable]:
+    """Read a map of per-vertex functions on the k-cube over n base points.
+
+    Keys are vertices as for :func:`vertex_bits`, each vertex at most once.
+    Values are Observables, or lists or tuples of exact values read by
+    ``Observable``; each has n values.  Absent vertices stay absent and
+    stand for the constant 1.  Returns the map keyed by bitmask.
+    """
+    out: dict[int, Observable] = {}
+    for key, obs in fs.items():
+        bits = vertex_bits(key, k)
+        if bits in out:
+            raise StructuralError(f"vertex {bits} is given more than once")
+        if isinstance(obs, (list, tuple)):
+            obs = Observable(obs)
+        elif not isinstance(obs, Observable):
+            raise StructuralError(
+                f"observable at vertex {bits} must be an Observable, list or tuple, "
+                f"got {type(obs).__name__}"
+            )
+        if obs.n != n:
+            raise StructuralError(
+                f"observable at vertex {bits} has {obs.n} values, expected {n}"
+            )
+        out[bits] = obs
+    return out
 
 
 @dataclass(frozen=True)
@@ -285,7 +316,7 @@ def cube_integral(
     denominators, the sums run in integers, and one Fraction is built at
     the end.
 
-    ``fs`` is as for :func:`integrate_product`.  Equals
+    ``fs`` is as for :func:`vertex_functions`.  Equals
     ``integrate_product(build_box_measure(sys, order, cap), fs)`` and raises
     SupportCapError exactly where that build would.
     """
@@ -293,20 +324,12 @@ def cube_integral(
     cells, den = sys.memo(("cells", order, cap), lambda: _last_stage_cells(sys, order, cap))
     k = len(order)
     half = 1 << (k - 1)
-    fmap: dict[int, tuple[Fraction, ...]] = {}
-    for key, obs in fs.items():
-        bits = vertex_bits(key, k)
-        values = obs.values if isinstance(obs, Observable) else tuple(map(as_fraction, obs))
-        if len(values) != sys.n:
-            raise StructuralError(
-                f"observable at vertex {bits} has {len(values)} values, expected {sys.n}"
-            )
-        fmap[bits] = values
+    fmap = vertex_functions(fs, k, sys.n)
     low: list[tuple[int, tuple[int, ...]]] = []
     high: list[tuple[int, tuple[int, ...]]] = []
     scaled: dict[int, tuple[int, tuple[int, ...]]] = {}  # by id of the values
     for bits in sorted(fmap):
-        values = fmap[bits]
+        values = fmap[bits].values
         if id(values) not in scaled:
             scale = math.lcm(*(v.denominator for v in values))
             scaled[id(values)] = (
@@ -429,19 +452,11 @@ def apply_index_permutation(m: SparseCubeMeasure, sigma: Sequence[int]) -> Spars
 def integrate_product(m: SparseCubeMeasure, fs: Mapping) -> Fraction:
     """Integrate the product over vertices of per-vertex observables.
 
-    ``fs`` maps vertices (Vertex or bitmask int) to observables or exact
-    value sequences on the base set; missing vertices contribute 1.
+    ``fs`` is as for :func:`vertex_functions` on the k-cube of ``m``.
     """
-    fmap: dict[int, tuple[Fraction, ...]] = {}
-    for key, obs in fs.items():
-        bits = vertex_bits(key, m.k)
-        values = obs.values if isinstance(obs, Observable) else tuple(map(as_fraction, obs))
-        if len(values) != m.base_n:
-            raise StructuralError(
-                f"observable at vertex {bits} has {len(values)} values, expected {m.base_n}"
-            )
-        fmap[bits] = values
-    items = sorted(fmap.items())
+    items = sorted(
+        (bits, obs.values) for bits, obs in vertex_functions(fs, m.k, m.base_n).items()
+    )
     total = Fraction(0)
     for point, mass in m.entries.items():
         term = mass

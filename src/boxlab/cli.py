@@ -48,7 +48,7 @@ from .serialize import (
     measure_to_dict,
     seminorm_to_dict,
 )
-from .system import FiniteSystem, validate_system
+from .system import FiniteSystem, require_valid, validate_system
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -115,12 +115,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _require_valid_for_cli(system: FiniteSystem) -> None:
-    report = validate_system(system)
-    if report:
-        raise InvariantViolationError("invalid system", report)
-
-
 def cmd_validate(args) -> int:
     system = load_system(args.system)
     report = validate_system(system)
@@ -131,7 +125,7 @@ def cmd_validate(args) -> int:
 def cmd_box_measure(args) -> int:
     cfg = _config(args)
     system = load_system(args.system)
-    _require_valid_for_cli(system)
+    require_valid(system)
     order = _parse_order(args.order, system.d)
     m = build_box_measure(system, order, cap=cfg.cap)
     print(dumps(measure_to_dict(m)))
@@ -141,7 +135,7 @@ def cmd_box_measure(args) -> int:
 def cmd_seminorm(args) -> int:
     cfg = _config(args)
     system = load_system(args.system)
-    _require_valid_for_cli(system)
+    require_valid(system)
     order = _parse_order(args.order, system.d)
     f = load_observable(args.observable, system.n)
     methods = {
@@ -197,9 +191,8 @@ def _average_payload(result) -> dict:
 
 
 def cmd_average(args) -> int:
-    cfg = _config(args)
     system = load_system(args.system)
-    _require_valid_for_cli(system)
+    require_valid(system)
     if len(args.observables) != system.d:
         raise StructuralError(
             f"need {system.d} observable files, got {len(args.observables)}"
@@ -213,7 +206,7 @@ def cmd_average(args) -> int:
             raise StructuralError("provide --interval start:length or --limit")
         result = multi_average(system, f_list, _parse_interval(args.interval))
         payload = {"mode": "interval", **_average_payload(result)}
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["point", "value"])
@@ -228,7 +221,7 @@ def cmd_average(args) -> int:
 def cmd_magic_check(args) -> int:
     cfg = _config(args)
     system = load_system(args.system)
-    _require_valid_for_cli(system)
+    require_valid(system)
     order = _parse_order(args.order, system.d)
     star = build_star_system(system, order, cap=cfg.cap)
     failures = list(magic_failures(star, random.Random(cfg.seed), cfg.draws, cfg.cap))
@@ -246,7 +239,7 @@ def cmd_magic_check(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _config(args)
     system = load_system(args.system)
-    _require_valid_for_cli(system)
+    require_valid(system)
     order = _parse_order(args.order, system.d)
     outcomes = run_suite(system, order, seed=cfg.seed, draws=cfg.draws, cap=cfg.cap)
     failed = [o for o in outcomes if o.status == "FAIL"]
@@ -323,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", default=None, help="start:length")
     p.add_argument("--limit", action="store_true", help="exact full-period limit")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_average)
 
     p = sub.add_parser("magic-check", help="magic property on random draws")

@@ -28,7 +28,7 @@ from .box_measure import (
     diagonal_transform,
     normalize_order,
     side_transform,
-    vertex_bits,
+    vertex_functions,
 )
 from .draws import random_observable
 from .errors import InvariantViolationError, PreconditionError, StructuralError
@@ -322,16 +322,9 @@ def magic_failures(
 
 
 def vertex_product_observable(star: StarSystem, fs: Mapping) -> Observable:
-    """The carrier observable multiplying one base observable per vertex."""
-    d = star.d
-    fmap: dict[int, Observable] = {}
-    for key, obs in fs.items():
-        bits = vertex_bits(key, d)
-        if obs.n != star.base.n:
-            raise StructuralError(
-                f"observable at vertex {bits} has {obs.n} values, expected {star.base.n}"
-            )
-        fmap[bits] = obs
+    """The carrier observable multiplying one base observable per vertex;
+    ``fs`` is as for :func:`vertex_functions`."""
+    fmap = vertex_functions(fs, star.d, star.base.n)
     values = []
     for t in star.carrier:
         term = Fraction(1)
@@ -349,17 +342,17 @@ def span0_orthogonality_check(
     partition of the carrier by the off-origin block.
 
     The precondition (vanishing expectation of the origin observable) is
-    checked exactly and raises when violated.
+    checked exactly and raises when violated.  ``fs`` is as for
+    :func:`vertex_functions`.
     """
-    d = star.d
-    fmap = {vertex_bits(k, d): obs for k, obs in fs.items()}
+    fmap = vertex_functions(fs, star.d, star.base.n)
     f_origin = fmap.get(0, Observable.constant(1, star.base.n))
     zed = zed_partition(star.base, star.order, cap=cap)
     if not conditional_expectation(f_origin, zed, star.base.weights).is_zero():
         raise PreconditionError(
             "origin observable has nonzero expectation onto the component partition"
         )
-    F = vertex_product_observable(star, fs)
+    F = vertex_product_observable(star, fmap)
     blocks: dict[CubePoint, list[int]] = {}
     for i, t in enumerate(star.carrier):
         blocks.setdefault(t[1:], []).append(i)
@@ -376,11 +369,10 @@ def normstar_check(
     """Zero box seminorm of the origin factor forces zero extended seminorm
     of the vertex product.  The precondition is checked exactly, on the
     base under ``cap``; the extended seminorm runs under ``star_cap``,
-    which defaults to ``cap``."""
-    d = star.d
-    fmap = {vertex_bits(k, d): obs for k, obs in fs.items()}
+    which defaults to ``cap``.  ``fs`` is as for :func:`vertex_functions`."""
+    fmap = vertex_functions(fs, star.d, star.base.n)
     f_origin = fmap.get(0, Observable.constant(1, star.base.n))
     if seminorm_pow(star.base, star.order, f_origin, cap=cap).pow != 0:
         raise PreconditionError("origin observable has nonzero box seminorm")
-    F = vertex_product_observable(star, fs)
+    F = vertex_product_observable(star, fmap)
     return star_seminorm_pow(star, F, cap=cap if star_cap is None else star_cap).pow == 0

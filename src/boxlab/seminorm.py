@@ -32,7 +32,7 @@ from .box_measure import (
     build_box_measure,
     cube_integral,
     normalize_order,
-    vertex_bits,
+    vertex_functions,
 )
 from .errors import PreconditionError, StructuralError
 from .perms import compose, identity
@@ -67,24 +67,6 @@ class SeminormValue:
 
 def _full_vertex_map(f: Observable, d: int) -> dict[int, Observable]:
     return {bits: f for bits in range(1 << d)}
-
-
-def normalize_vertex_functions(
-    fs: Mapping, sys: FiniteSystem, d: int
-) -> dict[int, Observable]:
-    """Resolve Vertex/int keys to bitmasks and fill gaps with the constant 1."""
-    out: dict[int, Observable] = {}
-    for key, obs in fs.items():
-        bits = vertex_bits(key, d)
-        if obs.n != sys.n:
-            raise StructuralError(
-                f"observable at vertex {bits} has {obs.n} values, expected {sys.n}"
-            )
-        out[bits] = obs
-    one = Observable.constant(1, sys.n)
-    for bits in range(1 << d):
-        out.setdefault(bits, one)
-    return out
 
 
 def seminorm_pow(
@@ -123,11 +105,12 @@ def integrand_table(
     Vertex eps picks up the translate by the transform at order position i,
     to the power residues[i], exactly when bit i of eps is 0.  The weights
     and vertex functions are scaled to integer numerators once, so each
-    cell is an integer sum over the points.
+    cell is an integer sum over the points.  ``fs`` is as for
+    :func:`vertex_functions`.
     """
     order = normalize_order(sys, order)
     d = len(order)
-    fmap = normalize_vertex_functions(fs, sys, d)
+    fmap = vertex_functions(fs, d, sys.n)
     tables = transform_power_tables(sys, order)
     periods = tuple(len(t) for t in tables)
     den = math.lcm(*(w.denominator for w in sys.weights))
@@ -211,15 +194,18 @@ def csg_check(
 ) -> CsgResult:
     """Cube-integral bound: |integral of the vertex product| is at most the
     product of the per-vertex seminorms, compared through 2^d-th powers.
+
+    ``fs`` is as for :func:`vertex_functions`; an absent vertex, the
+    constant 1, has seminorm power exactly 1 and is left out of the product.
     """
     order = normalize_order(sys, order)
     d = len(order)
-    fmap = normalize_vertex_functions(fs, sys, d)
+    fmap = vertex_functions(fs, d, sys.n)
     lhs = cube_integral(sys, order, fmap, cap=cap)
     lhs_pow = abs(lhs) ** (1 << d)
     rhs_pow = Fraction(1)
-    for bits in range(1 << d):
-        rhs_pow *= seminorm_pow(sys, order, fmap[bits], cap=cap).pow
+    for obs in fmap.values():
+        rhs_pow *= seminorm_pow(sys, order, obs, cap=cap).pow
     return CsgResult(lhs_pow, rhs_pow, lhs_pow <= rhs_pow)
 
 

@@ -316,6 +316,16 @@ def test_vdc_rejects_weights_of_the_wrong_length():
         van_der_corput_bound([(F(1),)], 1, weights=[F(1), F(0)])
 
 
+@pytest.mark.parametrize(
+    "vectors, weights",
+    [([[0.1], [True]], None), ([[F(1)], [1.0]], None), ([[F(1)]], [0.5])],
+    ids=["float-and-bool-coordinates", "float-coordinate", "float-weight"],
+)
+def test_vdc_rejects_inexact_input(vectors, weights):
+    with pytest.raises(StructuralError):
+        van_der_corput_bound(vectors, 1, weights)
+
+
 def test_vdc_rejects_negative_weights():
     with pytest.raises(PreconditionError):
         van_der_corput_bound([(F(1), F(0))], 1, weights=[F(-1), F(1)])

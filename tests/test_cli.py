@@ -130,7 +130,9 @@ def test_box_measure_invalid_system_exits_1(tmp_path):
     )
     code, _, err = run_cli(["box-measure", str(path)])
     assert code == 1
-    assert "invariant" in err
+    report = json.loads(err)
+    assert report["error"] == "invariant" and report["violations"]
+    assert all(v in report["message"] for v in report["violations"])
 
 
 # ------------------------------------------------------------- seminorm
@@ -220,6 +222,13 @@ def test_average_requires_interval_or_limit(z4_file, sign_file):
         ["average", z4_file, sign_file, sign_file, "--interval", "nonsense"]
     )
     assert code == 2
+
+
+def test_average_takes_no_cap(z4_file, sign_file):
+    # averages build no cube measure, so there is no cap to set
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        cli.main(["average", z4_file, sign_file, sign_file, "--limit", "--cap", "5"])
+    assert exc.value.code == 2
 
 
 def test_average_wrong_observable_count(z4_file, sign_file):

@@ -27,6 +27,7 @@ from boxlab.box_measure import (
     integrate_product,
     measure_from_weights,
     relative_self_product,
+    vertex_functions,
 )
 from boxlab.draws import random_unit_vectors, random_vertex_functions
 from boxlab.errors import StructuralError, SupportCapError
@@ -35,7 +36,6 @@ from boxlab.perms import compose
 from boxlab.seminorm import (
     csg_check,
     integrand_table,
-    normalize_vertex_functions,
     seminorm_pow,
     transform_power_tables,
 )
@@ -93,7 +93,9 @@ def reference_translated_product_integral(sys, fmap, power_tables, exponents) ->
 
 
 def reference_integrand_table(sys, order, fs):
-    fmap = normalize_vertex_functions(fs, sys, len(order))
+    fmap = vertex_functions(fs, len(order), sys.n)
+    one = Observable.constant(1, sys.n)
+    fmap = {bits: fmap.get(bits, one) for bits in range(1 << len(order))}
     tables = transform_power_tables(sys, order)
     periods = tuple(len(t) for t in tables)
     return periods, {

@@ -1,9 +1,12 @@
-"""Every top-level import in the library modules is used, and no library
-module imports anything inside a function.
+"""Every top-level import in the library modules is used, no library
+module imports anything inside a function, and only ``box_measure`` reads
+vertex keys.
 
 A stdlib ``ast`` check standing in for a linter: a module-level import
 binds a name, and that name must be read somewhere else in the module.
 ``__init__.py`` re-exports on purpose and is exempt from that half.
+Per-vertex observable maps have one reader, ``vertex_functions``; a second
+module naming ``vertex_bits`` would be a second reader of the format.
 """
 
 import ast
@@ -13,6 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "boxlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+NOT_BOX_MEASURE = sorted(p for p in SRC.glob("*.py") if p.name != "box_measure.py")
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -82,3 +86,32 @@ def test_check_flags_a_function_local_boxlab_import():
         "        from boxlab import seminorm\n"
     )
     assert local_imports(tree) == [3, 4, 6, 10]
+
+
+def references(tree: ast.Module, name: str) -> list[int]:
+    """Lines that import, read or look up ``name`` as a name or attribute."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.alias) and node.name == name
+    })
+
+
+@pytest.mark.parametrize("path", NOT_BOX_MEASURE, ids=[p.name for p in NOT_BOX_MEASURE])
+def test_only_box_measure_reads_vertex_keys(path):
+    lines = references(ast.parse(path.read_text(encoding="utf-8")), "vertex_bits")
+    assert not lines, f"{path.name}: vertex_bits referenced at lines {lines}"
+
+
+def test_check_flags_a_vertex_bits_reference():
+    tree = ast.parse(
+        "from .box_measure import vertex_bits, vertex_functions\n"
+        "from . import box_measure\n"
+        "vertex_functions({}, 1, 1)\n"
+        "box_measure.vertex_bits(1, 1)\n"
+        "def f(key):\n"
+        "    return vertex_bits(key, 2)\n"
+    )
+    assert references(tree, "vertex_bits") == [1, 4, 6]
