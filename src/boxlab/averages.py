@@ -35,6 +35,12 @@ class Interval:
     length: int
 
     def __post_init__(self):
+        for name in ("start", "length"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise StructuralError(
+                    f"interval {name} must be an int, got {type(value).__name__} {value!r}"
+                )
         if self.length < 1:
             raise StructuralError(f"interval length must be >= 1, got {self.length}")
 

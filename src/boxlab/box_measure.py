@@ -145,7 +145,8 @@ class SparseCubeMeasure:
         return sum(self.entries.values(), Fraction(0))
 
     def items_sorted(self) -> list[tuple[CubePoint, Fraction]]:
-        return sorted(self.entries.items())
+        entries = self.entries
+        return [(point, entries[point]) for point in sorted(entries)]
 
     def check(self) -> "SparseCubeMeasure":
         """Raise unless masses are positive, normalized, and well-indexed."""
@@ -172,8 +173,20 @@ def measure_from_weights(weights: Sequence[Fraction]) -> SparseCubeMeasure:
     return SparseCubeMeasure(0, len(weights), entries)
 
 
+def _index_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, each an exact int: floats, bools and strings
+    are rejected, not truncated or parsed."""
+    values = tuple(values)
+    for i in values:
+        if type(i) is not int:
+            raise StructuralError(
+                f"{what} entries must be ints, got {type(i).__name__} {i!r}"
+            )
+    return values
+
+
 def normalize_order(sys: FiniteSystem, order: Sequence[int]) -> tuple[int, ...]:
-    order = tuple(int(i) for i in order)
+    order = _index_tuple(order, "transformation order")
     if not order:
         raise StructuralError("transformation order must be nonempty")
     if len(set(order)) != len(order):
@@ -225,13 +238,15 @@ def relative_self_product(
     support, the output gives mass m(y) * m(y') / m(C) to the concatenated
     point (y, y') whenever y and y' lie in the same cell.  The two factors
     occupy the new highest digit, first factor at digit value 0.
+
+    ``perm`` preserving ``m`` makes the mass constant on each cell, so
+    m(C) = |C| * m(y) and every pair of a cell has mass m(y) / |C|: one
+    Fraction per cell, shared by its |C|^2 entries.
     """
     entries: dict[CubePoint, Fraction] = {}
     for cell in _orbit_cells(m, perm, cap):
-        cw = sum((m.entries[p] for p in cell), Fraction(0))
-        entries.update(
-            (p + q, m.entries[p] * m.entries[q] / cw) for p in cell for q in cell
-        )
+        mass = m.entries[cell[0]] / len(cell)
+        entries.update((p + q, mass) for p in cell for q in cell)
     return SparseCubeMeasure(m.k + 1, m.base_n, entries)
 
 
@@ -414,7 +429,7 @@ def permute_order(order: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]
     every permutation, not just for transpositions.
     """
     order = tuple(order)
-    sigma = tuple(int(s) for s in sigma)
+    sigma = _index_tuple(sigma, "digit permutation")
     if not is_permutation(sigma, len(order)):
         raise StructuralError(f"{sigma} is not a permutation of the digit positions")
     out = [0] * len(order)
@@ -431,7 +446,7 @@ def apply_index_permutation(m: SparseCubeMeasure, sigma: Sequence[int]) -> Spars
     measure built for one order through this re-indexing yields the cube
     measure built for the sigma-permuted order.
     """
-    sigma = tuple(int(s) for s in sigma)
+    sigma = _index_tuple(sigma, "digit permutation")
     if not is_permutation(sigma, m.k):
         raise StructuralError(f"{sigma} is not a permutation of the digit positions")
     width = m.width

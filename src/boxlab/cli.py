@@ -45,8 +45,8 @@ from .serialize import (
     format_rational,
     load_observable,
     load_system,
-    measure_to_dict,
     seminorm_to_dict,
+    write_measure,
 )
 from .system import FiniteSystem, require_valid, validate_system
 from .verify import run_suite
@@ -127,8 +127,7 @@ def cmd_box_measure(args) -> int:
     system = load_system(args.system)
     require_valid(system)
     order = _parse_order(args.order, system.d)
-    m = build_box_measure(system, order, cap=cfg.cap)
-    print(dumps(measure_to_dict(m)))
+    write_measure(build_box_measure(system, order, cap=cfg.cap), _sys.stdout)
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Any
+from typing import Any, TextIO
 
 from .box_measure import SparseCubeMeasure
 from .errors import StructuralError
@@ -111,6 +111,23 @@ def measure_to_dict(m: SparseCubeMeasure) -> dict:
     }
 
 
+# One entry of dumps(measure_to_dict(m)), at the indent of the entry list.
+_ENTRY = '{\n      "mass": "%s",\n      "tuple": [\n        %s\n      ]\n    }'
+
+
+def write_measure(m: SparseCubeMeasure, out: TextIO) -> None:
+    """Write ``dumps(measure_to_dict(m))`` and a newline to ``out``, one
+    entry at a time, so that neither the list of entry objects nor the whole
+    text is held in memory."""
+    out.write('{\n  "entries": [')
+    sep = "\n    "
+    for point, mass in m.items_sorted():
+        coords = ",\n        ".join(map(str, point))
+        out.write(sep + _ENTRY % (format_rational(mass), coords))
+        sep = ",\n    "
+    out.write(("\n  ]" if m.entries else "]") + f',\n  "k": {m.k}\n}}\n')
+
+
 def measure_from_dict(payload: dict, base_n: int | None = None) -> SparseCubeMeasure:
     if not isinstance(payload, dict):
         raise StructuralError("measure file must hold a JSON object")
@@ -124,7 +141,12 @@ def measure_from_dict(payload: dict, base_n: int | None = None) -> SparseCubeMea
     width = 1 << k
     top = -1
     for item in raw_entries:
-        point = tuple(_require(item, "tuple", "measure entry"))
+        if not isinstance(item, dict):
+            raise StructuralError(f"measure: entry {item!r} must be an object")
+        point = _require(item, "tuple", "measure entry")
+        if not isinstance(point, list):
+            raise StructuralError(f"measure: entry tuple {point!r} must be an array")
+        point = tuple(point)
         if len(point) != width or not all(type(c) is int for c in point):
             raise StructuralError(f"measure: entry tuple {point} must hold {width} ints")
         if point in entries:

@@ -267,6 +267,10 @@ class Observable:
     sup_bound: Fraction | None = None
 
     def __post_init__(self):
+        if isinstance(self.values, str):
+            raise StructuralError(
+                f"observable values must be a sequence of rationals, got the string {self.values!r}"
+            )
         values = tuple(as_fraction(v) for v in self.values)
         object.__setattr__(self, "values", values)
         if self.sup_bound is not None:

@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from boxlab.system import FiniteSystem
+from boxlab.system import FiniteSystem, group_orbit_partition
 
 
 def frac(s) -> Fraction:
@@ -55,3 +56,38 @@ ROSTER = [
 @pytest.fixture(params=ROSTER, ids=[name for name, _, _ in ROSTER])
 def roster_case(request):
     return request.param
+
+
+@st.composite
+def commuting_systems(draw, max_n: int = 6, max_d: int = 3):
+    """Translations on disjoint abelian blocks (cyclic, or the Klein group
+    on a block of 4), weights constant on the joint orbits, some orbits
+    null: the shapes of ``draws.random_commuting_system``."""
+    n = draw(st.integers(2, max_n))
+    d = draw(st.integers(1, max_d))
+    sizes, remaining = [], n
+    while remaining:
+        size = draw(st.integers(1, remaining))
+        sizes.append(size)
+        remaining -= size
+    transforms = [[0] * n for _ in range(d)]
+    start = 0
+    for size in sizes:
+        klein = size == 4 and draw(st.booleans())
+        for t in transforms:
+            shift = draw(st.integers(0, size - 1))
+            for x in range(size):
+                t[start + x] = start + (x ^ shift if klein else (x + shift) % size)
+        start += size
+    perms = tuple(tuple(t) for t in transforms)
+    cells = group_orbit_partition(perms, n).cells
+    units = draw(st.lists(st.integers(0, 3), min_size=len(cells), max_size=len(cells)))
+    if not any(units):
+        units[0] = 1
+    total = sum(u * len(c) for u, c in zip(units, cells))
+    weights = [Fraction(0)] * n
+    for u, cell in zip(units, cells):
+        for x in cell:
+            weights[x] = Fraction(u, total)
+    order = tuple(draw(st.permutations(range(d))))
+    return FiniteSystem(tuple(weights), perms), order

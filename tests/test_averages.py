@@ -89,6 +89,17 @@ def test_interval_validation():
         multi_average(Z4_TWO, [Observable.zero(4)], Interval(0, 4))
 
 
+@pytest.mark.parametrize(
+    "start, length",
+    [(0.5, 2), (True, 2), ("0", 2), (0, 2.0), (0, True), (Fraction(0), 2)],
+    ids=["float-start", "bool-start", "str-start", "float-length", "bool-length",
+         "fraction-start"],
+)
+def test_interval_bounds_must_be_ints(start, length):
+    with pytest.raises(StructuralError):
+        Interval(start, length)
+
+
 def test_limit_equals_full_period_averages(roster_case):
     name, sys, order = roster_case
     rng = random.Random(7)

@@ -16,6 +16,7 @@ from boxlab.box_measure import (
     integrate_product,
     marginal,
     measure_from_weights,
+    normalize_order,
     permute_order,
     push_forward,
     relative_self_product,
@@ -103,6 +104,29 @@ def test_build_rejects_bad_orders():
         build_box_measure(Z4_TWO, (0, 0))
     with pytest.raises(StructuralError):
         build_box_measure(Z4_TWO, (0, 7))
+
+
+@pytest.mark.parametrize(
+    "order", [(0.7, True), (0, 1.0), (True,), ("0", 1), (1.9,)],
+    ids=["float-bool", "float", "bool", "str", "float-truncates"],
+)
+def test_order_indices_must_be_ints(order):
+    with pytest.raises(StructuralError):
+        normalize_order(Z4_TWO, order)
+    with pytest.raises(StructuralError):
+        build_box_measure(Z4_TWO, order)
+
+
+@pytest.mark.parametrize(
+    "sigma", [(1.0, 0), (True, False), ("1", "0"), (1, 0.0)],
+    ids=["float", "bools", "str", "float-zero"],
+)
+def test_digit_permutation_entries_must_be_ints(sigma):
+    m = build_box_measure(Z4_TWO, (0, 1))
+    with pytest.raises(StructuralError):
+        permute_order((0, 1), sigma)
+    with pytest.raises(StructuralError):
+        apply_index_permutation(m, sigma)
 
 
 def test_support_cap_error_names_the_cap():

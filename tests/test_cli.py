@@ -106,8 +106,9 @@ def test_box_measure_identity_diagonal(tmp_path):
 
 
 def test_box_measure_cap_exceeded_exits_3(z4_file):
-    code, _, err = run_cli(["box-measure", z4_file, "--cap", "10"])
-    assert code == 3
+    # the build completes before the first byte is streamed out
+    code, out, err = run_cli(["box-measure", z4_file, "--cap", "10"])
+    assert code == 3 and out == ""
     assert "support-cap" in err
 
 

@@ -1,9 +1,10 @@
 """The fast exact integrals against the slow paths they replace.
 
 ``cube_integral`` folds the last stage of the cube measure into a per-cell
-sum, the oracle table and van der Corput sum integer numerators; each must
-equal the plain Fraction computation exactly, and the support cap must
-fire exactly where the full build fires.
+sum, the oracle table and van der Corput sum integer numerators, and each
+stage gives every entry of a cell the one mass m(y) / |C|; each must equal
+the plain Fraction computation exactly, and the support cap must fire
+exactly where the full build fires.
 """
 
 import contextlib
@@ -32,7 +33,7 @@ from boxlab.box_measure import (
 from boxlab.draws import random_unit_vectors, random_vertex_functions
 from boxlab.errors import StructuralError, SupportCapError
 from boxlab.magic import build_star_system, star_seminorm_pow
-from boxlab.perms import compose
+from boxlab.perms import compose, orbits
 from boxlab.seminorm import (
     csg_check,
     integrand_table,
@@ -40,8 +41,8 @@ from boxlab.seminorm import (
     transform_power_tables,
 )
 from boxlab.serialize import system_to_dict
-from boxlab.system import FiniteSystem, Observable, group_orbit_partition
-from conftest import Z4_TWO
+from boxlab.system import FiniteSystem, Observable
+from conftest import Z4_TWO, commuting_systems
 
 
 def full_map(f: Observable, d: int) -> dict[int, Observable]:
@@ -67,6 +68,25 @@ def stage_sizes(sys, order) -> list[int]:
         m = relative_self_product(m, sys.transforms[idx])
         sizes.append(m.support_size())
     return sizes
+
+
+def reference_relative_self_product(m, perm) -> dict:
+    """A stage in the per-pair Fraction formula m(y) m(y') / m(C)."""
+    out = {}
+    for cell in orbits(m.entries, lambda p: tuple(perm[c] for c in p)):
+        cw = sum((m.entries[p] for p in cell), Fraction(0))
+        for p in cell:
+            for q in cell:
+                out[p + q] = m.entries[p] * m.entries[q] / cw
+    return out
+
+
+def assert_stages_equal_reference(sys, order):
+    m = measure_from_weights(sys.weights)
+    for idx in order:
+        stage = relative_self_product(m, sys.transforms[idx])
+        assert stage.entries == reference_relative_self_product(m, sys.transforms[idx])
+        m = stage
 
 
 def reference_translated_product_integral(sys, fmap, power_tables, exponents) -> Fraction:
@@ -135,6 +155,11 @@ def reference_van_der_corput(vectors, H, weights=None):
 
 
 # ------------------------------------------------------------- roster
+
+def test_stages_equal_fraction_reference(roster_case):
+    _, sys, order = roster_case
+    assert_stages_equal_reference(sys, order)
+
 
 def test_seminorm_pow_equals_built_integral(roster_case):
     name, sys, order = roster_case
@@ -292,41 +317,6 @@ def test_van_der_corput_equals_reference():
 
 # ------------------------------------------------------------- Hypothesis
 
-@st.composite
-def commuting_systems(draw, max_n: int = 6, max_d: int = 3):
-    """Translations on disjoint abelian blocks (cyclic, or the Klein group
-    on a block of 4), weights constant on the joint orbits, some orbits
-    null: the shapes of ``draws.random_commuting_system``."""
-    n = draw(st.integers(2, max_n))
-    d = draw(st.integers(1, max_d))
-    sizes, remaining = [], n
-    while remaining:
-        size = draw(st.integers(1, remaining))
-        sizes.append(size)
-        remaining -= size
-    transforms = [[0] * n for _ in range(d)]
-    start = 0
-    for size in sizes:
-        klein = size == 4 and draw(st.booleans())
-        for t in transforms:
-            shift = draw(st.integers(0, size - 1))
-            for x in range(size):
-                t[start + x] = start + (x ^ shift if klein else (x + shift) % size)
-        start += size
-    perms = tuple(tuple(t) for t in transforms)
-    cells = group_orbit_partition(perms, n).cells
-    units = draw(st.lists(st.integers(0, 3), min_size=len(cells), max_size=len(cells)))
-    if not any(units):
-        units[0] = 1
-    total = sum(u * len(c) for u, c in zip(units, cells))
-    weights = [Fraction(0)] * n
-    for u, cell in zip(units, cells):
-        for x in cell:
-            weights[x] = Fraction(u, total)
-    order = tuple(draw(st.permutations(range(d))))
-    return FiniteSystem(tuple(weights), perms), order
-
-
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
 
@@ -348,6 +338,12 @@ def test_hypothesis_cube_integral_equals_built(case):
         assert seminorm_pow(sys, order, f).pow == built_integral(
             sys, order, full_map(f, len(order))
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(commuting_systems())
+def test_hypothesis_stages_equal_fraction_reference(case):
+    assert_stages_equal_reference(*case)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,13 +1,16 @@
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from boxlab.box_measure import build_box_measure
+from boxlab.box_measure import SparseCubeMeasure, build_box_measure
 from boxlab.errors import InvariantViolationError, StructuralError
 from boxlab.seminorm import seminorm_pow
 from boxlab.serialize import (
     approx_root_str,
+    dumps,
     format_rational,
     measure_from_dict,
     measure_to_dict,
@@ -16,9 +19,10 @@ from boxlab.serialize import (
     seminorm_to_dict,
     system_from_dict,
     system_to_dict,
+    write_measure,
 )
 from boxlab.system import Observable
-from conftest import NONUNIFORM, Z4_TWO
+from conftest import NONUNIFORM, Z4_TWO, commuting_systems
 
 
 def test_rational_strings():
@@ -84,6 +88,36 @@ def test_measure_round_trip_and_canonical_order():
     assert inferred.entries == m.entries and inferred.base_n == 4
 
 
+def written(m) -> str:
+    out = io.StringIO()
+    write_measure(m, out)
+    return out.getvalue()
+
+
+def assert_writer_matches_dumps(m):
+    text = written(m)
+    assert text == dumps(measure_to_dict(m)) + "\n"
+    assert measure_from_dict(json.loads(text), base_n=m.base_n).entries == m.entries
+
+
+def test_writer_matches_dumps(roster_case):
+    _, sys, order = roster_case
+    for k in range(1, len(order) + 1):
+        assert_writer_matches_dumps(build_box_measure(sys, order[:k]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(commuting_systems())
+def test_hypothesis_writer_matches_dumps(case):
+    assert_writer_matches_dumps(build_box_measure(*case))
+
+
+def test_writer_renders_no_entries_as_dumps_does():
+    m = SparseCubeMeasure(2, 3, {})
+    assert written(m) == dumps(measure_to_dict(m)) + "\n"
+    assert '"entries": [],' in written(m)
+
+
 def test_measure_parse_errors():
     with pytest.raises(StructuralError):
         measure_from_dict({"k": 1, "entries": [{"tuple": [0], "mass": "1"}]})
@@ -92,6 +126,16 @@ def test_measure_parse_errors():
             {"k": 0, "entries": [{"tuple": [0], "mass": "1/2"},
                                  {"tuple": [0], "mass": "1/2"}]}
         )
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[5], ["tuple"], [None], [{"tuple": 5, "mass": "1"}]],
+    ids=["int-entry", "str-entry", "null-entry", "int-tuple"],
+)
+def test_malformed_measure_entries_are_parse_errors(entries):
+    with pytest.raises(StructuralError):
+        measure_from_dict({"k": 0, "entries": entries})
 
 
 @pytest.mark.parametrize(

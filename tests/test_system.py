@@ -72,6 +72,12 @@ def test_non_integer_transform_entries_are_rejected(transform):
         FiniteSystem(uniform(2), (transform,))
 
 
+@pytest.mark.parametrize("values", ["12", ""])
+def test_observable_values_are_not_a_string(values):
+    with pytest.raises(StructuralError):
+        Observable(values)
+
+
 @pytest.mark.parametrize("value", [True, False])
 def test_bools_are_not_rationals(value):
     with pytest.raises(StructuralError):
