@@ -25,7 +25,6 @@ from .averages import (
     van_der_corput_bound,
 )
 from .box_measure import (
-    SUPPORT_CAP_DEFAULT,
     SparseCubeMeasure,
     Vertex,
     apply_digit_flip,
@@ -77,6 +76,7 @@ from .seminorm import (
     zed_partition,
 )
 from .system import (
+    SUPPORT_CAP_DEFAULT,
     FiniteSystem,
     Observable,
     Partition,

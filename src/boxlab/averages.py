@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .box_measure import SUPPORT_CAP_DEFAULT, normalize_order, vertex_functions
+from .box_measure import normalize_order, vertex_functions
 from .errors import PreconditionError, StructuralError
 from .perms import Perm, compose, inverse
 from .seminorm import SeminormValue, integrand_table, seminorm_pow
@@ -81,7 +81,7 @@ def derive_T_from_S(sys: FiniteSystem) -> tuple[Perm, ...]:
 def derived_transform_system(sys: FiniteSystem) -> FiniteSystem:
     """The difference transforms on the same points, kept on ``sys``."""
     return sys.memo(("derived",), lambda: FiniteSystem(
-        sys.weights, derive_T_from_S(sys), sys.labels))
+        sys.weights, derive_T_from_S(sys), sys.labels, sys.cap))
 
 
 def common_period(sys: FiniteSystem) -> int:
@@ -148,9 +148,7 @@ class CharacteristicBound:
 
 
 def characteristic_bound_check(
-    sys: FiniteSystem,
-    f_list: Sequence[Observable],
-    cap: int = SUPPORT_CAP_DEFAULT,
+    sys: FiniteSystem, f_list: Sequence[Observable]
 ) -> CharacteristicBound:
     """Squared L2 norm of the exact average limit against the box seminorm
     of the first observable for the reversed difference transforms.
@@ -167,7 +165,7 @@ def characteristic_bound_check(
     lhs = limit.l2_norm_sq
     tsys = derived_transform_system(sys)
     order = tuple(reversed(range(sys.d)))
-    rhs = seminorm_pow(tsys, order, f_list[0], cap=cap)
+    rhs = seminorm_pow(tsys, order, f_list[0])
     holds = lhs ** (1 << (sys.d - 1)) <= rhs.pow
     return CharacteristicBound(lhs, rhs, holds)
 
@@ -213,7 +211,6 @@ def uniformity_scan(
     length: int,
     starts: Sequence[int],
     delta: float | None = None,
-    cap: int = SUPPORT_CAP_DEFAULT,
 ) -> UniformityReport:
     """Scan the multilinear average over all interval tuples of one length.
 
@@ -221,9 +218,11 @@ def uniformity_scan(
     worst absolute average, the origin seminorm, the float margin between
     them, and the exact power comparison |J|^(2^d) <= seminorm power (which
     must hold whenever the length is a multiple of every period).  ``fs``
-    is as for :func:`vertex_functions`.
+    is as for :func:`vertex_functions`; each (start, length) is read as an
+    :class:`Interval`.
     """
     order = normalize_order(sys, order)
+    intervals = [Interval(s, length) for s in starts]
     d = len(order)
     fmap = vertex_functions(fs, d, sys.n)
     for bits in sorted(fmap):
@@ -231,19 +230,19 @@ def uniformity_scan(
             raise PreconditionError(f"vertex {bits} observable has sup norm above 1")
     periods, table = integrand_table(sys, order, fmap)
     count_cache = {
-        (s, L): _residue_counts(s, length, L)
-        for s in starts
+        (iv.start, L): _residue_counts(iv.start, iv.length, L)
+        for iv in intervals
         for L in set(periods)
     }
     box = Fraction(length) ** d
     max_abs = Fraction(0)
     scanned = 0
-    for combo in itertools.product(starts, repeat=d):
-        counts = [count_cache[(s, L)] for s, L in zip(combo, periods)]
+    for combo in itertools.product(intervals, repeat=d):
+        counts = [count_cache[(iv.start, L)] for iv, L in zip(combo, periods)]
         total = _weighted_table_sum(table, counts)
         scanned += 1
         max_abs = max(max_abs, abs(total / box))
-    sem = seminorm_pow(sys, order, fmap.get(0, Observable.constant(1, sys.n)), cap=cap)
+    sem = seminorm_pow(sys, order, fmap.get(0, Observable.constant(1, sys.n)))
     margin = float(max_abs) - sem.root()
     pow_bound_holds = max_abs ** (1 << d) <= sem.pow
     holds_with_delta = None if delta is None else (margin < delta)
@@ -270,6 +269,9 @@ def van_der_corput_bound(
     and the correlation average keeps denominator N.  Requires every vector
     norm at most 1, 1 <= H <= N and one non-negative weight per coordinate.
     """
+    # exact type: a bool is an int subclass, a float is not a lag count
+    if type(H) is not int:
+        raise StructuralError(f"H must be an int, got {type(H).__name__} {H!r}")
     N = len(vectors)
     if N < 1:
         raise PreconditionError("need at least one vector")

@@ -36,9 +36,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import InvariantViolationError, StructuralError, SupportCapError
 from .perms import Perm, inverse, is_permutation, orbits
-from .system import FiniteSystem, Observable
-
-SUPPORT_CAP_DEFAULT = 10_000_000
+from .system import SUPPORT_CAP_DEFAULT, FiniteSystem, Observable
 
 CubePoint = tuple[int, ...]
 TupleMap = Callable[[CubePoint], CubePoint]
@@ -250,31 +248,28 @@ def relative_self_product(
     return SparseCubeMeasure(m.k + 1, m.base_n, entries)
 
 
-def build_box_measure(
-    sys: FiniteSystem,
-    order: Sequence[int],
-    cap: int = SUPPORT_CAP_DEFAULT,
-) -> SparseCubeMeasure:
+def build_box_measure(sys: FiniteSystem, order: Sequence[int]) -> SparseCubeMeasure:
     """Iterated relative self-product over the transforms named by ``order``.
 
     Stage j couples two copies of the stage j-1 measure over the orbit
     cells of transform order[j-1] acting diagonally, writing the copies
     into digit j.  All 2^d marginals of the result equal the base weights.
-    Each stage is kept on ``sys`` per (order prefix, cap), so repeated
-    calls return the same immutable measure and orders sharing a prefix
-    share its stages; a stage that raises keeps nothing.
+    Every stage runs under the system's support cap ``sys.cap``.  Each
+    stage is kept on ``sys`` per order prefix, so repeated calls return
+    the same immutable measure and orders sharing a prefix share its
+    stages; a stage that raises keeps nothing.
     """
-    return _build(sys, normalize_order(sys, order), cap)
+    return _build(sys, normalize_order(sys, order))
 
 
-def _build(sys: FiniteSystem, order: tuple[int, ...], cap: int) -> SparseCubeMeasure:
+def _build(sys: FiniteSystem, order: tuple[int, ...]) -> SparseCubeMeasure:
     if not order:
         return measure_from_weights(sys.weights)
-    return sys.memo(("stage", order, cap), lambda: relative_self_product(
-        _build(sys, order[:-1], cap), sys.transforms[order[-1]], cap=cap))
+    return sys.memo(("stage", order), lambda: relative_self_product(
+        _build(sys, order[:-1]), sys.transforms[order[-1]], sys.cap))
 
 
-def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...], cap: int):
+def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...]):
     """The measure before the last stage of ``order``, in integers, grouped
     into the orbit cells of the last transform.
 
@@ -284,8 +279,8 @@ def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...], cap: int):
     that a cell's term S0 * S1 / W is S0 * S1 * (lcm(W) / W) over the
     returned denominator M * lcm(W).  Kept on ``sys`` by :func:`cube_integral`.
     """
-    m = _build(sys, order[:-1], cap)
-    cells = _orbit_cells(m, sys.transforms[order[-1]], cap)
+    m = _build(sys, order[:-1])
+    cells = _orbit_cells(m, sys.transforms[order[-1]], sys.cap)
     den = math.lcm(*(mass.denominator for mass in m.entries.values()))
     scaled = []
     for cell in cells:
@@ -313,12 +308,7 @@ def _cell_sum(
     return sum(terms)
 
 
-def cube_integral(
-    sys: FiniteSystem,
-    order: Sequence[int],
-    fs: Mapping,
-    cap: int = SUPPORT_CAP_DEFAULT,
-) -> Fraction:
+def cube_integral(sys: FiniteSystem, order: Sequence[int], fs: Mapping) -> Fraction:
     """Integrate the product over vertices of per-vertex observables against
     the cube measure of ``order``, without building its last stage.
 
@@ -332,11 +322,11 @@ def cube_integral(
     the end.
 
     ``fs`` is as for :func:`vertex_functions`.  Equals
-    ``integrate_product(build_box_measure(sys, order, cap), fs)`` and raises
-    SupportCapError exactly where that build would.
+    ``integrate_product(build_box_measure(sys, order), fs)`` and, under the
+    same ``sys.cap``, raises SupportCapError exactly where that build would.
     """
     order = normalize_order(sys, order)
-    cells, den = sys.memo(("cells", order, cap), lambda: _last_stage_cells(sys, order, cap))
+    cells, den = sys.memo(("cells", order), lambda: _last_stage_cells(sys, order))
     k = len(order)
     half = 1 << (k - 1)
     fmap = vertex_functions(fs, k, sys.n)

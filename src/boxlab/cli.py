@@ -7,9 +7,9 @@ structural error, 3 support cap exceeded, 4 internal consistency failure
 
 All output is canonical: entries sorted, JSON keys sorted, seeds echoed.
 Identical configuration (including --seed) yields byte-identical output.
---threads is accepted and ignored: evaluation is serial.  The support cap
-defaults to 10^7 entries and can be overridden by --cap or the BOXLAB_CAP
-environment variable; caps and draw counts must be positive.
+--threads is accepted and ignored: evaluation is serial.  The loaded
+system's support cap (default 10^7 entries) is set by --cap or BOXLAB_CAP.
+Caps and draw counts must be positive.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import json
 import os
 import random
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
 
 from .averages import Interval, multi_average, multi_average_limit
-from .box_measure import SUPPORT_CAP_DEFAULT, build_box_measure
+from .box_measure import build_box_measure
 from .errors import (
     InvariantViolationError,
     PreconditionError,
@@ -48,7 +48,7 @@ from .serialize import (
     seminorm_to_dict,
     write_measure,
 )
-from .system import FiniteSystem, require_valid, validate_system
+from .system import SUPPORT_CAP_DEFAULT, FiniteSystem, require_valid, validate_system
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -57,14 +57,6 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_INCONSISTENT = 4
 EXIT_PROPERTY = 5
-
-
-@dataclass
-class RunConfig:
-    cap: int
-    fmt: str
-    seed: int
-    draws: int
 
 
 def _cap(args: argparse.Namespace) -> int:
@@ -103,16 +95,10 @@ def _parse_interval(text: str) -> Interval:
         ) from exc
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    draws = getattr(args, "draws", 200)
-    if draws < 1:
-        raise StructuralError(f"--draws must be at least 1, got {draws}")
-    return RunConfig(
-        cap=_cap(args),
-        fmt=getattr(args, "format", "json"),
-        seed=getattr(args, "seed", 0),
-        draws=draws,
-    )
+def _load_valid_system(args: argparse.Namespace) -> FiniteSystem:
+    """The system file, valid and bounded as the run's options say."""
+    cap = _cap(args)
+    return require_valid(replace(load_system(args.system), cap=cap))
 
 
 def cmd_validate(args) -> int:
@@ -123,24 +109,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_box_measure(args) -> int:
-    cfg = _config(args)
-    system = load_system(args.system)
-    require_valid(system)
+    system = _load_valid_system(args)
     order = _parse_order(args.order, system.d)
-    write_measure(build_box_measure(system, order, cap=cfg.cap), _sys.stdout)
+    write_measure(build_box_measure(system, order), _sys.stdout)
     return EXIT_OK
 
 
 def cmd_seminorm(args) -> int:
-    cfg = _config(args)
-    system = load_system(args.system)
-    require_valid(system)
+    system = _load_valid_system(args)
     order = _parse_order(args.order, system.d)
     f = load_observable(args.observable, system.n)
     methods = {
-        "measure": lambda: seminorm_pow(system, order, f, cap=cfg.cap),
+        "measure": lambda: seminorm_pow(system, order, f),
         "oracle": lambda: seminorm_oracle_pow(system, order, f),
-        "recursion": lambda: seminorm_recursion_pow(system, order, f, cap=cfg.cap),
+        "recursion": lambda: seminorm_recursion_pow(system, order, f),
     }
     if args.method == "all":
         wanted = ["measure", "oracle"] + (["recursion"] if len(order) >= 2 else [])
@@ -158,7 +140,7 @@ def cmd_seminorm(args) -> int:
 
 
 def cmd_gowers(args) -> int:
-    cfg = _config(args)
+    cap = _cap(args)
     f = load_observable(args.observable, args.N)
     value = gowers_norm_pow(args.N, args.d, f)
     payload = {
@@ -170,9 +152,9 @@ def cmd_gowers(args) -> int:
     if args.cross_check:
         shift = tuple((x + 1) % args.N for x in range(args.N))
         system = FiniteSystem(
-            tuple(Fraction(1, args.N) for _ in range(args.N)), (shift,) * args.d
+            tuple(Fraction(1, args.N) for _ in range(args.N)), (shift,) * args.d, cap=cap
         )
-        box = seminorm_pow(system, tuple(range(args.d)), f, cap=cfg.cap)
+        box = seminorm_pow(system, tuple(range(args.d)), f)
         payload["box_pow"] = format_rational(box.pow)
         payload["cross_check"] = box.pow == value
         print(dumps(payload))
@@ -218,16 +200,14 @@ def cmd_average(args) -> int:
 
 
 def cmd_magic_check(args) -> int:
-    cfg = _config(args)
-    system = load_system(args.system)
-    require_valid(system)
+    system = _load_valid_system(args)
     order = _parse_order(args.order, system.d)
-    star = build_star_system(system, order, cap=cfg.cap)
-    failures = list(magic_failures(star, random.Random(cfg.seed), cfg.draws, cfg.cap))
+    star = build_star_system(system, order)
+    failures = list(magic_failures(star, random.Random(args.seed), args.draws))
     payload = {
         "carrier": star.size,
-        "draws": cfg.draws,
-        "seed": cfg.seed,
+        "draws": args.draws,
+        "seed": args.seed,
         "failures": failures,
         "all_hold": not failures,
     }
@@ -236,26 +216,24 @@ def cmd_magic_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
-    system = load_system(args.system)
-    require_valid(system)
+    system = _load_valid_system(args)
     order = _parse_order(args.order, system.d)
-    outcomes = run_suite(system, order, seed=cfg.seed, draws=cfg.draws, cap=cfg.cap)
+    outcomes = run_suite(system, order, seed=args.seed, draws=args.draws)
     failed = [o for o in outcomes if o.status == "FAIL"]
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["property", "status", "detail"])
         for o in outcomes:
             writer.writerow([o.name, o.status, o.detail])
-        writer.writerow(["all", "PASS" if not failed else "FAIL", f"seed={cfg.seed}"])
+        writer.writerow(["all", "PASS" if not failed else "FAIL", f"seed={args.seed}"])
         print(buf.getvalue(), end="")
     else:
         for o in outcomes:
             print(json.dumps(o.as_dict(), sort_keys=True))
         print(
             json.dumps(
-                {"all_pass": not failed, "draws": cfg.draws, "seed": cfg.seed},
+                {"all_pass": not failed, "draws": args.draws, "seed": args.seed},
                 sort_keys=True,
             )
         )

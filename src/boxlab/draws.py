@@ -14,7 +14,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import StructuralError
 from .system import FiniteSystem, Observable, conditional_expectation, group_orbit_partition
+
+
+def require_draws(draws: int) -> int:
+    """``draws`` if it is an exact int >= 1: a check over no draws checks nothing."""
+    # exact type: a bool is an int subclass
+    if type(draws) is not int or draws < 1:
+        raise StructuralError(f"draws must be an int >= 1, got {draws!r}")
+    return draws
 
 
 def rational_in_unit(rng: random.Random, max_den: int = 6) -> Fraction:

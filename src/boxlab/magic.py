@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .box_measure import (
-    SUPPORT_CAP_DEFAULT,
     CubePoint,
     SparseCubeMeasure,
     build_box_measure,
@@ -30,7 +29,7 @@ from .box_measure import (
     side_transform,
     vertex_functions,
 )
-from .draws import random_observable
+from .draws import random_observable, require_draws
 from .errors import InvariantViolationError, PreconditionError, StructuralError
 from .perms import Perm, compose
 from .seminorm import SeminormValue, seminorm_pow, zed_partition
@@ -69,6 +68,7 @@ class StarSystem:
         weights: tuple[Fraction, ...],
         star_transforms: tuple[Perm, ...],
         diag_transforms: tuple[Perm, ...],
+        cap: int | None = None,
     ):
         self.base = base
         self.order = order
@@ -76,7 +76,8 @@ class StarSystem:
         self.weights = weights
         self.star_transforms = star_transforms
         self.diag_transforms = diag_transforms
-        self._system = FiniteSystem(weights, star_transforms)
+        self._system = FiniteSystem(
+            weights, star_transforms, cap=base.cap if cap is None else cap)
 
     @property
     def d(self) -> int:
@@ -95,9 +96,9 @@ class StarSystem:
         extension and shared by every seminorm evaluated on it."""
         return self._system
 
-    def box_measure(self, cap: int = SUPPORT_CAP_DEFAULT) -> SparseCubeMeasure:
+    def box_measure(self) -> SparseCubeMeasure:
         """Cube measure of the extension; repeated calls on it share one."""
-        return build_box_measure(self.as_finite_system(), tuple(range(self.d)), cap=cap)
+        return build_box_measure(self.as_finite_system(), tuple(range(self.d)))
 
     def __repr__(self) -> str:
         return f"StarSystem(base_n={self.base.n}, d={self.d}, carrier={self.size})"
@@ -119,12 +120,17 @@ def _carrier_permutation(star_carrier, index, tuple_map) -> Perm:
 def build_star_system(
     sys: FiniteSystem,
     order: Sequence[int],
-    cap: int = SUPPORT_CAP_DEFAULT,
+    cap: int | None = None,
 ) -> StarSystem:
-    """Materialize the extension on the support of the cube measure."""
+    """Materialize the extension on the support of the cube measure.
+
+    That measure is built under ``sys.cap``.  The extension, viewed as a
+    finite system, bounds the cube measures of its own seminorms by
+    ``cap``, which defaults to ``sys.cap``.
+    """
     order = normalize_order(sys, order)
     d = len(order)
-    m = build_box_measure(sys, order, cap=cap)
+    m = build_box_measure(sys, order)
     carrier = tuple(sorted(m.entries))
     weights = tuple(m.entries[t] for t in carrier)
     index = {t: i for i, t in enumerate(carrier)}
@@ -133,7 +139,7 @@ def build_star_system(
         perm = sys.transforms[order[pos - 1]]
         star.append(_carrier_permutation(carrier, index, side_transform(perm, d, pos)))
         diag.append(_carrier_permutation(carrier, index, diagonal_transform(perm, d)))
-    out = StarSystem(sys, order, carrier, weights, tuple(star), tuple(diag))
+    out = StarSystem(sys, order, carrier, weights, tuple(star), tuple(diag), cap)
     _check_star_invariants(out)
     return out
 
@@ -264,19 +270,17 @@ def star_conditional_expectation(
     return conditional_expectation(F, p, star.weights)
 
 
-def star_seminorm_pow(
-    star: StarSystem, F: Observable, cap: int = SUPPORT_CAP_DEFAULT
-) -> SeminormValue:
+def star_seminorm_pow(star: StarSystem, F: Observable) -> SeminormValue:
     """Box seminorm power of a carrier observable, for the side transforms.
 
     The measure route on the extension viewed as a finite system: the
     integral folds the last stage of its cube measure into a per-cell sum,
     and the stages before it are built once and shared by repeated
-    evaluations.  Support caps guard the sparse growth.
+    evaluations.  The extension's support cap guards the sparse growth.
     """
     if F.n != star.size:
         raise StructuralError(f"observable has {F.n} values, carrier has {star.size}")
-    return seminorm_pow(star.as_finite_system(), range(star.d), F, cap=cap)
+    return seminorm_pow(star.as_finite_system(), range(star.d), F)
 
 
 @dataclass(frozen=True)
@@ -286,36 +290,37 @@ class MagicCheck:
     holds: bool
 
 
-def magic_check(
-    star: StarSystem, F: Observable, cap: int = SUPPORT_CAP_DEFAULT
-) -> MagicCheck:
+def magic_check(star: StarSystem, F: Observable) -> MagicCheck:
     """The magic property: zero expectation onto the joined side-orbit
     partition forces zero extended seminorm.  Only the implication is
     tested; a measurable observable with zero seminorm is fine."""
     expectation = star_conditional_expectation(star, F, wstar_partition(star))
     expectation_is_zero = expectation.is_zero()
-    star_pow = star_seminorm_pow(star, F, cap=cap).pow
+    star_pow = star_seminorm_pow(star, F).pow
     holds = (not expectation_is_zero) or (star_pow == 0)
     return MagicCheck(expectation_is_zero, star_pow, holds)
 
 
-def magic_failures(
-    star: StarSystem, rng: random.Random, draws: int, cap: int = SUPPORT_CAP_DEFAULT
-) -> Iterator[dict]:
+def magic_failures(star: StarSystem, rng: random.Random, draws: int) -> Iterator[dict]:
     """Check the magic property on ``draws`` random observables.
 
     Each draw G from ``rng`` is projected to F = G - E(G | wstar), which has
     zero expectation by construction, so F must have zero extended seminorm.
     Yields the record of each draw where it does not.  Only the seminorm is
     evaluated: recomputing E(F | wstar), as :func:`magic_check` does, could
-    not change which draws are reported.  Lazy: a caller that stops at the
-    first record stops drawing from ``rng`` there.
+    not change which draws are reported.  ``draws`` must be an int >= 1 and
+    is checked on the call, before any draw.  Lazy after that: a caller
+    that stops at the first record stops drawing from ``rng`` there.
     """
+    return _magic_failures(star, rng, require_draws(draws))
+
+
+def _magic_failures(star: StarSystem, rng: random.Random, draws: int) -> Iterator[dict]:
     wstar = wstar_partition(star)
     for i in range(draws):
         G = random_observable(rng, star.size)
         F = G - star_conditional_expectation(star, G, wstar)
-        star_pow = star_seminorm_pow(star, F, cap=cap).pow
+        star_pow = star_seminorm_pow(star, F).pow
         if star_pow != 0:
             yield {"draw": i, "G": [format_rational(v) for v in G.values],
                    "star_pow": format_rational(star_pow)}
@@ -334,9 +339,7 @@ def vertex_product_observable(star: StarSystem, fs: Mapping) -> Observable:
     return Observable(tuple(values))
 
 
-def span0_orthogonality_check(
-    star: StarSystem, fs: Mapping, cap: int = SUPPORT_CAP_DEFAULT
-) -> bool:
+def span0_orthogonality_check(star: StarSystem, fs: Mapping) -> bool:
     """Zero expectation of the origin factor onto the component partition
     forces the vertex product to have zero conditional expectation onto the
     partition of the carrier by the off-origin block.
@@ -347,7 +350,7 @@ def span0_orthogonality_check(
     """
     fmap = vertex_functions(fs, star.d, star.base.n)
     f_origin = fmap.get(0, Observable.constant(1, star.base.n))
-    zed = zed_partition(star.base, star.order, cap=cap)
+    zed = zed_partition(star.base, star.order)
     if not conditional_expectation(f_origin, zed, star.base.weights).is_zero():
         raise PreconditionError(
             "origin observable has nonzero expectation onto the component partition"
@@ -360,19 +363,15 @@ def span0_orthogonality_check(
     return star_conditional_expectation(star, F, sharp_partition).is_zero()
 
 
-def normstar_check(
-    star: StarSystem,
-    fs: Mapping,
-    cap: int = SUPPORT_CAP_DEFAULT,
-    star_cap: int | None = None,
-) -> bool:
+def normstar_check(star: StarSystem, fs: Mapping) -> bool:
     """Zero box seminorm of the origin factor forces zero extended seminorm
-    of the vertex product.  The precondition is checked exactly, on the
-    base under ``cap``; the extended seminorm runs under ``star_cap``,
-    which defaults to ``cap``.  ``fs`` is as for :func:`vertex_functions`."""
+    of the vertex product.  The precondition is checked exactly on the
+    base, and the extended seminorm on the extension, each under its own
+    system's cap (see :func:`build_star_system`).  ``fs`` is as for
+    :func:`vertex_functions`."""
     fmap = vertex_functions(fs, star.d, star.base.n)
     f_origin = fmap.get(0, Observable.constant(1, star.base.n))
-    if seminorm_pow(star.base, star.order, f_origin, cap=cap).pow != 0:
+    if seminorm_pow(star.base, star.order, f_origin).pow != 0:
         raise PreconditionError("origin observable has nonzero box seminorm")
     F = vertex_product_observable(star, fmap)
-    return star_seminorm_pow(star, F, cap=cap if star_cap is None else star_cap).pow == 0
+    return star_seminorm_pow(star, F).pow == 0

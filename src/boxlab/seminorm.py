@@ -27,13 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .box_measure import (
-    SUPPORT_CAP_DEFAULT,
-    build_box_measure,
-    cube_integral,
-    normalize_order,
-    vertex_functions,
-)
+from .box_measure import build_box_measure, cube_integral, normalize_order, vertex_functions
 from .errors import PreconditionError, StructuralError
 from .perms import compose, identity
 from .system import (
@@ -69,16 +63,11 @@ def _full_vertex_map(f: Observable, d: int) -> dict[int, Observable]:
     return {bits: f for bits in range(1 << d)}
 
 
-def seminorm_pow(
-    sys: FiniteSystem,
-    order: Sequence[int],
-    f: Observable,
-    cap: int = SUPPORT_CAP_DEFAULT,
-) -> SeminormValue:
+def seminorm_pow(sys: FiniteSystem, order: Sequence[int], f: Observable) -> SeminormValue:
     """Cube-measure route: integrate f at every vertex against the cube
     measure, with its last stage folded into a per-cell sum."""
     order = normalize_order(sys, order)
-    value = cube_integral(sys, order, _full_vertex_map(f, len(order)), cap=cap)
+    value = cube_integral(sys, order, _full_vertex_map(f, len(order)))
     return SeminormValue(len(order), value, order)
 
 
@@ -155,10 +144,7 @@ def seminorm_oracle_pow(
 
 
 def seminorm_recursion_pow(
-    sys: FiniteSystem,
-    order: Sequence[int],
-    f: Observable,
-    cap: int = SUPPORT_CAP_DEFAULT,
+    sys: FiniteSystem, order: Sequence[int], f: Observable
 ) -> SeminormValue:
     """Recursion route: full-period mean of the (d-1)-transform powers of
     the shifted products along the last transform.
@@ -174,7 +160,7 @@ def seminorm_recursion_pow(
     total = Fraction(0)
     shifted = f
     for _ in range(transform_period(last)):
-        total += seminorm_pow(sys, sub_order, shifted * f, cap=cap).pow
+        total += seminorm_pow(sys, sub_order, shifted * f).pow
         shifted = shifted.translate(last)
     return SeminormValue(len(order), total / transform_period(last), order)
 
@@ -186,12 +172,7 @@ class CsgResult:
     holds: bool
 
 
-def csg_check(
-    sys: FiniteSystem,
-    order: Sequence[int],
-    fs: Mapping,
-    cap: int = SUPPORT_CAP_DEFAULT,
-) -> CsgResult:
+def csg_check(sys: FiniteSystem, order: Sequence[int], fs: Mapping) -> CsgResult:
     """Cube-integral bound: |integral of the vertex product| is at most the
     product of the per-vertex seminorms, compared through 2^d-th powers.
 
@@ -201,11 +182,11 @@ def csg_check(
     order = normalize_order(sys, order)
     d = len(order)
     fmap = vertex_functions(fs, d, sys.n)
-    lhs = cube_integral(sys, order, fmap, cap=cap)
+    lhs = cube_integral(sys, order, fmap)
     lhs_pow = abs(lhs) ** (1 << d)
     rhs_pow = Fraction(1)
     for obs in fmap.values():
-        rhs_pow *= seminorm_pow(sys, order, obs, cap=cap).pow
+        rhs_pow *= seminorm_pow(sys, order, obs).pow
     return CsgResult(lhs_pow, rhs_pow, lhs_pow <= rhs_pow)
 
 
@@ -228,9 +209,7 @@ def triangle_check(
     return a <= b + c + tol
 
 
-def zed_partition(
-    sys: FiniteSystem, order: Sequence[int], cap: int = SUPPORT_CAP_DEFAULT
-) -> Partition:
+def zed_partition(sys: FiniteSystem, order: Sequence[int]) -> Partition:
     """Cells supporting functions of the origin coordinate that agree,
     cube-measure almost everywhere, with functions of the other coordinates.
 
@@ -239,14 +218,15 @@ def zed_partition(
     measure.  A set is a union of these cells exactly when its indicator at
     the origin coordinate matches some indicator of the off-origin block on
     the whole support.  Zero-weight points become singleton cells.  Kept
-    on ``sys`` per (order, cap) and raising like :func:`build_box_measure`.
+    on ``sys`` per order; built under ``sys.cap`` and raising like
+    :func:`build_box_measure`.
     """
     order = normalize_order(sys, order)
-    return sys.memo(("zed", order, cap), lambda: _zed(sys, order, cap))
+    return sys.memo(("zed", order), lambda: _zed(sys, order))
 
 
-def _zed(sys: FiniteSystem, order: tuple[int, ...], cap: int) -> Partition:
-    m = build_box_measure(sys, order, cap=cap)
+def _zed(sys: FiniteSystem, order: tuple[int, ...]) -> Partition:
+    m = build_box_measure(sys, order)
     # join each origin value to the first one seen with the same off-origin
     # tuple; zero-weight points occur in no support point, so stay singletons
     first_origin: dict[tuple[int, ...], int] = {}
@@ -256,16 +236,11 @@ def _zed(sys: FiniteSystem, order: tuple[int, ...], cap: int) -> Partition:
     )
 
 
-def zed_equivalence_check(
-    sys: FiniteSystem,
-    order: Sequence[int],
-    f: Observable,
-    cap: int = SUPPORT_CAP_DEFAULT,
-) -> bool:
+def zed_equivalence_check(sys: FiniteSystem, order: Sequence[int], f: Observable) -> bool:
     """Whether vanishing seminorm and vanishing expectation onto the
     component partition agree for ``f`` (both sides exact)."""
-    pow_zero = seminorm_pow(sys, order, f, cap=cap).pow == 0
-    expectation = conditional_expectation(f, zed_partition(sys, order, cap=cap), sys.weights)
+    pow_zero = seminorm_pow(sys, order, f).pow == 0
+    expectation = conditional_expectation(f, zed_partition(sys, order), sys.weights)
     return pow_zero == expectation.is_zero()
 
 
@@ -276,6 +251,12 @@ def gowers_norm_pow(N: int, d: int, f: Observable) -> Fraction:
     all x and h in (Z/N)^d.  Serves as the independent oracle for the
     cyclic specialization of the box seminorm.
     """
+    for name, value in (("N", N), ("d", d)):
+        # exact type: a bool is an int subclass, a float is not an index
+        if type(value) is not int:
+            raise StructuralError(
+                f"gowers_norm_pow {name} must be an int, got {type(value).__name__} {value!r}"
+            )
     if N < 1 or d < 1:
         raise PreconditionError("gowers_norm_pow needs N >= 1 and d >= 1")
     if f.n != N:

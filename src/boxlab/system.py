@@ -22,6 +22,8 @@ from .errors import InvariantViolationError, StructuralError
 from .perms import Perm, commute, cycles, is_permutation
 from .perms import period as _perm_period
 
+SUPPORT_CAP_DEFAULT = 10_000_000
+
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, and strings like '3/4'; floats and bools are
@@ -45,11 +47,17 @@ class FiniteSystem:
     commutation, bijectivity) are reported by :func:`validate_system` so
     that broken candidate systems can be inspected rather than rejected
     outright.
+
+    ``cap`` bounds the support of every cube-measure stage built for the
+    system (see :func:`boxlab.box_measure.build_box_measure`).  It takes no
+    part in equality or the hash: ``dataclasses.replace(sys, cap=c)`` is an
+    equal system with a memo of its own.
     """
 
     weights: tuple[Fraction, ...]
     transforms: tuple[Perm, ...]
     labels: tuple[str, ...] | None = None
+    cap: int = field(default=SUPPORT_CAP_DEFAULT, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,6 +85,9 @@ class FiniteSystem:
             if len(labels) != n:
                 raise StructuralError(f"{len(labels)} labels for {n} points")
             object.__setattr__(self, "labels", labels)
+        # exact type: a bool is an int subclass
+        if type(self.cap) is not int or self.cap < 1:
+            raise StructuralError(f"support cap must be an int >= 1, got {self.cap!r}")
 
     @property
     def n(self) -> int:

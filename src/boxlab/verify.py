@@ -21,7 +21,6 @@ from .averages import (
     van_der_corput_bound,
 )
 from .box_measure import (
-    SUPPORT_CAP_DEFAULT,
     apply_digit_flip,
     apply_index_permutation,
     build_box_measure,
@@ -38,6 +37,7 @@ from .draws import (
     random_unit_vectors,
     random_vertex_functions,
     random_zero_expectation_observable,
+    require_draws,
 )
 from .errors import PreconditionError, SupportCapError
 from .magic import (
@@ -59,9 +59,10 @@ from .seminorm import (
 from .serialize import format_rational
 from .system import FiniteSystem, Observable, transform_period, validate_system
 
-# Support cap for the cube measures of the magic extension that magic and
-# normstar integrate against (at most the run's cap): an extension whose
-# stages need more entries SKIPs with the cap error of the first such stage.
+# The magic extension is built from the base measure under sys.cap; its own
+# support cap, min(sys.cap, STAR_VERIFY_BUDGET), bounds the cube measures
+# that magic and normstar integrate against.  An extension whose stages
+# need more entries SKIPs with the error of the first such stage.
 STAR_VERIFY_BUDGET = 100_000
 
 
@@ -93,7 +94,6 @@ class _Suite:
     order: tuple[int, ...]
     seed: int
     draws: int
-    cap: int
     star_draws: int = field(init=False)
 
     def __post_init__(self):
@@ -107,7 +107,8 @@ class _Suite:
 
     @functools.cached_property
     def star(self) -> StarSystem:
-        return build_star_system(self.sys, self.order, cap=self.cap)
+        return build_star_system(
+            self.sys, self.order, cap=min(self.sys.cap, STAR_VERIFY_BUDGET))
 
     def run(self) -> list[PropertyOutcome]:
         checks = [
@@ -150,7 +151,7 @@ class _Suite:
         )
 
     def check_box_measure_laws(self) -> PropertyOutcome:
-        m = build_box_measure(self.sys, self.order, cap=self.cap)
+        m = build_box_measure(self.sys, self.order)
         if m.total_mass() != 1:
             return PropertyOutcome("box-measure-laws", "FAIL", "total mass differs from 1")
         for bits in range(1 << self.d):
@@ -186,23 +187,21 @@ class _Suite:
         )
 
     def check_index_permutation(self) -> PropertyOutcome:
-        m = build_box_measure(self.sys, self.order, cap=self.cap)
+        m = build_box_measure(self.sys, self.order)
         sigmas = list(itertools.permutations(range(self.d)))
         if self.d > 3:
             sigmas = [tuple(self.rng.sample(range(self.d), self.d)) for _ in range(6)]
         f = random_observable(self.rng, self.sys.n)
-        base_pow = seminorm_pow(self.sys, self.order, f, cap=self.cap).pow
+        base_pow = seminorm_pow(self.sys, self.order, f).pow
         for sigma in sigmas:
             target = permute_order(self.order, sigma)
-            if apply_index_permutation(m, sigma) != build_box_measure(
-                self.sys, target, cap=self.cap
-            ):
+            if apply_index_permutation(m, sigma) != build_box_measure(self.sys, target):
                 return PropertyOutcome(
                     "index-permutation", "FAIL",
                     f"measure equality fails for digit permutation {sigma}",
                     {"sigma": list(sigma)},
                 )
-            if seminorm_pow(self.sys, target, f, cap=self.cap).pow != base_pow:
+            if seminorm_pow(self.sys, target, f).pow != base_pow:
                 return PropertyOutcome(
                     "index-permutation", "FAIL",
                     f"seminorm changes under order permutation {sigma}",
@@ -215,9 +214,9 @@ class _Suite:
     def check_seminorm_routes(self) -> PropertyOutcome:
         fs = [random_observable(self.rng, self.sys.n) for _ in range(self.draws)]
         for i, f in enumerate(fs):
-            a = seminorm_pow(self.sys, self.order, f, cap=self.cap).pow
+            a = seminorm_pow(self.sys, self.order, f).pow
             b = seminorm_oracle_pow(self.sys, self.order, f).pow
-            c = a if self.d < 2 else seminorm_recursion_pow(self.sys, self.order, f, cap=self.cap).pow
+            c = a if self.d < 2 else seminorm_recursion_pow(self.sys, self.order, f).pow
             if not (a == b == c):
                 return PropertyOutcome(
                     "seminorm-routes", "FAIL",
@@ -235,7 +234,7 @@ class _Suite:
         batches = [random_vertex_functions(self.rng, self.sys.n, self.d, False)
                    for _ in range(self.draws)]
         for i, fs in enumerate(batches):
-            res = csg_check(self.sys, self.order, fs, cap=self.cap)
+            res = csg_check(self.sys, self.order, fs)
             if not res.holds:
                 return PropertyOutcome(
                     "csg", "FAIL", "product bound violated",
@@ -244,7 +243,7 @@ class _Suite:
                      "rhs_pow": format_rational(res.rhs_pow)},
                 )
         f = random_observable(self.rng, self.sys.n)
-        eq = csg_check(self.sys, self.order, {b: f for b in range(1 << self.d)}, cap=self.cap)
+        eq = csg_check(self.sys, self.order, {b: f for b in range(1 << self.d)})
         if eq.lhs_pow != eq.rhs_pow:
             return PropertyOutcome(
                 "csg", "FAIL", "equality case fails for identical vertex functions",
@@ -253,7 +252,7 @@ class _Suite:
         return PropertyOutcome("csg", "PASS", f"{len(batches)} draws + equality case")
 
     def check_lemma_z(self) -> PropertyOutcome:
-        zed = zed_partition(self.sys, self.order, cap=self.cap)
+        zed = zed_partition(self.sys, self.order)
         if zed_from_sharp(self.star) != zed:
             return PropertyOutcome(
                 "lemma-z", "FAIL", "component and invariant-set routes disagree"
@@ -264,7 +263,7 @@ class _Suite:
             for _ in range(max(1, self.draws // 4))
         )
         for i, f in enumerate(fs):
-            if not zed_equivalence_check(self.sys, self.order, f, cap=self.cap):
+            if not zed_equivalence_check(self.sys, self.order, f):
                 return PropertyOutcome(
                     "lemma-z", "FAIL", "seminorm-zero equivalence fails",
                     {"draw": i, "f": _obs_json(f)},
@@ -281,7 +280,7 @@ class _Suite:
         for i in range(rounds):
             fs = random_vertex_functions(self.rng, self.sys.n, self.d, True)
             starts = [self.rng.randint(-2 * length, 2 * length) for _ in range(3)]
-            rep = uniformity_scan(self.sys, self.order, fs, length, starts, cap=self.cap)
+            rep = uniformity_scan(self.sys, self.order, fs, length, starts)
             if not rep.pow_bound_holds:
                 return PropertyOutcome(
                     "uniform-full-period", "FAIL",
@@ -305,7 +304,7 @@ class _Suite:
                     for _ in range(self.sys.d - 1)]
             cases.append([f1, *rest])
         for i, f_list in enumerate(cases):
-            res = characteristic_bound_check(self.sys, f_list, cap=self.cap)
+            res = characteristic_bound_check(self.sys, f_list)
             if not res.holds:
                 return PropertyOutcome(
                     "characteristic-bound", "FAIL", "limit norm exceeds the seminorm",
@@ -314,12 +313,12 @@ class _Suite:
         # zero seminorm of the first observable forces a zero limit
         tsys = derived_transform_system(self.sys)
         rev = tuple(reversed(range(self.sys.d)))
-        zed = zed_partition(tsys, rev, cap=self.cap)
+        zed = zed_partition(tsys, rev)
         for i in range(max(1, self.draws // 4)):
             f1 = random_zero_expectation_observable(self.rng, tsys, zed)
             rest = [random_bounded_observable(self.rng, self.sys.n)
                     for _ in range(self.sys.d - 1)]
-            res = characteristic_bound_check(self.sys, [f1, *rest], cap=self.cap)
+            res = characteristic_bound_check(self.sys, [f1, *rest])
             if res.rhs.pow != 0 or res.lhs != 0:
                 return PropertyOutcome(
                     "characteristic-bound", "FAIL",
@@ -348,22 +347,21 @@ class _Suite:
     # -- star-space properties ---------------------------------------------
 
     def check_magic(self) -> PropertyOutcome:
-        star, star_cap = self.star, min(self.cap, STAR_VERIFY_BUDGET)
-        failure = next(magic_failures(star, self.rng, self.star_draws, star_cap), None)
+        failure = next(magic_failures(self.star, self.rng, self.star_draws), None)
         if failure is not None:
             return PropertyOutcome(
                 "magic", "FAIL", "zero expectation does not force zero seminorm", failure
             )
         return PropertyOutcome(
-            "magic", "PASS", f"{self.star_draws} draws on carrier of {star.size}"
+            "magic", "PASS", f"{self.star_draws} draws on carrier of {self.star.size}"
         )
 
     def check_span0(self) -> PropertyOutcome:
-        star, zed = self.star, zed_partition(self.sys, self.order, cap=self.cap)
+        star, zed = self.star, zed_partition(self.sys, self.order)
         for i in range(self.star_draws):
             fs = random_vertex_functions(self.rng, self.sys.n, self.d, True)
             fs[0] = random_zero_expectation_observable(self.rng, self.sys, zed)
-            if not span0_orthogonality_check(star, fs, cap=self.cap):
+            if not span0_orthogonality_check(star, fs):
                 return PropertyOutcome(
                     "span0", "FAIL",
                     "vertex product has nonzero expectation on the off-origin algebra",
@@ -372,13 +370,12 @@ class _Suite:
         return PropertyOutcome("span0", "PASS", f"{self.star_draws} draws")
 
     def check_normstar(self) -> PropertyOutcome:
-        star, zed = self.star, zed_partition(self.sys, self.order, cap=self.cap)
-        star_cap = min(self.cap, STAR_VERIFY_BUDGET)
+        star, zed = self.star, zed_partition(self.sys, self.order)
         for i in range(self.star_draws):
             fs = random_vertex_functions(self.rng, self.sys.n, self.d, True)
             fs[0] = random_zero_expectation_observable(self.rng, self.sys, zed)
             try:
-                holds = normstar_check(star, fs, cap=self.cap, star_cap=star_cap)
+                holds = normstar_check(star, fs)
             except PreconditionError:
                 continue  # draw not admissible for this system
             if not holds:
@@ -391,11 +388,9 @@ class _Suite:
 
 
 def run_suite(
-    sys: FiniteSystem,
-    order,
-    seed: int = 0,
-    draws: int = 200,
-    cap: int = SUPPORT_CAP_DEFAULT,
+    sys: FiniteSystem, order, seed: int = 0, draws: int = 200
 ) -> list[PropertyOutcome]:
-    suite = _Suite(sys, normalize_order(sys, order), seed, draws, cap)
+    """Every property on ``draws`` draws from ``seed``, for ``order``."""
+    require_draws(draws)
+    suite = _Suite(sys, normalize_order(sys, order), seed, draws)
     return suite.run()

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -285,6 +286,23 @@ def test_uniformity_margin_decays():
         assert rep.margin <= bound_scale * max(sup0, 1.0) / length + 1e-9
 
 
+@pytest.mark.parametrize(
+    "length, starts",
+    [(2.5, [0.5, 1]), (True, [False, 1]), (0, [0, 1]), (-4, [0]), (4, [0, 1.0]), (4, ["1"])],
+    ids=["floats", "bools", "zero-length", "negative-length", "float-start", "str-start"],
+)
+def test_uniformity_scan_reads_each_interval_exactly(length, starts):
+    fs = {b: random_bounded_observable(random.Random(43), 4) for b in range(4)}
+    with pytest.raises(StructuralError):
+        uniformity_scan(Z4_TWO, (0, 1), fs, length, starts)
+
+
+def test_derived_system_keeps_the_cap():
+    assert derived_transform_system(Z4_TWO).cap == Z4_TWO.cap
+    capped = replace(Z4_TWO, cap=77)
+    assert derived_transform_system(capped).cap == 77
+
+
 def test_uniformity_scan_precondition():
     fs = {0: Observable.zero(4), 1: Observable((F(2), F(0), F(0), F(0)))}
     with pytest.raises(PreconditionError):
@@ -317,6 +335,12 @@ def test_vdc_preconditions():
         van_der_corput_bound([v] * 5, 6)
     with pytest.raises(PreconditionError):
         van_der_corput_bound([(F(2),)], 1)
+
+
+@pytest.mark.parametrize("H", [True, 1.5, 2.0, "2"], ids=["bool", "float", "whole-float", "str"])
+def test_vdc_lag_count_must_be_an_int(H):
+    with pytest.raises(StructuralError):
+        van_der_corput_bound([(F(1),)] * 4, H)
 
 
 def test_vdc_rejects_weights_of_the_wrong_length():

@@ -1,6 +1,6 @@
 """Every top-level import in the library modules is used, no library
-module imports anything inside a function, and only ``box_measure`` reads
-vertex keys.
+module imports anything inside a function, only ``box_measure`` reads
+vertex keys, and no function that is given a system takes a support cap.
 
 A stdlib ``ast`` check standing in for a linter: a module-level import
 binds a name, and that name must be read somewhere else in the module.
@@ -115,3 +115,64 @@ def test_check_flags_a_vertex_bits_reference():
         "    return vertex_bits(key, 2)\n"
     )
     assert references(tree, "vertex_bits") == [1, 4, 6]
+
+
+# The first two take a measure, not a system; the next two set the cap of
+# the extension they build; the error records the cap it reports.  Every
+# other function reads the cap of the system it is given.
+TAKES_A_CAP = {
+    "box_measure.relative_self_product",
+    "box_measure._orbit_cells",
+    "magic.build_star_system",
+    "magic.StarSystem.__init__",
+    "errors.SupportCapError.__init__",
+}
+ALL_MODULES = sorted(SRC.glob("*.py"))
+
+
+def cap_parameters(tree: ast.Module, module: str) -> list[str]:
+    """Qualified names of the functions and lambdas with a parameter
+    named ``cap`` or ``star_cap``."""
+    out = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = child.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                          *filter(None, (args.vararg, args.kwarg))]
+                name = f"{prefix}{getattr(child, 'name', '<lambda>')}"
+                if any(a.arg in ("cap", "star_cap") for a in params):
+                    out.append(name)
+                visit(child, f"{name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, f"{module}.")
+    return out
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_only_measure_level_functions_take_a_cap(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    extra = set(cap_parameters(tree, path.stem)) - TAKES_A_CAP
+    assert not extra, f"{path.name}: cap parameters on {sorted(extra)}"
+
+
+def test_check_flags_a_cap_parameter():
+    tree = ast.parse(
+        "def f(sys, cap=10): pass\n"
+        "def g(sys, *, star_cap=None): pass\n"
+        "def h(sys, **cap): pass\n"
+        "def ok(sys): return sys.cap\n"
+        "class C:\n"
+        "    def m(self, cap): pass\n"
+        "    def n(self):\n"
+        "        def inner(cap): pass\n"
+        "        return lambda x, cap: x\n"
+    )
+    assert cap_parameters(tree, "mod") == [
+        "mod.f", "mod.g", "mod.h", "mod.C.m", "mod.C.n.inner", "mod.C.n.<lambda>",
+    ]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,19 @@ from boxlab.draws import (
     random_observable,
     random_zero_expectation_observable,
 )
-from boxlab.errors import InvariantViolationError, PreconditionError, SupportCapError
+from boxlab.errors import (
+    InvariantViolationError,
+    PreconditionError,
+    StructuralError,
+    SupportCapError,
+)
 from boxlab.magic import (
     StarSystem,
     _check_star_invariants,
     build_star_system,
     derive_S_star,
     magic_check,
+    magic_failures,
     normstar_check,
     sharp_invariant_partition,
     sharp_space,
@@ -419,16 +426,37 @@ def test_normstar_guard_fires():
 
 
 def test_normstar_star_cap_bounds_only_the_extension():
-    star = build_star_system(Z4_TWO, (0, 1))
+    star = build_star_system(Z4_TWO, (0, 1), cap=10)
     fs = {b: Observable.constant(1, 4) for b in range(1, 4)}
     fs[0] = Observable.zero(4)
     with pytest.raises(SupportCapError) as exc:
-        normstar_check(star, fs, star_cap=10)
+        normstar_check(star, fs)
     assert exc.value.cap == 10
-    # the precondition on the base runs under cap and rejects first
+    # the precondition on the base runs under the base's cap and rejects first
     fs[0] = Observable((F(1), F(-1), F(1), F(-1)))
     with pytest.raises(PreconditionError):
-        normstar_check(star, fs, star_cap=10)
+        normstar_check(star, fs)
+
+
+def test_extension_takes_the_base_cap_unless_given_one():
+    base = replace(Z4_TWO, cap=500)
+    assert build_star_system(base, (0, 1)).as_finite_system().cap == 500
+    star = build_star_system(base, (0, 1), cap=64)
+    assert star.as_finite_system().cap == 64 and star.base.cap == 500
+    # the base measure is built under the base's cap, not the extension's
+    with pytest.raises(SupportCapError) as exc:
+        build_star_system(replace(Z4_TWO, cap=10), (0, 1), cap=10**6)
+    assert exc.value.cap == 10
+
+
+@pytest.mark.parametrize("draws", [0, -2, True, 1.5], ids=["zero", "negative", "bool", "float"])
+def test_magic_failures_rejects_a_draw_count_before_drawing(draws):
+    star = build_star_system(Z4_TWO, (0, 1))
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(StructuralError):
+        magic_failures(star, rng, draws)
+    assert rng.getstate() == state
 
 
 def test_normstar_null_supported_origin_at_d2():

@@ -9,7 +9,7 @@ from boxlab.draws import (
     random_observable,
     random_zero_expectation_observable,
 )
-from boxlab.errors import PreconditionError
+from boxlab.errors import PreconditionError, StructuralError
 from boxlab.seminorm import (
     csg_check,
     gowers_norm_pow,
@@ -106,6 +106,15 @@ def test_gowers_examples():
     assert gowers_norm_pow(3, 1, Observable.constant(1, 3)) == 1
     assert gowers_norm_pow(2, 2, Observable((F(1), F(-1)))) == 1
     assert gowers_norm_pow(3, 1, Observable((F(1), F(0), F(-1)))) == 0
+
+
+@pytest.mark.parametrize(
+    "N, d", [(True, 1), (2, 1.0), (2, True), (2.0, 1), ("2", 1)],
+    ids=["bool-N", "float-d", "bool-d", "float-N", "str-N"],
+)
+def test_gowers_sizes_must_be_ints(N, d):
+    with pytest.raises(StructuralError):
+        gowers_norm_pow(N, d, Observable.constant(1, 1 if N is True else 2))
 
 
 def test_gowers_u1_is_squared_mean():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,22 @@ def test_structural_errors_raise():
 def test_non_integer_transform_entries_are_rejected(transform):
     with pytest.raises(StructuralError):
         FiniteSystem(uniform(2), (transform,))
+
+
+@pytest.mark.parametrize("cap", [0, -1, True, 2.5, "10"],
+                         ids=["zero", "negative", "bool", "float", "str"])
+def test_cap_must_be_an_int_of_at_least_one(cap):
+    with pytest.raises(StructuralError):
+        FiniteSystem(uniform(2), (), cap=cap)
+    with pytest.raises(StructuralError):
+        replace(Z4_TWO, cap=cap)
+
+
+@pytest.mark.parametrize("cap", [1, 40, 10**12])
+def test_cap_takes_no_part_in_equality_or_the_hash(cap):
+    capped = replace(Z4_TWO, cap=cap)
+    assert capped.cap == cap
+    assert capped == Z4_TWO and hash(capped) == hash(Z4_TWO)
 
 
 @pytest.mark.parametrize("values", ["12", ""])

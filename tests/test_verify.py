@@ -1,10 +1,14 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 import boxlab.box_measure
 import boxlab.seminorm
 import boxlab.verify
-from boxlab.box_measure import SUPPORT_CAP_DEFAULT, build_box_measure
+from boxlab.box_measure import build_box_measure
+from boxlab.errors import StructuralError
 from boxlab.seminorm import seminorm_pow
 from boxlab.system import FiniteSystem, Observable
 from boxlab.verify import PropertyOutcome, run_suite
@@ -105,12 +109,12 @@ def test_suite_builds_every_base_measure_under_the_run_cap(monkeypatch):
     real = boxlab.seminorm.build_box_measure
     caps = []
 
-    def recording(sys, order, cap=SUPPORT_CAP_DEFAULT):
-        caps.append(cap)
-        return real(sys, order, cap=cap)
+    def recording(sys, order):
+        caps.append(sys.cap)
+        return real(sys, order)
 
     monkeypatch.setattr(boxlab.seminorm, "build_box_measure", recording)
-    outcomes = run_suite(sys, (0, 1), draws=20, cap=1000)
+    outcomes = run_suite(replace(sys, cap=1000), (0, 1), draws=20)
     assert all(o.status == "PASS" for o in outcomes)
     assert caps and set(caps) == {1000}
 
@@ -128,9 +132,18 @@ def test_suite_leaves_every_order_built_on_its_system(monkeypatch):
     assert stages == []
 
 
+@pytest.mark.parametrize("draws", [0, -3, True, 2.5], ids=["zero", "negative", "bool", "float"])
+def test_suite_rejects_a_draw_count_before_any_property(monkeypatch, draws):
+    checked = count_calls(monkeypatch, boxlab.verify, "validate_system")
+    drawn = count_calls(monkeypatch, boxlab.verify, "random_observable")
+    with pytest.raises(StructuralError):
+        run_suite(Z4_TWO, (0, 1), draws=draws)
+    assert checked == [] and drawn == []
+
+
 def test_failed_extension_build_is_retried_per_property(monkeypatch):
     stars = count_calls(monkeypatch, boxlab.verify, "build_star_system")
-    outcomes = {o.name: o for o in run_suite(Z4_TWO, (0, 1), seed=0, draws=4, cap=20)}
+    outcomes = {o.name: o for o in run_suite(replace(Z4_TWO, cap=20), (0, 1), seed=0, draws=4)}
     # lemma-z stops at the base partition; magic, span0 and normstar each
     # retry the extension and SKIP with the same cap detail
     assert len(stars) == 3
