@@ -219,10 +219,12 @@ def uniformity_scan(
     them, and the exact power comparison |J|^(2^d) <= seminorm power (which
     must hold whenever the length is a multiple of every period).  ``fs``
     is as for :func:`vertex_functions`; each (start, length) is read as an
-    :class:`Interval`.
+    :class:`Interval`, and ``starts`` must name at least one.
     """
     order = normalize_order(sys, order)
     intervals = [Interval(s, length) for s in starts]
+    if not intervals:
+        raise StructuralError("uniformity_scan needs at least one start")
     d = len(order)
     fmap = vertex_functions(fs, d, sys.n)
     for bits in sorted(fmap):

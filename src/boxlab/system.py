@@ -97,9 +97,6 @@ class FiniteSystem:
     def d(self) -> int:
         return len(self.transforms)
 
-    def transform(self, index: int) -> Perm:
-        return self.transforms[index]
-
     def support(self) -> tuple[int, ...]:
         """Points of strictly positive weight."""
         return tuple(x for x, w in enumerate(self.weights) if w > 0)

@@ -4,6 +4,12 @@ Each property evaluates a numbered batch of seeded draws (or an exhaustive
 family, for the symmetry laws) and reports PASS, FAIL with a serialized
 counterexample, or SKIP with the reason.  Draws come from one generator
 seeded by the seed, so equal inputs give byte-identical outcomes.
+
+A property is one ``_Suite.check_<name>`` method, and its name is the
+method's with dashes for underscores.  The method returns its PASS detail
+or raises: ``_Fail`` with the detail and counterexample, or
+:class:`SupportCapError` for a SKIP.  ``_Suite.run`` alone turns those
+results into :class:`PropertyOutcome`s.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .averages import (
     characteristic_bound_check,
@@ -80,6 +87,10 @@ class PropertyOutcome:
         return out
 
 
+class _Fail(Exception):
+    """A property's counterexample: ``_Fail(detail, counterexample=None)``."""
+
+
 def _obs_json(f: Observable) -> list[str]:
     return [format_rational(v) for v in f.values]
 
@@ -111,7 +122,8 @@ class _Suite:
             self.sys, self.order, cap=min(self.sys.cap, STAR_VERIFY_BUDGET))
 
     def run(self) -> list[PropertyOutcome]:
-        checks = [
+        results = []
+        for check in (
             self.check_system_valid,
             self.check_box_measure_laws,
             self.check_index_permutation,
@@ -124,42 +136,35 @@ class _Suite:
             self.check_magic,
             self.check_span0,
             self.check_normstar,
-        ]
-        results = [checks[0]()]
-        for check in checks[1:]:
+        ):
             name = check.__name__.removeprefix("check_").replace("_", "-")
-            if results[0].status == "FAIL":
+            if results and results[0].status == "FAIL":
                 # nothing downstream is meaningful on an invalid system
                 results.append(PropertyOutcome(name, "SKIP", "system invalid"))
                 continue
             try:
-                results.append(check())
+                results.append(PropertyOutcome(name, "PASS", check()))
+            except _Fail as fail:
+                results.append(PropertyOutcome(name, "FAIL", *fail.args))
             except SupportCapError as exc:
                 results.append(PropertyOutcome(name, "SKIP", str(exc)))
         return results
 
     # -- individual properties -------------------------------------------
 
-    def check_system_valid(self) -> PropertyOutcome:
+    def check_system_valid(self) -> str:
         report = validate_system(self.sys)
         if report:
-            return PropertyOutcome(
-                "system-valid", "FAIL", "invariants violated", {"report": report}
-            )
-        return PropertyOutcome(
-            "system-valid", "PASS", f"n={self.sys.n} d={self.sys.d}"
-        )
+            raise _Fail("invariants violated", {"report": report})
+        return f"n={self.sys.n} d={self.sys.d}"
 
-    def check_box_measure_laws(self) -> PropertyOutcome:
+    def check_box_measure_laws(self) -> str:
         m = build_box_measure(self.sys, self.order)
         if m.total_mass() != 1:
-            return PropertyOutcome("box-measure-laws", "FAIL", "total mass differs from 1")
+            raise _Fail("total mass differs from 1")
         for bits in range(1 << self.d):
             if marginal(m, bits) != self.sys.weights:
-                return PropertyOutcome(
-                    "box-measure-laws", "FAIL", f"marginal at vertex {bits} differs",
-                    {"vertex": bits},
-                )
+                raise _Fail(f"marginal at vertex {bits} differs", {"vertex": bits})
         for pos in range(1, self.d + 1):
             perm = self.sys.transforms[self.order[pos - 1]]
             for name, tmap in (
@@ -167,26 +172,15 @@ class _Suite:
                 ("side-inverse", side_transform(perm, self.d, pos, invert=True)),
             ):
                 if push_forward(m, tmap) != m:
-                    return PropertyOutcome(
-                        "box-measure-laws", "FAIL",
-                        f"not invariant under {name} transformation at digit {pos}",
-                    )
+                    raise _Fail(f"not invariant under {name} transformation at digit {pos}")
             if apply_digit_flip(m, pos) != m:
-                return PropertyOutcome(
-                    "box-measure-laws", "FAIL", f"digit flip {pos} changes the measure"
-                )
+                raise _Fail(f"digit flip {pos} changes the measure")
         for i in range(self.sys.d):
             if push_forward(m, diagonal_transform(self.sys.transforms[i], self.d)) != m:
-                return PropertyOutcome(
-                    "box-measure-laws", "FAIL",
-                    f"not invariant under diagonal transformation {i}",
-                )
-        return PropertyOutcome(
-            "box-measure-laws", "PASS",
-            f"support={m.support_size()} marginals+symmetries exact",
-        )
+                raise _Fail(f"not invariant under diagonal transformation {i}")
+        return f"support={m.support_size()} marginals+symmetries exact"
 
-    def check_index_permutation(self) -> PropertyOutcome:
+    def check_index_permutation(self) -> str:
         m = build_box_measure(self.sys, self.order)
         sigmas = list(itertools.permutations(range(self.d)))
         if self.d > 3:
@@ -196,67 +190,48 @@ class _Suite:
         for sigma in sigmas:
             target = permute_order(self.order, sigma)
             if apply_index_permutation(m, sigma) != build_box_measure(self.sys, target):
-                return PropertyOutcome(
-                    "index-permutation", "FAIL",
-                    f"measure equality fails for digit permutation {sigma}",
-                    {"sigma": list(sigma)},
-                )
+                raise _Fail(f"measure equality fails for digit permutation {sigma}",
+                            {"sigma": list(sigma)})
             if seminorm_pow(self.sys, target, f).pow != base_pow:
-                return PropertyOutcome(
-                    "index-permutation", "FAIL",
-                    f"seminorm changes under order permutation {sigma}",
-                    {"sigma": list(sigma), "f": _obs_json(f)},
-                )
-        return PropertyOutcome(
-            "index-permutation", "PASS", f"{len(sigmas)} digit permutations exact"
-        )
+                raise _Fail(f"seminorm changes under order permutation {sigma}",
+                            {"sigma": list(sigma), "f": _obs_json(f)})
+        return f"{len(sigmas)} digit permutations exact"
 
-    def check_seminorm_routes(self) -> PropertyOutcome:
+    def check_seminorm_routes(self) -> str:
         fs = [random_observable(self.rng, self.sys.n) for _ in range(self.draws)]
         for i, f in enumerate(fs):
             a = seminorm_pow(self.sys, self.order, f).pow
             b = seminorm_oracle_pow(self.sys, self.order, f).pow
             c = a if self.d < 2 else seminorm_recursion_pow(self.sys, self.order, f).pow
             if not (a == b == c):
-                return PropertyOutcome(
-                    "seminorm-routes", "FAIL",
-                    "measure/oracle/recursion disagree",
-                    {"draw": i, "f": _obs_json(fs[i]),
-                     "measure": format_rational(a), "oracle": format_rational(b),
-                     "recursion": format_rational(c)},
-                )
+                raise _Fail("measure/oracle/recursion disagree",
+                            {"draw": i, "f": _obs_json(f),
+                             "measure": format_rational(a), "oracle": format_rational(b),
+                             "recursion": format_rational(c)})
         note = "" if self.d >= 2 else " (recursion skipped at d=1)"
-        return PropertyOutcome(
-            "seminorm-routes", "PASS", f"{len(fs)} draws agree exactly{note}"
-        )
+        return f"{len(fs)} draws agree exactly{note}"
 
-    def check_csg(self) -> PropertyOutcome:
+    def check_csg(self) -> str:
         batches = [random_vertex_functions(self.rng, self.sys.n, self.d, False)
                    for _ in range(self.draws)]
         for i, fs in enumerate(batches):
             res = csg_check(self.sys, self.order, fs)
             if not res.holds:
-                return PropertyOutcome(
-                    "csg", "FAIL", "product bound violated",
-                    {"draw": i, "fs": _fs_json(batches[i]),
-                     "lhs_pow": format_rational(res.lhs_pow),
-                     "rhs_pow": format_rational(res.rhs_pow)},
-                )
+                raise _Fail("product bound violated",
+                            {"draw": i, "fs": _fs_json(fs),
+                             "lhs_pow": format_rational(res.lhs_pow),
+                             "rhs_pow": format_rational(res.rhs_pow)})
         f = random_observable(self.rng, self.sys.n)
         eq = csg_check(self.sys, self.order, {b: f for b in range(1 << self.d)})
         if eq.lhs_pow != eq.rhs_pow:
-            return PropertyOutcome(
-                "csg", "FAIL", "equality case fails for identical vertex functions",
-                {"f": _obs_json(f)},
-            )
-        return PropertyOutcome("csg", "PASS", f"{len(batches)} draws + equality case")
+            raise _Fail("equality case fails for identical vertex functions",
+                        {"f": _obs_json(f)})
+        return f"{len(batches)} draws + equality case"
 
-    def check_lemma_z(self) -> PropertyOutcome:
+    def check_lemma_z(self) -> str:
         zed = zed_partition(self.sys, self.order)
         if zed_from_sharp(self.star) != zed:
-            return PropertyOutcome(
-                "lemma-z", "FAIL", "component and invariant-set routes disagree"
-            )
+            raise _Fail("component and invariant-set routes disagree")
         fs = [random_observable(self.rng, self.sys.n) for _ in range(self.draws)]
         fs.extend(
             random_zero_expectation_observable(self.rng, self.sys, zed)
@@ -264,15 +239,10 @@ class _Suite:
         )
         for i, f in enumerate(fs):
             if not zed_equivalence_check(self.sys, self.order, f):
-                return PropertyOutcome(
-                    "lemma-z", "FAIL", "seminorm-zero equivalence fails",
-                    {"draw": i, "f": _obs_json(f)},
-                )
-        return PropertyOutcome(
-            "lemma-z", "PASS", f"routes agree, equivalence on {len(fs)} draws"
-        )
+                raise _Fail("seminorm-zero equivalence fails", {"draw": i, "f": _obs_json(f)})
+        return f"routes agree, equivalence on {len(fs)} draws"
 
-    def check_uniform_full_period(self) -> PropertyOutcome:
+    def check_uniform_full_period(self) -> str:
         length = math.lcm(
             *(transform_period(self.sys.transforms[i]) for i in self.order)
         )
@@ -282,21 +252,13 @@ class _Suite:
             starts = [self.rng.randint(-2 * length, 2 * length) for _ in range(3)]
             rep = uniformity_scan(self.sys, self.order, fs, length, starts)
             if not rep.pow_bound_holds:
-                return PropertyOutcome(
-                    "uniform-full-period", "FAIL",
-                    "full-period average exceeds the origin seminorm",
-                    {"draw": i, "fs": _fs_json(fs), "starts": starts,
-                     "max_abs_J": format_rational(rep.max_abs_J),
-                     "seminorm_pow": format_rational(rep.seminorm.pow)},
-                )
-        return PropertyOutcome(
-            "uniform-full-period", "PASS",
-            f"{rounds} scans at full period {length}",
-        )
+                raise _Fail("full-period average exceeds the origin seminorm",
+                            {"draw": i, "fs": _fs_json(fs), "starts": starts,
+                             "max_abs_J": format_rational(rep.max_abs_J),
+                             "seminorm_pow": format_rational(rep.seminorm.pow)})
+        return f"{rounds} scans at full period {length}"
 
-    def check_characteristic_bound(self) -> PropertyOutcome:
-        if self.sys.d < 1:
-            return PropertyOutcome("characteristic-bound", "SKIP", "no transforms")
+    def check_characteristic_bound(self) -> str:
         cases = []
         for _ in range(self.draws):
             f1 = random_observable(self.rng, self.sys.n)
@@ -306,10 +268,8 @@ class _Suite:
         for i, f_list in enumerate(cases):
             res = characteristic_bound_check(self.sys, f_list)
             if not res.holds:
-                return PropertyOutcome(
-                    "characteristic-bound", "FAIL", "limit norm exceeds the seminorm",
-                    {"draw": i, "f_list": [_obs_json(f) for f in cases[i]]},
-                )
+                raise _Fail("limit norm exceeds the seminorm",
+                            {"draw": i, "f_list": [_obs_json(f) for f in f_list]})
         # zero seminorm of the first observable forces a zero limit
         tsys = derived_transform_system(self.sys)
         rev = tuple(reversed(range(self.sys.d)))
@@ -320,16 +280,11 @@ class _Suite:
                     for _ in range(self.sys.d - 1)]
             res = characteristic_bound_check(self.sys, [f1, *rest])
             if res.rhs.pow != 0 or res.lhs != 0:
-                return PropertyOutcome(
-                    "characteristic-bound", "FAIL",
-                    "zero seminorm does not force a zero limit",
-                    {"draw": i, "f1": _obs_json(f1)},
-                )
-        return PropertyOutcome(
-            "characteristic-bound", "PASS", f"{len(cases)} draws + zero-seminorm form"
-        )
+                raise _Fail("zero seminorm does not force a zero limit",
+                            {"draw": i, "f1": _obs_json(f1)})
+        return f"{len(cases)} draws + zero-seminorm form"
 
-    def check_van_der_corput(self) -> PropertyOutcome:
+    def check_van_der_corput(self) -> str:
         for i in range(self.draws):
             N = self.rng.randint(2, 32)
             H = self.rng.randint(1, N)
@@ -337,54 +292,50 @@ class _Suite:
             vecs = random_unit_vectors(self.rng, N, dim)
             res = van_der_corput_bound(vecs, H)
             if not res.holds:
-                return PropertyOutcome(
-                    "van-der-corput", "FAIL", "bound violated",
-                    {"draw": i, "N": N, "H": H,
-                     "lhs": format_rational(res.lhs), "rhs": format_rational(res.rhs)},
-                )
-        return PropertyOutcome("van-der-corput", "PASS", f"{self.draws} draws")
+                raise _Fail("bound violated",
+                            {"draw": i, "N": N, "H": H,
+                             "lhs": format_rational(res.lhs), "rhs": format_rational(res.rhs)})
+        return f"{self.draws} draws"
 
     # -- star-space properties ---------------------------------------------
 
-    def check_magic(self) -> PropertyOutcome:
+    def check_magic(self) -> str:
         failure = next(magic_failures(self.star, self.rng, self.star_draws), None)
         if failure is not None:
-            return PropertyOutcome(
-                "magic", "FAIL", "zero expectation does not force zero seminorm", failure
-            )
-        return PropertyOutcome(
-            "magic", "PASS", f"{self.star_draws} draws on carrier of {self.star.size}"
-        )
+            raise _Fail("zero expectation does not force zero seminorm", failure)
+        return f"{self.star_draws} draws on carrier of {self.star.size}"
 
-    def check_span0(self) -> PropertyOutcome:
-        star, zed = self.star, zed_partition(self.sys, self.order)
+    def _origin_zero_draws(self) -> Iterator[tuple[int, dict[int, Observable]]]:
+        """Numbered vertex functions, bounded off the origin, with a
+        zero-seminorm observable at the origin."""
+        zed = zed_partition(self.sys, self.order)
         for i in range(self.star_draws):
             fs = random_vertex_functions(self.rng, self.sys.n, self.d, True)
             fs[0] = random_zero_expectation_observable(self.rng, self.sys, zed)
+            yield i, fs
+
+    # Each reads self.star before the first draw: a failed extension build
+    # SKIPs before the base partition is built.
+
+    def check_span0(self) -> str:
+        star = self.star
+        for i, fs in self._origin_zero_draws():
             if not span0_orthogonality_check(star, fs):
-                return PropertyOutcome(
-                    "span0", "FAIL",
-                    "vertex product has nonzero expectation on the off-origin algebra",
-                    {"draw": i, "fs": _fs_json(fs)},
-                )
-        return PropertyOutcome("span0", "PASS", f"{self.star_draws} draws")
+                raise _Fail("vertex product has nonzero expectation on the off-origin algebra",
+                            {"draw": i, "fs": _fs_json(fs)})
+        return f"{self.star_draws} draws"
 
-    def check_normstar(self) -> PropertyOutcome:
-        star, zed = self.star, zed_partition(self.sys, self.order)
-        for i in range(self.star_draws):
-            fs = random_vertex_functions(self.rng, self.sys.n, self.d, True)
-            fs[0] = random_zero_expectation_observable(self.rng, self.sys, zed)
+    def check_normstar(self) -> str:
+        star = self.star
+        for i, fs in self._origin_zero_draws():
             try:
                 holds = normstar_check(star, fs)
             except PreconditionError:
                 continue  # draw not admissible for this system
             if not holds:
-                return PropertyOutcome(
-                    "normstar", "FAIL",
-                    "zero origin seminorm does not force zero extended seminorm",
-                    {"draw": i, "fs": _fs_json(fs)},
-                )
-        return PropertyOutcome("normstar", "PASS", f"{self.star_draws} draws")
+                raise _Fail("zero origin seminorm does not force zero extended seminorm",
+                            {"draw": i, "fs": _fs_json(fs)})
+        return f"{self.star_draws} draws"
 
 
 def run_suite(

@@ -288,8 +288,10 @@ def test_uniformity_margin_decays():
 
 @pytest.mark.parametrize(
     "length, starts",
-    [(2.5, [0.5, 1]), (True, [False, 1]), (0, [0, 1]), (-4, [0]), (4, [0, 1.0]), (4, ["1"])],
-    ids=["floats", "bools", "zero-length", "negative-length", "float-start", "str-start"],
+    [(2.5, [0.5, 1]), (True, [False, 1]), (0, [0, 1]), (-4, [0]), (4, [0, 1.0]), (4, ["1"]),
+     (4, []), (0, []), (-3, [])],
+    ids=["floats", "bools", "zero-length", "negative-length", "float-start", "str-start",
+         "no-starts", "zero-length-no-starts", "negative-length-no-starts"],
 )
 def test_uniformity_scan_reads_each_interval_exactly(length, starts):
     fs = {b: random_bounded_observable(random.Random(43), 4) for b in range(4)}

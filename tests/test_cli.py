@@ -249,7 +249,7 @@ def test_magic_check_passes(z4_file):
 def test_magic_check_injected_fault_exits_5(z4_file, monkeypatch):
     monkeypatch.setattr(
         "boxlab.magic.star_seminorm_pow",
-        lambda star, F, cap=None: SeminormValue(star.d, Fraction(1), tuple(range(star.d))),
+        lambda star, F: SeminormValue(star.d, Fraction(1), tuple(range(star.d))),
     )
     code, out, _ = run_cli(["magic-check", z4_file, "--draws", "2"])
     assert code == 5
@@ -282,7 +282,7 @@ def test_verify_csv(z4_file):
 def test_verify_injected_failure_exits_5(z4_file, monkeypatch):
     from boxlab.verify import PropertyOutcome
 
-    def fake_suite(sys, order, seed=0, draws=0, cap=0):
+    def fake_suite(sys, order, seed=0, draws=200):
         return [
             PropertyOutcome("system-valid", "PASS", "ok"),
             PropertyOutcome("csg", "FAIL", "bound violated", {"draw": 3}),

@@ -1,6 +1,7 @@
 """Every top-level import in the library modules is used, no library
 module imports anything inside a function, only ``box_measure`` reads
-vertex keys, and no function that is given a system takes a support cap.
+vertex keys, no function that is given a system takes a support cap, and
+only ``verify._Suite.run`` builds a property outcome.
 
 A stdlib ``ast`` check standing in for a linter: a module-level import
 binds a name, and that name must be read somewhere else in the module.
@@ -175,4 +176,51 @@ def test_check_flags_a_cap_parameter():
     )
     assert cap_parameters(tree, "mod") == [
         "mod.f", "mod.g", "mod.h", "mod.C.m", "mod.C.n.inner", "mod.C.n.<lambda>",
+    ]
+
+
+def callers(tree: ast.Module, callee: str) -> list[str]:
+    """Qualified names of the functions and lambdas that call ``callee``,
+    by name or as an attribute; ``<module>`` for a call at top level."""
+    out = []
+
+    def visit(node: ast.AST, scope: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{prefix}{getattr(child, 'name', '<lambda>')}"
+                visit(child, name, f"{name}.")
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope, f"{prefix}{child.name}.")
+                continue
+            if isinstance(child, ast.Call) and callee in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                out.append(scope)
+            visit(child, scope, prefix)
+
+    visit(tree, "<module>", "")
+    return out
+
+
+def test_only_suite_run_builds_property_outcomes():
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    assert set(callers(tree, "PropertyOutcome")) == {"_Suite.run"}
+
+
+def test_check_flags_an_outcome_built_outside_run():
+    tree = ast.parse(
+        "x = PropertyOutcome('a', 'PASS', '')\n"
+        "class _Suite:\n"
+        "    def run(self):\n"
+        "        return [PropertyOutcome(n, 'PASS', d) for n, d in self.rows]\n"
+        "    def check_a(self):\n"
+        "        return verify.PropertyOutcome('a', 'FAIL', '')\n"
+        "    def check_b(self):\n"
+        "        return lambda: PropertyOutcome('b', 'SKIP', '')\n"
+        "def helper():\n"
+        "    return PropertyOutcome\n"
+    )
+    assert callers(tree, "PropertyOutcome") == [
+        "<module>", "_Suite.run", "_Suite.check_a", "_Suite.check_b.<lambda>",
     ]

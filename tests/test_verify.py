@@ -8,7 +8,7 @@ import boxlab.box_measure
 import boxlab.seminorm
 import boxlab.verify
 from boxlab.box_measure import build_box_measure
-from boxlab.errors import StructuralError
+from boxlab.errors import StructuralError, SupportCapError
 from boxlab.seminorm import seminorm_pow
 from boxlab.system import FiniteSystem, Observable
 from boxlab.verify import PropertyOutcome, run_suite
@@ -150,6 +150,73 @@ def test_failed_extension_build_is_retried_per_property(monkeypatch):
     details = {outcomes[name].detail for name in ("magic", "span0", "normstar")}
     assert [outcomes[name].status for name in ("magic", "span0", "normstar")] == ["SKIP"] * 3
     assert len(details) == 1 and outcomes["lemma-z"].detail in details
+
+
+def nothing(_):
+    return None
+
+
+def cap_error(_):
+    raise SupportCapError(5000, 40)
+
+
+# (name in boxlab.verify, change to its real result, property, status,
+#  detail, counterexample keys)
+FAULTS = [
+    ("marginal", nothing, "box-measure-laws", "FAIL",
+     "marginal at vertex 0 differs", ["vertex"]),
+    ("push_forward", nothing, "box-measure-laws", "FAIL",
+     "not invariant under side transformation at digit 1", None),
+    ("apply_digit_flip", nothing, "box-measure-laws", "FAIL",
+     "digit flip 1 changes the measure", None),
+    ("apply_index_permutation", nothing, "index-permutation", "FAIL",
+     "measure equality fails for digit permutation (0, 1)", ["sigma"]),
+    ("seminorm_oracle_pow", lambda v: replace(v, pow=v.pow + 1), "seminorm-routes", "FAIL",
+     "measure/oracle/recursion disagree", ["draw", "f", "measure", "oracle", "recursion"]),
+    ("csg_check", lambda r: replace(r, holds=False), "csg", "FAIL",
+     "product bound violated", ["draw", "fs", "lhs_pow", "rhs_pow"]),
+    ("zed_from_sharp", nothing, "lemma-z", "FAIL",
+     "component and invariant-set routes disagree", None),
+    ("zed_equivalence_check", lambda ok: False, "lemma-z", "FAIL",
+     "seminorm-zero equivalence fails", ["draw", "f"]),
+    ("uniformity_scan", lambda r: replace(r, pow_bound_holds=False), "uniform-full-period",
+     "FAIL", "full-period average exceeds the origin seminorm",
+     ["draw", "fs", "max_abs_J", "seminorm_pow", "starts"]),
+    ("uniformity_scan", cap_error, "uniform-full-period", "SKIP",
+     "sparse support would need 5000 entries, exceeding the cap of 40", None),
+    ("characteristic_bound_check", lambda r: replace(r, holds=False), "characteristic-bound",
+     "FAIL", "limit norm exceeds the seminorm", ["draw", "f_list"]),
+    ("characteristic_bound_check", lambda r: replace(r, lhs=Fraction(1)),
+     "characteristic-bound", "FAIL", "zero seminorm does not force a zero limit",
+     ["draw", "f1"]),
+    ("van_der_corput_bound", lambda r: replace(r, holds=False), "van-der-corput", "FAIL",
+     "bound violated", ["H", "N", "draw", "lhs", "rhs"]),
+    ("magic_failures", lambda failures: iter([{"draw": 0, "G": ["1"], "star_pow": "1"}]),
+     "magic", "FAIL", "zero expectation does not force zero seminorm",
+     ["G", "draw", "star_pow"]),
+    ("span0_orthogonality_check", lambda ok: False, "span0", "FAIL",
+     "vertex product has nonzero expectation on the off-origin algebra", ["draw", "fs"]),
+    ("normstar_check", lambda ok: False, "normstar", "FAIL",
+     "zero origin seminorm does not force zero extended seminorm", ["draw", "fs"]),
+]
+
+
+@pytest.mark.parametrize(
+    "target, change, prop, status, detail, keys", FAULTS,
+    ids=[f"{f[0]}-{f[2]}-{f[4][:12]}" for f in FAULTS],
+)
+def test_an_injected_fault_reaches_only_its_property(
+    monkeypatch, target, change, prop, status, detail, keys
+):
+    real = getattr(boxlab.verify, target)
+    monkeypatch.setattr(boxlab.verify, target, lambda *args: change(real(*args)))
+    outcomes = run_suite(Z4_TWO, (0, 1), seed=0, draws=12)
+    assert [o.name for o in outcomes] == EXPECTED_PROPERTIES
+    (hit,) = [o for o in outcomes if o.status != "PASS"]
+    assert (hit.name, hit.status, hit.detail) == (prop, status, detail)
+    assert (None if hit.counterexample is None else sorted(hit.counterexample)) == keys
+    if keys and "draw" in keys:
+        assert hit.counterexample["draw"] == 0
 
 
 def test_outcome_serialization():
