@@ -18,11 +18,12 @@ every side transformation (the permutation on coordinates whose digit i is
 the cube measure of one transformation order to the cube measure of the
 permuted order.
 
-Integrals need not build the last stage: it couples two copies of the
-previous stage independently inside each orbit cell, so
-:func:`cube_integral` sums the integrand per cell of the previous stage,
-in integer numerators.  :func:`integrate_product` stays the plain
-reference over a built measure.
+Integrals and output need not build the last stage: it couples two
+copies of the previous stage independently inside each orbit cell, with
+one mass per cell.  :func:`cube_integral` sums the integrand per cell of
+the previous stage, in integer numerators, and :func:`coupled_cells`
+hands the cells and their masses to the writer of ``box-measure``.
+:func:`integrate_product` stays the plain reference over a built measure.
 """
 
 from __future__ import annotations
@@ -242,10 +243,17 @@ def relative_self_product(
     Fraction per cell, shared by its |C|^2 entries.
     """
     entries: dict[CubePoint, Fraction] = {}
-    for cell in _orbit_cells(m, perm, cap):
-        mass = m.entries[cell[0]] / len(cell)
+    for mass, cell in _coupled(m, _orbit_cells(m, perm, cap)):
         entries.update((p + q, mass) for p in cell for q in cell)
     return SparseCubeMeasure(m.k + 1, m.base_n, entries)
+
+
+def _coupled(
+    m: SparseCubeMeasure, cells: list[tuple[CubePoint, ...]]
+) -> list[tuple[Fraction, tuple[CubePoint, ...]]]:
+    """Each orbit cell of ``m`` with the mass m(y) / |C| that the
+    self-coupling gives every pair of its points."""
+    return [(m.entries[cell[0]] / len(cell), cell) for cell in cells]
 
 
 def build_box_measure(sys: FiniteSystem, order: Sequence[int]) -> SparseCubeMeasure:
@@ -267,6 +275,22 @@ def _build(sys: FiniteSystem, order: tuple[int, ...]) -> SparseCubeMeasure:
         return measure_from_weights(sys.weights)
     return sys.memo(("stage", order), lambda: relative_self_product(
         _build(sys, order[:-1]), sys.transforms[order[-1]], sys.cap))
+
+
+def coupled_cells(
+    sys: FiniteSystem, order: Sequence[int]
+) -> tuple[int, list[tuple[Fraction, tuple[CubePoint, ...]]]]:
+    """The cube measure of ``order`` without its last stage.
+
+    Returns k = len(order) and, per orbit cell C of transform order[-1] on
+    the stage before, the pair (m(y) / |C|, C): the cube measure gives that
+    mass to p + q for every p and q of C, and nothing else.  Builds the
+    stages before the last as :func:`build_box_measure` does, and checks
+    the last one exactly as its build would, under ``sys.cap``.
+    """
+    order = normalize_order(sys, order)
+    m = _build(sys, order[:-1])
+    return len(order), _coupled(m, _orbit_cells(m, sys.transforms[order[-1]], sys.cap))
 
 
 def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...]):

@@ -25,7 +25,6 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .averages import Interval, multi_average, multi_average_limit
-from .box_measure import build_box_measure
 from .errors import (
     InvariantViolationError,
     PreconditionError,
@@ -46,7 +45,7 @@ from .serialize import (
     load_observable,
     load_system,
     seminorm_to_dict,
-    write_measure,
+    write_box_measure,
 )
 from .system import SUPPORT_CAP_DEFAULT, FiniteSystem, require_valid, validate_system
 from .verify import run_suite
@@ -111,7 +110,7 @@ def cmd_validate(args) -> int:
 def cmd_box_measure(args) -> int:
     system = _load_valid_system(args)
     order = _parse_order(args.order, system.d)
-    write_measure(build_box_measure(system, order), _sys.stdout)
+    write_box_measure(system, order, _sys.stdout)
     return EXIT_OK
 
 

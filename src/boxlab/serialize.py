@@ -2,7 +2,9 @@
 
 Rationals travel as strings, either "p/q" or a plain integer string.
 Sparse measures serialize in canonical tuple order so identical inputs
-produce byte-identical output regardless of construction order.  Parse
+produce byte-identical output regardless of construction order.
+:func:`write_box_measure` writes the same bytes for a cube measure from
+the orbit cells of its last stage, without building that stage.  Parse
 failures raise StructuralError (the CLI maps those to its parse-error exit
 code); JSON booleans are never read as numbers.
 """
@@ -12,9 +14,9 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Any, TextIO
+from typing import Any, Sequence, TextIO
 
-from .box_measure import SparseCubeMeasure
+from .box_measure import SparseCubeMeasure, coupled_cells
 from .errors import StructuralError
 from .seminorm import SeminormValue
 from .system import FiniteSystem, Observable, as_fraction
@@ -111,21 +113,34 @@ def measure_to_dict(m: SparseCubeMeasure) -> dict:
     }
 
 
-# One entry of dumps(measure_to_dict(m)), at the indent of the entry list.
-_ENTRY = '{\n      "mass": "%s",\n      "tuple": [\n        %s\n      ]\n    }'
+def write_box_measure(sys: FiniteSystem, order: Sequence[int], out: TextIO) -> None:
+    """Write ``dumps(measure_to_dict(build_box_measure(sys, order)))`` and a
+    newline to ``out`` without building the last stage.
 
-
-def write_measure(m: SparseCubeMeasure, out: TextIO) -> None:
-    """Write ``dumps(measure_to_dict(m))`` and a newline to ``out``, one
-    entry at a time, so that neither the list of entry objects nor the whole
-    text is held in memory."""
+    That stage gives the mass of p's cell to p + q for each q of the orbit
+    cell of p, and every point of the stage before has the same length, so
+    the sorted entries are: per point p in sorted order, per q of its cell
+    in sorted order, the entry p + q.  Each q's coordinate text is made
+    once, and each p writes its entries with one join over its cell's.
+    Raises before the first byte where the build would raise.
+    """
+    k, cells = coupled_cells(sys, order)
+    coords = ",\n        "
+    blocks = {}  # point -> (mass text, its coordinate text, its cell's, sorted)
+    for mass, cell in cells:
+        cell = sorted(cell)
+        texts = [coords.join(map(str, q)) for q in cell]
+        mass = format_rational(mass)
+        blocks.update((p, (mass, text, texts)) for p, text in zip(cell, texts))
     out.write('{\n  "entries": [')
     sep = "\n    "
-    for point, mass in m.items_sorted():
-        coords = ",\n        ".join(map(str, point))
-        out.write(sep + _ENTRY % (format_rational(mass), coords))
+    tail = "\n      ]\n    }"
+    for p in sorted(blocks):
+        mass, text, texts = blocks[p]
+        head = '{\n      "mass": "' + mass + '",\n      "tuple": [\n        ' + text + coords
+        out.write(sep + head + (tail + ",\n    " + head).join(texts) + tail)
         sep = ",\n    "
-    out.write(("\n  ]" if m.entries else "]") + f',\n  "k": {m.k}\n}}\n')
+    out.write(f'\n  ],\n  "k": {k}\n}}\n')
 
 
 def measure_from_dict(payload: dict, base_n: int | None = None) -> SparseCubeMeasure:

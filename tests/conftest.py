@@ -53,6 +53,19 @@ ROSTER = [
 ]
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.<name>`` and record the first argument of every call."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture(params=ROSTER, ids=[name for name, _, _ in ROSTER])
 def roster_case(request):
     return request.param

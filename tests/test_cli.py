@@ -6,10 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import boxlab.box_measure
 from boxlab import cli
+from boxlab.box_measure import build_box_measure
+from boxlab.errors import SupportCapError
 from boxlab.seminorm import SeminormValue
 from boxlab.serialize import system_to_dict
-from conftest import Z4_TWO
+from boxlab.system import FiniteSystem
+from conftest import Z4_TWO, Z5_THREE, count_calls
 
 DATA = Path(__file__).parent / "data"
 
@@ -106,10 +110,36 @@ def test_box_measure_identity_diagonal(tmp_path):
 
 
 def test_box_measure_cap_exceeded_exits_3(z4_file):
-    # the build completes before the first byte is streamed out
+    # every stage is checked against the cap before the first byte is written
     code, out, err = run_cli(["box-measure", z4_file, "--cap", "10"])
     assert code == 3 and out == ""
     assert "support-cap" in err
+
+
+@pytest.mark.parametrize("cap", [16, 31])
+def test_box_measure_cap_at_the_last_stage_exits_3(z4_file, cap):
+    # stage 1 has 4 entries, stage 2 needs 32
+    with pytest.raises(SupportCapError) as raised:
+        build_box_measure(FiniteSystem(Z4_TWO.weights, Z4_TWO.transforms, cap=cap), (0, 1))
+    assert "would need 32 entries" in str(raised.value)
+    code, out, err = run_cli(["box-measure", z4_file, "--cap", str(cap)])
+    assert code == 3 and out == ""
+    assert json.loads(err)["message"] == str(raised.value)
+
+
+def test_box_measure_cap_equal_to_the_last_stage_passes(z4_file):
+    code, out, _ = run_cli(["box-measure", z4_file, "--cap", "32"])
+    assert code == 0
+    assert out == (DATA / "z4_box_measure_golden.json").read_text()
+
+
+def test_box_measure_builds_every_stage_but_the_last(tmp_path, monkeypatch):
+    path = tmp_path / "z5.json"
+    path.write_text(json.dumps(system_to_dict(Z5_THREE)))
+    stages = count_calls(monkeypatch, boxlab.box_measure, "relative_self_product")
+    code, _, _ = run_cli(["box-measure", str(path)])
+    assert code == 0
+    assert [m.k for m in stages] == [0, 1]
 
 
 def test_box_measure_env_cap(z4_file, monkeypatch):

@@ -25,6 +25,7 @@ from boxlab.averages import van_der_corput_bound
 from boxlab.box_measure import (
     Vertex,
     build_box_measure,
+    coupled_cells,
     cube_integral,
     integrate_product,
     measure_from_weights,
@@ -262,6 +263,7 @@ def test_cap_raises_exactly_where_the_full_build_does(roster_case):
             lambda: seminorm_pow(replace(sys, cap=cap), order, f),
             lambda: csg_check(replace(sys, cap=cap), order, fs),
             lambda: cube_integral(replace(sys, cap=cap), order, fs),
+            lambda: coupled_cells(replace(sys, cap=cap), order),
         )
         for route in routes:
             if needed is None:

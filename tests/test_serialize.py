@@ -1,11 +1,12 @@
 import io
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from boxlab.box_measure import SparseCubeMeasure, build_box_measure
+from boxlab.box_measure import build_box_measure
 from boxlab.errors import InvariantViolationError, StructuralError
 from boxlab.seminorm import seminorm_pow
 from boxlab.serialize import (
@@ -19,10 +20,10 @@ from boxlab.serialize import (
     seminorm_to_dict,
     system_from_dict,
     system_to_dict,
-    write_measure,
+    write_box_measure,
 )
-from boxlab.system import Observable
-from conftest import NONUNIFORM, Z4_TWO, commuting_systems
+from boxlab.system import FiniteSystem, Observable
+from conftest import NONUNIFORM, Z4_TWO, Z5_THREE, commuting_systems
 
 
 def test_rational_strings():
@@ -88,34 +89,42 @@ def test_measure_round_trip_and_canonical_order():
     assert inferred.entries == m.entries and inferred.base_n == 4
 
 
-def written(m) -> str:
+def written(sys, order) -> str:
     out = io.StringIO()
-    write_measure(m, out)
+    write_box_measure(sys, order, out)
     return out.getvalue()
 
 
-def assert_writer_matches_dumps(m):
-    text = written(m)
+def assert_writer_matches_dumps(sys, order):
+    m = build_box_measure(sys, order)
+    text = written(sys, order)
     assert text == dumps(measure_to_dict(m)) + "\n"
-    assert measure_from_dict(json.loads(text), base_n=m.base_n).entries == m.entries
+    assert measure_from_dict(json.loads(text), base_n=sys.n).entries == m.entries
 
 
 def test_writer_matches_dumps(roster_case):
     _, sys, order = roster_case
     for k in range(1, len(order) + 1):
-        assert_writer_matches_dumps(build_box_measure(sys, order[:k]))
+        assert_writer_matches_dumps(sys, order[:k])
 
 
 @settings(max_examples=40, deadline=None)
 @given(commuting_systems())
 def test_hypothesis_writer_matches_dumps(case):
-    assert_writer_matches_dumps(build_box_measure(*case))
+    assert_writer_matches_dumps(*case)
 
 
-def test_writer_renders_no_entries_as_dumps_does():
-    m = SparseCubeMeasure(2, 3, {})
-    assert written(m) == dumps(measure_to_dict(m)) + "\n"
-    assert '"entries": [],' in written(m)
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_writer_matches_dumps_in_every_order(order):
+    assert_writer_matches_dumps(Z5_THREE, order)
+
+
+def test_writer_renders_a_one_point_system_as_dumps_does():
+    sys = FiniteSystem((Fraction(1),), ((0,),))
+    assert written(sys, (0,)) == dumps(measure_to_dict(build_box_measure(sys, (0,)))) + "\n"
+    assert json.loads(written(sys, (0,))) == {
+        "entries": [{"mass": "1", "tuple": [0, 0]}], "k": 1,
+    }
 
 
 def test_measure_parse_errors():

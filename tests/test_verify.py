@@ -12,7 +12,7 @@ from boxlab.errors import StructuralError, SupportCapError
 from boxlab.seminorm import seminorm_pow
 from boxlab.system import FiniteSystem, Observable
 from boxlab.verify import PropertyOutcome, run_suite
-from conftest import BLOCKS4, Z4_TWO, ZERO_WEIGHT, uniform
+from conftest import BLOCKS4, Z4_TWO, ZERO_WEIGHT, count_calls, uniform
 
 EXPECTED_PROPERTIES = [
     "system-valid",
@@ -73,19 +73,6 @@ def test_star_budget_skips_heavy_extension():
     # the extension of z5-three stays under the budget
     by_name = {o.name: o for o in run_suite(Z5_THREE, (0, 1, 2), seed=0, draws=2)}
     assert by_name["magic"].status == "PASS" and by_name["normstar"].status == "PASS"
-
-
-def count_calls(monkeypatch, module, name):
-    """Wrap ``module.<name>`` and record the first argument of every call."""
-    real = getattr(module, name)
-    calls = []
-
-    def counting(first, *args, **kwargs):
-        calls.append(first)
-        return real(first, *args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
 
 
 def test_suite_builds_the_extension_and_its_partition_once(monkeypatch):
