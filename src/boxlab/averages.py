@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -258,6 +259,24 @@ class VdcBound:
     holds: bool
 
 
+def weight_numerators(weights: Sequence[Fraction] | None, dim: int) -> tuple[list[int], int]:
+    """The coordinate weights of a weighted space as integer numerators over
+    their least common denominator: ``(numerators, denominator)``.
+
+    Each weight goes through :func:`as_fraction`; there must be exactly
+    ``dim`` of them, none negative.  ``None`` weights every coordinate 1.
+    """
+    if weights is None:
+        return [1] * dim, 1
+    weights = [as_fraction(w) for w in weights]
+    if len(weights) != dim:
+        raise StructuralError(f"{len(weights)} weights for vectors of dimension {dim}")
+    if any(w < 0 for w in weights):
+        raise PreconditionError("weights must be non-negative")
+    wscale = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (wscale // w.denominator) for w in weights], wscale
+
+
 def van_der_corput_bound(
     vectors: Sequence[Sequence[Fraction]],
     H: int,
@@ -270,6 +289,10 @@ def van_der_corput_bound(
     correlation averages, where pairs leaving the index range are dropped
     and the correlation average keeps denominator N.  Requires every vector
     norm at most 1, 1 <= H <= N and one non-negative weight per coordinate.
+
+    The sums run in integer numerators, and each lag h is summed per
+    coordinate column: column j contributes its weight times the sum of
+    ``col[n + h] * col[n]`` over n.
     """
     # exact type: a bool is an int subclass, a float is not a lag count
     if type(H) is not int:
@@ -280,8 +303,6 @@ def van_der_corput_bound(
     if not 1 <= H <= N:
         raise PreconditionError(f"H must satisfy 1 <= H <= {N}, got {H}")
     dim = len(vectors[0])
-    if weights is None:
-        weights = [Fraction(1)] * dim
     vecs = [tuple(as_fraction(c) for c in v) for v in vectors]
     for v in vecs:
         if len(v) != dim:
@@ -289,14 +310,8 @@ def van_der_corput_bound(
     # integer numerators: coordinates over the lcm of their denominators,
     # weights over theirs; an inner product of norm 1 reads ``unit``
     scale = math.lcm(*(c.denominator for v in vecs for c in v))
-    weights = [as_fraction(w) for w in weights]
-    if len(weights) != dim:
-        raise StructuralError(f"{len(weights)} weights for vectors of dimension {dim}")
-    if any(w < 0 for w in weights):
-        raise PreconditionError("weights must be non-negative")
-    wscale = math.lcm(*(w.denominator for w in weights))
+    w_int, wscale = weight_numerators(weights, dim)
     unit = scale * scale * wscale
-    w_int = [w.numerator * (wscale // w.denominator) for w in weights]
     ints = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vecs]
 
     def ip(u: Sequence[int], v: Sequence[int]) -> int:
@@ -313,9 +328,11 @@ def van_der_corput_bound(
     # The weight (H - |h|) / H^2 vanishes at |h| = H, and the lag -h
     # correlation equals the lag h one, so only the Gram diagonals
     # 0 <= h < H are summed, each once.
+    columns = list(zip(*ints))
     corr = H * sum(norms)
     for h in range(1, H):
-        corr += 2 * (H - h) * sum(ip(ints[n + h], ints[n]) for n in range(N - h))
+        lag = sum(w * sum(map(operator.mul, col[h:], col)) for w, col in zip(w_int, columns))
+        corr += 2 * (H - h) * lag
     rhs = Fraction(4 * H, N) + abs(Fraction(corr, H * H * N * unit))
     return VdcBound(lhs, rhs, lhs <= rhs)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .averages import weight_numerators
 from .errors import StructuralError
 from .system import FiniteSystem, Observable, conditional_expectation, group_orbit_partition
 
@@ -128,13 +129,24 @@ def random_zero_expectation_observable(
 def random_unit_vectors(
     rng: random.Random, count: int, dim: int, weights=None
 ) -> list[tuple[Fraction, ...]]:
-    """Vectors of weighted norm at most 1 (halved until they fit)."""
-    if weights is None:
-        weights = [Fraction(1)] * dim
+    """Vectors of weighted norm at most 1.
+
+    Each coordinate is drawn as a / b with a in [-2, 2] and b in [1, 3];
+    the vector is then scaled by 2^-k, for the least k >= 0 with weighted
+    norm at most 4^k, so its coordinates are ``Fraction(a, b << k)``.  The
+    vectors, and the rng state after them, are those of halving the drawn
+    vector until its norm is at most 1.  The norm is computed once, in
+    integers: coordinates over the common denominator 6, weights over
+    theirs.  ``weights`` are read as by :func:`van_der_corput_bound`: one
+    exact non-negative weight per coordinate, ``None`` for all 1.
+    """
+    w_int, wscale = weight_numerators(weights, dim)
+    unit = 36 * wscale  # the integer norm of a vector of norm 1
     out = []
     for _ in range(count):
-        v = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)]
-        while sum((w * c * c for w, c in zip(weights, v)), Fraction(0)) > 1:
-            v = [c / 2 for c in v]
-        out.append(tuple(v))
+        pairs = [(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)]
+        norm = sum(w * (a * (6 // b)) ** 2 for w, (a, b) in zip(w_int, pairs))
+        # norm <= unit * 4^k iff ceil(norm / unit) <= 2^(2k)
+        k = (max(-(-norm // unit) - 1, 0).bit_length() + 1) // 2
+        out.append(tuple(Fraction(a, b << k) for a, b in pairs))
     return out

@@ -27,7 +27,10 @@ SUPPORT_CAP_DEFAULT = 10_000_000
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, and strings like '3/4'; floats and bools are
-    rejected."""
+    rejected.  A value of type exactly ``Fraction`` is returned as it is:
+    Fractions are immutable, so rebuilding one would only copy it."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (float, bool)):
         raise StructuralError(
             f"exact rational required, got {type(value).__name__} {value!r}"

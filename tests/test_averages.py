@@ -368,6 +368,25 @@ def test_vdc_rejects_negative_weights():
         van_der_corput_bound([(F(1), F(0))], 1, weights=[F(-1), F(1)])
 
 
+@pytest.mark.parametrize(
+    "weights, error",
+    [([0.5], StructuralError), ([F(1)], StructuralError),
+     ([F(1), F(1), F(1)], StructuralError), ([0.5, 0.5], StructuralError),
+     ([True, F(1)], StructuralError), ([F(-1), F(1)], PreconditionError)],
+    ids=["one-float", "too-few", "too-many", "floats", "bool", "negative"],
+)
+def test_unit_vectors_read_weights_as_vdc_does(weights, error):
+    with pytest.raises(error):
+        random_unit_vectors(random.Random(0), 2, 2, weights)
+    with pytest.raises(error):
+        van_der_corput_bound([(F(0), F(0))], 1, weights)
+
+
+def test_unit_vectors_take_weights_as_exact_rationals():
+    exact = random_unit_vectors(random.Random(5), 20, 2, [F("1/2"), F(1)])
+    assert random_unit_vectors(random.Random(5), 20, 2, ["1/2", 1]) == exact
+
+
 def test_vdc_random_draws():
     rng = random.Random(43)
     for _ in range(60):

@@ -319,6 +319,59 @@ def test_van_der_corput_equals_reference():
         assert (res.lhs, res.rhs, res.holds) == reference_van_der_corput(vecs, H, weights)
 
 
+def draw_weights(rng: random.Random, dim: int):
+    """None, weights summing to 1 (or all 0), or raw weights up to 4; zero
+    weights are drawn often."""
+    mode = rng.randrange(3)
+    if mode == 0:
+        return None
+    raw = [Fraction(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(dim)]
+    if mode == 1:
+        total = sum(raw) or Fraction(1)
+        return [w / total for w in raw]
+    return raw
+
+
+def test_van_der_corput_equals_reference_at_verify_ranges():
+    # verify draws N in 2..32, dim in 1..4 and H in 1..N
+    rng = random.Random(139)
+    for _ in range(60):
+        N = rng.randint(1, 32)
+        dim = rng.randint(1, 4)
+        weights = draw_weights(rng, dim)
+        vecs = random_unit_vectors(rng, N, dim, weights)
+        for H in sorted({1, rng.randint(1, N), N}):
+            res = van_der_corput_bound(vecs, H, weights)
+            assert (res.lhs, res.rhs, res.holds) == reference_van_der_corput(vecs, H, weights)
+
+
+def halving_unit_vectors(rng, count, dim, weights=None):
+    """random_unit_vectors as first written: halve until the norm fits."""
+    if weights is None:
+        weights = [Fraction(1)] * dim
+    out = []
+    for _ in range(count):
+        v = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)]
+        while sum((w * c * c for w, c in zip(weights, v)), Fraction(0)) > 1:
+            v = [c / 2 for c in v]
+        out.append(tuple(v))
+    return out
+
+
+def test_unit_vectors_equal_the_halving_loop():
+    meta = random.Random(149)
+    for _ in range(500):
+        N = meta.randint(2, 32)
+        dim = meta.randint(1, 4)
+        weights = draw_weights(meta, dim)
+        seed = meta.getrandbits(32)
+        fast, slow = random.Random(seed), random.Random(seed)
+        vecs = random_unit_vectors(fast, N, dim, weights)
+        assert vecs == halving_unit_vectors(slow, N, dim, weights)
+        assert all(type(c) is Fraction for v in vecs for c in v)
+        assert fast.getstate() == slow.getstate()
+
+
 # ------------------------------------------------------------- Hypothesis
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)

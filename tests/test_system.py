@@ -103,6 +103,27 @@ def test_bools_are_not_rationals(value):
         Observable((value,))
 
 
+def test_as_fraction_returns_a_fraction_as_it_is():
+    value = Fraction(3, 4)
+    assert as_fraction(value) is value
+
+
+@pytest.mark.parametrize("value", [0.5, True, "x"])
+def test_as_fraction_still_rejects(value):
+    with pytest.raises(StructuralError):
+        as_fraction(value)
+
+
+class _SubFraction(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("value", [_SubFraction(3, 4), "3/4"], ids=["subclass", "str"])
+def test_as_fraction_gives_a_plain_fraction(value):
+    out = as_fraction(value)
+    assert type(out) is Fraction and out == Fraction(3, 4)
+
+
 # ----------------------------------------------------------- partitions
 
 def test_orbit_partition_single_cycle():
