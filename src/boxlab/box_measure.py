@@ -19,11 +19,12 @@ the cube measure of one transformation order to the cube measure of the
 permuted order.
 
 Integrals and output need not build the last stage: it couples two
-copies of the previous stage independently inside each orbit cell, with
-one mass per cell.  :func:`cube_integral` sums the integrand per cell of
-the previous stage, in integer numerators, and :func:`coupled_cells`
-hands the cells and their masses to the writer of ``box-measure``.
-:func:`integrate_product` stays the plain reference over a built measure.
+copies of the previous stage independently inside each orbit cell C,
+giving every pair of C the one mass m(y) / |C|.  :func:`coupled_cells`
+returns those cells and pair masses, and feeds both the writer of
+``box-measure`` and :func:`cube_integral`, which sums the integrand per
+cell in integer numerators.  :func:`integrate_product` stays the plain
+reference over a built measure.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import InvariantViolationError, StructuralError, SupportCapError
 from .perms import Perm, inverse, is_permutation, orbits
-from .system import SUPPORT_CAP_DEFAULT, FiniteSystem, Observable
+from .system import SUPPORT_CAP_DEFAULT, FiniteSystem, Observable, index_tuple
 
 CubePoint = tuple[int, ...]
 TupleMap = Callable[[CubePoint], CubePoint]
@@ -172,20 +173,8 @@ def measure_from_weights(weights: Sequence[Fraction]) -> SparseCubeMeasure:
     return SparseCubeMeasure(0, len(weights), entries)
 
 
-def _index_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
-    """``values`` as a tuple, each an exact int: floats, bools and strings
-    are rejected, not truncated or parsed."""
-    values = tuple(values)
-    for i in values:
-        if type(i) is not int:
-            raise StructuralError(
-                f"{what} entries must be ints, got {type(i).__name__} {i!r}"
-            )
-    return values
-
-
 def normalize_order(sys: FiniteSystem, order: Sequence[int]) -> tuple[int, ...]:
-    order = _index_tuple(order, "transformation order")
+    order = index_tuple(order, "transformation order")
     if not order:
         raise StructuralError("transformation order must be nonempty")
     if len(set(order)) != len(order):
@@ -207,10 +196,7 @@ def _orbit_cells(
     """
     if len(perm) != m.base_n:
         raise StructuralError("permutation length does not match the base point count")
-
-    def act(point: CubePoint) -> CubePoint:
-        return tuple(perm[c] for c in point)
-
+    act = diagonal_transform(perm, m.k)
     for point, mass in m.entries.items():
         image = act(point)
         if m.entries.get(image) != mass:
@@ -294,40 +280,36 @@ def coupled_cells(
 
 
 def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...]):
-    """The measure before the last stage of ``order``, in integers, grouped
-    into the orbit cells of the last transform.
+    """The cells of :func:`coupled_cells` in integers.
 
-    Masses are scaled by M, the lcm of their denominators; W is a cell's
-    scaled mass.  Per cell this returns the coordinate columns of its
-    points (one tuple per vertex), their scaled masses, and lcm(W) / W, so
-    that a cell's term S0 * S1 / W is S0 * S1 * (lcm(W) / W) over the
-    returned denominator M * lcm(W).  Kept on ``sys`` by :func:`cube_integral`.
+    Per orbit cell this returns the coordinate columns of its points (one
+    tuple per vertex of the stage before) and the numerator of its pair
+    mass m(y) / |C| over the one common denominator returned with them.
+    Kept on ``sys`` by :func:`cube_integral`.
     """
-    m = _build(sys, order[:-1])
-    cells = _orbit_cells(m, sys.transforms[order[-1]], sys.cap)
-    den = math.lcm(*(mass.denominator for mass in m.entries.values()))
-    scaled = []
-    for cell in cells:
-        masses = tuple(
-            m.entries[p].numerator * (den // m.entries[p].denominator) for p in cell
-        )
-        scaled.append((tuple(zip(*cell)), masses, sum(masses)))
-    cell_den = math.lcm(*(w for _, _, w in scaled))
+    _, cells = coupled_cells(sys, order)
+    den = math.lcm(*(mass.denominator for mass, _ in cells))
     return (
-        tuple((columns, masses, cell_den // w) for columns, masses, w in scaled),
-        den * cell_den,
+        tuple(
+            (tuple(zip(*cell)), mass.numerator * (den // mass.denominator))
+            for mass, cell in cells
+        ),
+        den,
     )
 
 
 def _cell_sum(
     columns: tuple[tuple[int, ...], ...],
-    masses: tuple[int, ...],
     factors: list[tuple[int, tuple[int, ...]]],
 ) -> int:
-    """Sum over a cell of mass times the product of the factor values,
-    factor (bits, values) reading the coordinate column at vertex ``bits``."""
-    terms = masses
-    for bits, values in factors:
+    """Sum over a cell of the product of the factor values, factor
+    (bits, values) reading the coordinate column at vertex ``bits``; the
+    cell size |C| when there is no factor."""
+    if not factors:
+        return len(columns[0])
+    (bits, values), *rest = factors
+    terms = map(values.__getitem__, columns[bits])
+    for bits, values in rest:
         terms = map(operator.mul, terms, map(values.__getitem__, columns[bits]))
     return sum(terms)
 
@@ -340,10 +322,10 @@ def cube_integral(sys: FiniteSystem, order: Sequence[int], fs: Mapping) -> Fract
     independently inside each orbit cell C of transform order[-1].  With F0
     the product of the observables on vertices whose last digit is 0 and F1
     the product of those whose last digit is 1, the integral is therefore
-    the sum over cells of (sum_C m F0) * (sum_C m F1) / m(C).  Masses and
-    each vertex observable are scaled to integers by the lcm of their
-    denominators, the sums run in integers, and one Fraction is built at
-    the end.
+    the sum over cells of m(y) / |C| * (sum_C F0) * (sum_C F1), with the
+    pair masses of :func:`coupled_cells`.  Pair masses and each vertex
+    observable are scaled to integers by the lcm of their denominators, the
+    sums run in integers, and one Fraction is built at the end.
 
     ``fs`` is as for :func:`vertex_functions`.  Equals
     ``integrate_product(build_box_measure(sys, order), fs)`` and, under the
@@ -371,10 +353,10 @@ def cube_integral(sys: FiniteSystem, order: Sequence[int], fs: Mapping) -> Fract
     # a seminorm's two halves carry the same factors: one sum serves both
     same = high == low
     total = 0
-    for columns, masses, factor in cells:
-        s0 = _cell_sum(columns, masses, low)
-        s1 = s0 if same else _cell_sum(columns, masses, high)
-        total += s0 * s1 * factor
+    for columns, mass in cells:
+        s0 = _cell_sum(columns, low)
+        s1 = s0 if same else _cell_sum(columns, high)
+        total += mass * s0 * s1
     return Fraction(total, den)
 
 
@@ -443,7 +425,7 @@ def permute_order(order: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...]
     every permutation, not just for transpositions.
     """
     order = tuple(order)
-    sigma = _index_tuple(sigma, "digit permutation")
+    sigma = index_tuple(sigma, "digit permutation")
     if not is_permutation(sigma, len(order)):
         raise StructuralError(f"{sigma} is not a permutation of the digit positions")
     out = [0] * len(order)
@@ -460,7 +442,7 @@ def apply_index_permutation(m: SparseCubeMeasure, sigma: Sequence[int]) -> Spars
     measure built for one order through this re-indexing yields the cube
     measure built for the sigma-permuted order.
     """
-    sigma = _index_tuple(sigma, "digit permutation")
+    sigma = index_tuple(sigma, "digit permutation")
     if not is_permutation(sigma, m.k):
         raise StructuralError(f"{sigma} is not a permutation of the digit positions")
     width = m.width

@@ -41,6 +41,18 @@ def as_fraction(value) -> Fraction:
         raise StructuralError(f"cannot parse rational from {value!r}") from exc
 
 
+def index_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` read once into a tuple, each an exact int: floats, bools
+    and strings are rejected, not truncated or parsed."""
+    values = tuple(values)
+    for i in values:
+        if type(i) is not int:
+            raise StructuralError(
+                f"{what} entries must be ints, got {type(i).__name__} {i!r}"
+            )
+    return values
+
+
 @dataclass(frozen=True)
 class FiniteSystem:
     """Point weights plus commuting measure-preserving permutations.
@@ -177,7 +189,8 @@ class Partition:
 
     @staticmethod
     def from_cells(cells: Iterable[Iterable[int]], n: int) -> "Partition":
-        norm = sorted(tuple(sorted(set(c))) for c in cells if tuple(c))
+        read = [index_tuple(c, "cell") for c in cells]
+        norm = sorted(tuple(sorted(set(cell))) for cell in read if cell)
         cell_of = [-1] * n
         for ci, cell in enumerate(norm):
             for x in cell:
@@ -329,10 +342,6 @@ class Observable:
         if self.n != other.n:
             raise StructuralError("observables live on different point sets")
         return Observable(tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def scale(self, c) -> "Observable":
-        c = as_fraction(c)
-        return Observable(tuple(c * v for v in self.values))
 
     def max_abs(self) -> Fraction:
         return max((abs(v) for v in self.values), default=Fraction(0))

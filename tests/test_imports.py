@@ -1,13 +1,17 @@
 """Every top-level import in the library modules is used, no library
 module imports anything inside a function, only ``box_measure`` reads
-vertex keys, no function that is given a system takes a support cap, and
-only ``verify._Suite.run`` builds a property outcome.
+vertex keys, no function that is given a system takes a support cap,
+only ``verify._Suite.run`` builds a property outcome, and only
+``relative_self_product`` and ``coupled_cells`` walk the orbit cells of a
+stage.
 
 A stdlib ``ast`` check standing in for a linter: a module-level import
 binds a name, and that name must be read somewhere else in the module.
 ``__init__.py`` re-exports on purpose and is exempt from that half.
 Per-vertex observable maps have one reader, ``vertex_functions``; a second
 module naming ``vertex_bits`` would be a second reader of the format.
+The last stage of a cube measure has one statement, ``coupled_cells``: a
+third caller of ``_orbit_cells`` or ``_coupled`` would be a second one.
 """
 
 import ast
@@ -224,3 +228,36 @@ def test_check_flags_an_outcome_built_outside_run():
     assert callers(tree, "PropertyOutcome") == [
         "<module>", "_Suite.run", "_Suite.check_a", "_Suite.check_b.<lambda>",
     ]
+
+
+STAGE_WALKERS = ["relative_self_product", "coupled_cells"]
+
+
+def stage_walkers(tree: ast.Module) -> dict[str, list[str]]:
+    """The callers of the orbit-cell walk and of the pair-mass coupling."""
+    return {name: callers(tree, name) for name in ("_orbit_cells", "_coupled")}
+
+
+def test_only_the_build_and_coupled_cells_walk_orbit_cells():
+    tree = ast.parse((SRC / "box_measure.py").read_text(encoding="utf-8"))
+    assert stage_walkers(tree) == {
+        "_orbit_cells": STAGE_WALKERS, "_coupled": STAGE_WALKERS,
+    }
+
+
+def test_check_flags_a_second_walk_of_the_last_stage():
+    tree = ast.parse(
+        "def relative_self_product(m, perm, cap):\n"
+        "    return _coupled(m, _orbit_cells(m, perm, cap))\n"
+        "def coupled_cells(sys, order):\n"
+        "    return _coupled(m, _orbit_cells(m, t, sys.cap))\n"
+        "def _last_stage_cells(sys, order):\n"
+        "    return box_measure._orbit_cells(m, t, sys.cap)\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        return lambda m: _coupled(m, [])\n"
+    )
+    assert stage_walkers(tree) == {
+        "_orbit_cells": [*STAGE_WALKERS, "_last_stage_cells"],
+        "_coupled": [*STAGE_WALKERS, "C.f.<lambda>"],
+    }

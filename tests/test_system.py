@@ -173,6 +173,19 @@ def test_partition_rejects_overlap_and_gaps():
         Partition.from_cells([[0, 1]], 3)
 
 
+def test_partition_reads_each_cell_once():
+    part = Partition.from_cells([iter([1, 0]), (x for x in [2])], 3)
+    assert part.cells == ((0, 1), (2,))
+
+
+@pytest.mark.parametrize("cells", [
+    [[0, True]], [[False], [1]], [[0, 1.0]], [[0.5], [0, 1]], [["0"], [1]],
+])
+def test_partition_rejects_members_that_are_not_exact_ints(cells):
+    with pytest.raises(StructuralError, match="cell entries must be ints"):
+        Partition.from_cells(cells, 2)
+
+
 def test_group_orbit_partition_klein():
     part = group_orbit_partition(((1, 0, 3, 2), (2, 3, 0, 1)), 4)
     assert part == Partition.trivial(4)
