@@ -130,11 +130,11 @@ def multi_average_limit(sys: FiniteSystem, f_list: Sequence[Observable]) -> Aver
     return multi_average(sys, f_list, Interval(0, L))
 
 
-def _weighted_table_sum(table: Mapping, counts: Sequence[Sequence[int]]) -> Fraction:
-    """Sum of the integrand table, each residue tuple weighted by how many
-    exponent tuples of the interval box fall on it."""
-    total = Fraction(0)
-    for residues, value in table.items():
+def _weighted_table_sum(numerators: Mapping, counts: Sequence[Sequence[int]]) -> int:
+    """Sum of the integrand table's numerators, each residue tuple weighted
+    by how many exponent tuples of the interval box fall on it."""
+    total = 0
+    for residues, value in numerators.items():
         weight = math.prod(count[r] for count, r in zip(counts, residues))
         if weight:
             total += weight * value
@@ -187,12 +187,12 @@ def multilinear_average_J(
     order = normalize_order(sys, order)
     if len(intervals) != len(order):
         raise StructuralError(f"{len(intervals)} intervals for {len(order)} transforms")
-    periods, table = integrand_table(sys, order, fs)
+    periods, numerators, den = integrand_table(sys, order, fs)
     counts = [
         _residue_counts(iv.start, iv.length, L) for iv, L in zip(intervals, periods)
     ]
     box = math.prod(iv.length for iv in intervals)
-    return _weighted_table_sum(table, counts) / box
+    return Fraction(_weighted_table_sum(numerators, counts), den * box)
 
 
 @dataclass(frozen=True)
@@ -231,20 +231,19 @@ def uniformity_scan(
     for bits in sorted(fmap):
         if bits and fmap[bits].max_abs() > 1:
             raise PreconditionError(f"vertex {bits} observable has sup norm above 1")
-    periods, table = integrand_table(sys, order, fmap)
+    periods, numerators, den = integrand_table(sys, order, fmap)
     count_cache = {
         (iv.start, L): _residue_counts(iv.start, iv.length, L)
         for iv in intervals
         for L in set(periods)
     }
-    box = Fraction(length) ** d
-    max_abs = Fraction(0)
+    worst = 0
     scanned = 0
     for combo in itertools.product(intervals, repeat=d):
         counts = [count_cache[(iv.start, L)] for iv, L in zip(combo, periods)]
-        total = _weighted_table_sum(table, counts)
+        worst = max(worst, abs(_weighted_table_sum(numerators, counts)))
         scanned += 1
-        max_abs = max(max_abs, abs(total / box))
+    max_abs = Fraction(worst, den * length**d)
     sem = seminorm_pow(sys, order, fmap.get(0, Observable.constant(1, sys.n)))
     margin = float(max_abs) - sem.root()
     pow_bound_holds = max_abs ** (1 << d) <= sem.pow

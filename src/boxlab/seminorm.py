@@ -13,7 +13,11 @@ Three routes compute the same power:
   stages before the last are built;
 * ``seminorm_oracle_pow`` evaluates the iterated-average formula as a finite
   multi-sum over full periods (each summand is periodic in each index, so
-  the full-period average equals the limit);
+  the full-period average equals the limit).  ``integrand_table`` fills
+  that multi-sum's table in integer numerators over one denominator, by a
+  walk over the residue digits that translates each vertex function once
+  per residue prefix and shares products between vertices; it reads none
+  of the cube-measure kernels;
 * ``seminorm_recursion_pow`` averages the (d-1)-transform power of the
   shifted products over one full period of the last transform.
 """
@@ -24,7 +28,9 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from sys import float_info
 from typing import Mapping, Sequence
 
 from .box_measure import build_box_measure, cube_integral, normalize_order, vertex_functions
@@ -49,14 +55,33 @@ class SeminormValue:
     order: tuple[int, ...]
 
     def root(self) -> float:
-        """Float approximation of the seminorm itself (d nested square roots)."""
-        r = float(self.pow)
-        for _ in range(self.d):
-            r = math.sqrt(r)
-        return r
+        """Float approximation of the seminorm itself."""
+        return float(approx_root(self.pow, self.d))
 
     def __repr__(self) -> str:
         return f"SeminormValue(pow={self.pow}, d={self.d})"
+
+
+def approx_root(pow_value: Fraction, d: int, digits: int = 17) -> float | Decimal:
+    """The 2^d-th root of a non-negative rational, approximately.
+
+    A power in the normal float range gives d nested float square roots.
+    Outside it the float would overflow or flush to zero, so the root is
+    taken from the exact rational in decimal arithmetic and returned as a
+    Decimal rounded to ``digits`` significant digits, trailing zeros
+    dropped.
+    """
+    if pow_value == 0 or float_info.min <= pow_value <= float_info.max:
+        r = float(pow_value)
+        for _ in range(d):
+            r = math.sqrt(r)
+        return r
+    ctx = Context(prec=digits + 3, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    r = ctx.divide(Decimal(pow_value.numerator), Decimal(pow_value.denominator))
+    for _ in range(d):
+        r = ctx.sqrt(r)
+    ctx.prec = digits
+    return ctx.plus(r).normalize(ctx)
 
 
 def _full_vertex_map(f: Observable, d: int) -> dict[int, Observable]:
@@ -85,16 +110,22 @@ def transform_power_tables(sys: FiniteSystem, order: Sequence[int]):
 
 def integrand_table(
     sys: FiniteSystem, order: Sequence[int], fs: Mapping
-) -> tuple[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
-    """All values of the shifted-product integral over one full period box.
+) -> tuple[tuple[int, ...], dict[tuple[int, ...], int], int]:
+    """All values of the shifted-product integral over one full period box,
+    as integer numerators over one common denominator.
 
-    Returns the per-position periods and the map from exponent residues to
-    integral values.  Every interval average of the integrand reduces to a
-    weighted combination of this table because each exponent is periodic.
-    Vertex eps picks up the translate by the transform at order position i,
-    to the power residues[i], exactly when bit i of eps is 0.  The weights
-    and vertex functions are scaled to integer numerators once, so each
-    cell is an integer sum over the points.  ``fs`` is as for
+    Returns the per-position periods, the map from exponent residues to
+    numerators, and the denominator.  Every interval average of the
+    integrand reduces to a weighted combination of this table because each
+    exponent is periodic.  Vertex eps picks up the translate by the
+    transform at order position i, to the power residues[i], exactly when
+    bit i of eps is 0; its translates compose with the lowest such position
+    innermost.  The weights and vertex functions are scaled to integer
+    numerators once.  The table is then filled by a walk over the residue
+    digits, highest position outermost: a vertex is translated by each of
+    its zero digits once per residue prefix, and the vertices that share
+    their remaining zero digits share one product vector from then on.
+    Each cell is one integer sum over the points.  ``fs`` is as for
     :func:`vertex_functions`.
     """
     order = normalize_order(sys, order)
@@ -103,29 +134,50 @@ def integrand_table(
     tables = transform_power_tables(sys, order)
     periods = tuple(len(t) for t in tables)
     den = math.lcm(*(w.denominator for w in sys.weights))
-    weights = tuple(w.numerator * (den // w.denominator) for w in sys.weights)
-    numerators = []
-    for bits in sorted(fmap):
-        values = fmap[bits].values
+    terms = [w.numerator * (den // w.denominator) for w in sys.weights]
+    pending = {}
+    for bits, obs in fmap.items():
+        values = obs.values
         scale = math.lcm(*(v.denominator for v in values))
         den *= scale
-        zero_digits = [i for i in range(d) if not (bits >> i) & 1]
-        numerators.append(
-            (zero_digits, tuple(v.numerator * (scale // v.denominator) for v in values))
-        )
-    out: dict[tuple[int, ...], Fraction] = {}
-    for residues in itertools.product(*(range(p) for p in periods)):
-        terms = weights
-        for zero_digits, values in numerators:
-            comp = None
-            for i in zero_digits:
-                p = tables[i][residues[i]]
-                comp = p if comp is None else compose(p, comp)
-            if comp is not None:
-                values = tuple(map(values.__getitem__, comp))
-            terms = map(operator.mul, terms, values)
-        out[residues] = Fraction(sum(terms), den)
-    return periods, out
+        pending[bits] = [v.numerator * (scale // v.denominator) for v in values]
+    numerators: dict[tuple[int, ...], int] = {}
+    _digit_walk(tables, d, terms, pending, (), numerators)
+    return periods, numerators, den
+
+
+def _digit_walk(tables, j: int, terms, pending: dict, suffix: tuple, out: dict) -> None:
+    """Fill ``out`` with the cells whose residues at digits j and up are ``suffix``.
+
+    ``pending`` maps a bit pattern over the digits below j (bit i set: no
+    translate at digit i) to the product of the vertex functions with that
+    pattern, each already translated at its zero digits from j up.
+    ``terms`` is the weights times every vertex translated at all of its
+    zero digits.  Composing with a permutation commutes with pointwise
+    products, so a shared product is translated once for all its vertices.
+    """
+    done = pending.pop((1 << j) - 1, None)
+    if done is not None:
+        terms = list(map(operator.mul, terms, done))
+    j -= 1
+    powers = tables[j]
+    if j == 0:
+        # every vertex left has its lowest zero digit here: one vector
+        G = pending.get(0)
+        for r, p in enumerate(powers):
+            cell = terms if G is None else map(operator.mul, terms, map(G.__getitem__, p))
+            out[(r,) + suffix] = sum(cell)
+        return
+    bit = 1 << j
+    for r, p in enumerate(powers):
+        below: dict[int, list[int]] = {}
+        for q, g in pending.items():
+            if not q & bit:
+                g = list(map(g.__getitem__, p))
+            q &= bit - 1
+            other = below.get(q)
+            below[q] = g if other is None else list(map(operator.mul, other, g))
+        _digit_walk(tables, j, terms, below, (r,) + suffix, out)
 
 
 def seminorm_oracle_pow(
@@ -138,9 +190,9 @@ def seminorm_oracle_pow(
     every index separately.
     """
     order = normalize_order(sys, order)
-    periods, table = integrand_table(sys, order, _full_vertex_map(f, len(order)))
-    total = sum(table.values(), Fraction(0))
-    return SeminormValue(len(order), total / math.prod(periods), order)
+    periods, numerators, den = integrand_table(sys, order, _full_vertex_map(f, len(order)))
+    total = Fraction(sum(numerators.values()), den * math.prod(periods))
+    return SeminormValue(len(order), total, order)
 
 
 def seminorm_recursion_pow(

@@ -12,13 +12,12 @@ code); JSON booleans are never read as numbers.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from typing import Any, Sequence, TextIO
 
 from .box_measure import SparseCubeMeasure, coupled_cells
 from .errors import StructuralError
-from .seminorm import SeminormValue
+from .seminorm import SeminormValue, approx_root
 from .system import FiniteSystem, Observable, as_fraction
 
 
@@ -30,11 +29,10 @@ def approx_root_str(pow_value: Fraction, d: int, digits: int = 12) -> str:
     """Decimal rendering of the 2^d-th root, 12 significant digits.
 
     Approximate by construction; the exact rational power is the contract.
+    Powers outside the float range are rendered from the exact rational
+    (see :func:`approx_root`).
     """
-    r = float(pow_value)
-    for _ in range(d):
-        r = math.sqrt(r)
-    return f"{r:.{digits}g}"
+    return f"{approx_root(pow_value, d, digits):.{digits}g}"
 
 
 def _require(payload: dict, key: str, context: str) -> Any:
@@ -75,7 +73,6 @@ def system_from_dict(payload: dict) -> FiniteSystem:
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != n:
             raise StructuralError(f"system: expected {n} labels")
-        labels = tuple(str(s) for s in labels)
     return FiniteSystem(
         tuple(as_fraction(w) for w in weights), tuple(parsed_transforms), labels
     )

@@ -96,7 +96,17 @@ class FiniteSystem:
             transforms.append(arr)
         object.__setattr__(self, "transforms", tuple(transforms))
         if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
+            # a bare string would split into one label per character
+            if isinstance(self.labels, str):
+                raise StructuralError(
+                    f"labels must be a sequence of strings, got {self.labels!r}"
+                )
+            labels = tuple(self.labels)
+            for label in labels:
+                if not isinstance(label, str):
+                    raise StructuralError(
+                        f"labels must be strings, got {type(label).__name__} {label!r}"
+                    )
             if len(labels) != n:
                 raise StructuralError(f"{len(labels)} labels for {n} points")
             object.__setattr__(self, "labels", labels)

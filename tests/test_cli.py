@@ -62,6 +62,19 @@ def test_validate_reports_violations(tmp_path):
     assert any("measure preservation" in v for v in payload["violations"])
 
 
+@pytest.mark.parametrize(
+    "labels", [[1, True], ["a", None], "ab"], ids=["int-bool", "null", "string"]
+)
+def test_validate_non_string_labels_exit_2(tmp_path, labels):
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps(
+        {"points": 2, "weights": ["1/2", "1/2"], "transforms": [[1, 0]], "labels": labels}
+    ))
+    code, out, err = run_cli(["validate", str(path)])
+    assert code == 2 and out == ""
+    assert "label" in err
+
+
 def test_validate_malformed_json_exits_2(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -203,6 +216,46 @@ def test_seminorm_constant_one(z4_file, tmp_path):
     assert json.loads(out)["pow"] == "1"
 
 
+def test_seminorm_all_matches_golden_bytes(tmp_path):
+    """Z/16 with shifts 1, 2, 3 and multiples of 1/6: the oracle table's
+    2048 cells, the measure route and the recursion, byte for byte."""
+    system = tmp_path / "z16.json"
+    system.write_text(json.dumps(system_to_dict(FiniteSystem(
+        tuple(Fraction(1, 16) for _ in range(16)),
+        tuple(tuple((x + s) % 16 for x in range(16)) for s in (1, 2, 3)),
+    ))))
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"values": [
+        "0", "1", "0", "-1", "-1/3", "1/3", "1/6", "0",
+        "1", "-1/3", "1/6", "-1/6", "1/2", "-1/2", "1/3", "-2/3",
+    ]}))
+    code, out, _ = run_cli(["seminorm", str(system), str(f), "--method", "all"])
+    assert code == 0
+    assert out == (DATA / "z16_seminorm_all_golden.json").read_text()
+
+
+@pytest.fixture
+def swap_file(tmp_path):
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps({"points": 2, "weights": ["1/2", "1/2"], "transforms": [[1, 0]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "values, root",
+    [([str(10**200), "1"], "5e+199"), ([f"1/{10**200}"] * 2, "1e-200")],
+    ids=["overflow", "underflow"],
+)
+def test_seminorm_root_beyond_the_float_range(swap_file, tmp_path, values, root):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"values": values}))
+    code, out, _ = run_cli(["seminorm", swap_file, str(path), "--method", "all"])
+    assert code == 0
+    for result in json.loads(out)["results"].values():
+        assert Fraction(result["pow"]) > 0
+        assert result["root_approx"] == root
+
+
 # ------------------------------------------------------------- gowers
 
 def test_gowers_value_and_cross_check(tmp_path):
@@ -214,6 +267,15 @@ def test_gowers_value_and_cross_check(tmp_path):
     code, out, _ = run_cli(["gowers", "2", "2", str(path), "--cross-check"])
     assert code == 0
     assert json.loads(out)["cross_check"] is True
+
+
+def test_gowers_root_beyond_the_float_range(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"values": [str(10**200), "1"]}))
+    code, out, _ = run_cli(["gowers", "2", "1", str(path), "--cross-check"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["root_approx"] == "5e+199" and payload["cross_check"] is True
 
 
 def test_gowers_injected_fault_exits_4(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boxlab.seminorm
 from boxlab import cli
 from boxlab.averages import van_der_corput_bound
 from boxlab.box_measure import (
@@ -44,7 +45,7 @@ from boxlab.seminorm import (
 )
 from boxlab.serialize import system_to_dict
 from boxlab.system import FiniteSystem, Observable
-from conftest import Z4_TWO, commuting_systems
+from conftest import Z4_TWO, commuting_systems, count_calls
 
 
 def full_map(f: Observable, d: int) -> dict[int, Observable]:
@@ -112,6 +113,12 @@ def reference_translated_product_integral(sys, fmap, power_tables, exponents) ->
             term *= values[x if comp is None else comp[x]]
         total += term
     return total
+
+
+def table_fractions(sys, order, fs):
+    """``integrand_table`` with each numerator over the denominator."""
+    periods, numerators, den = integrand_table(sys, order, fs)
+    return periods, {residues: Fraction(v, den) for residues, v in numerators.items()}
 
 
 def reference_integrand_table(sys, order, fs):
@@ -237,9 +244,70 @@ def test_integer_oracle_table_equals_fraction_reference(roster_case):
     d = len(order)
     for _ in range(2):
         fs = {bits: mixed_observable(rng, sys.n) for bits in range(1 << d)}
-        assert integrand_table(sys, order, fs) == reference_integrand_table(sys, order, fs), name
+        assert table_fractions(sys, order, fs) == reference_integrand_table(sys, order, fs), name
     partial = {0: mixed_observable(rng, sys.n)}
-    assert integrand_table(sys, order, partial) == reference_integrand_table(sys, order, partial)
+    assert table_fractions(sys, order, partial) == reference_integrand_table(sys, order, partial)
+
+
+def assert_table_equals_reference(sys, rng):
+    """Every ordered subset of the transforms, with a full vertex map and a
+    partial one."""
+    indices = range(sys.d)
+    for order in itertools.chain.from_iterable(
+        itertools.permutations(indices, k) for k in range(1, sys.d + 1)
+    ):
+        d = len(order)
+        full = {bits: mixed_observable(rng, sys.n) for bits in range(1 << d)}
+        partial = {bits: full[bits] for bits in range(0, 1 << d, 2)}
+        for fs in (full, partial):
+            assert table_fractions(sys, order, fs) == reference_integrand_table(sys, order, fs)
+
+
+def test_oracle_table_equals_reference_on_every_ordered_subset(roster_case):
+    _, sys, _ = roster_case
+    assert_table_equals_reference(sys, random.Random(139))
+
+
+def random_permutation_system(rng: random.Random) -> FiniteSystem:
+    """Random permutations, which need not commute, and random weights: the
+    table reads neither property."""
+    n = rng.randint(2, 6)
+    weights = [Fraction(rng.randint(0, 4)) for _ in range(n)]
+    weights[0] += 1
+    total = sum(weights)
+    return FiniteSystem(
+        tuple(w / total for w in weights),
+        tuple(tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))),
+    )
+
+
+def test_oracle_table_equals_reference_on_non_commuting_systems():
+    rng = random.Random(131)
+    non_commuting = 0
+    for _ in range(40):
+        sys = random_permutation_system(rng)
+        non_commuting += any(
+            compose(p, q) != compose(q, p) for p, q in itertools.combinations(sys.transforms, 2)
+        )
+        assert_table_equals_reference(sys, rng)
+    assert non_commuting >= 10
+
+
+def test_oracle_table_composes_only_the_power_tables(monkeypatch):
+    z16 = FiniteSystem(
+        tuple(Fraction(1, 16) for _ in range(16)),
+        tuple(tuple((x + s) % 16 for x in range(16)) for s in (1, 2, 3)),
+    )
+    order = (0, 1, 2)
+    f = mixed_observable(random.Random(137), 16)
+    calls = count_calls(monkeypatch, boxlab.seminorm, "compose")
+    tables = transform_power_tables(z16, order)
+    power_calls = len(calls)
+    assert power_calls <= sum(len(t) - 1 for t in tables)
+    calls.clear()
+    periods, numerators, _ = integrand_table(z16, order, full_map(f, 3))
+    assert len(numerators) == math.prod(periods) == 2048
+    assert len(calls) == power_calls
 
 
 # ------------------------------------------------------------- support cap
@@ -407,7 +475,7 @@ def test_hypothesis_stages_equal_fraction_reference(case):
 @given(systems_with_vertex_functions())
 def test_hypothesis_integer_oracle_equals_reference(case):
     sys, order, fs = case
-    assert integrand_table(sys, order, fs) == reference_integrand_table(sys, order, fs)
+    assert table_fractions(sys, order, fs) == reference_integrand_table(sys, order, fs)
 
 
 @settings(max_examples=40, deadline=None)

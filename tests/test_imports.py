@@ -1,9 +1,9 @@
 """Every top-level import in the library modules is used, no library
 module imports anything inside a function, only ``box_measure`` reads
 vertex keys, no function that is given a system takes a support cap,
-only ``verify._Suite.run`` builds a property outcome, and only
+only ``verify._Suite.run`` builds a property outcome, only
 ``relative_self_product`` and ``coupled_cells`` walk the orbit cells of a
-stage.
+stage, and the oracle route reaches none of the cube-measure kernels.
 
 A stdlib ``ast`` check standing in for a linter: a module-level import
 binds a name, and that name must be read somewhere else in the module.
@@ -12,6 +12,8 @@ Per-vertex observable maps have one reader, ``vertex_functions``; a second
 module naming ``vertex_bits`` would be a second reader of the format.
 The last stage of a cube measure has one statement, ``coupled_cells``: a
 third caller of ``_orbit_cells`` or ``_coupled`` would be a second one.
+The oracle seminorm route checks the cube-measure route, so a helper shared
+between the two would let one fault pass both.
 """
 
 import ast
@@ -260,4 +262,61 @@ def test_check_flags_a_second_walk_of_the_last_stage():
     assert stage_walkers(tree) == {
         "_orbit_cells": [*STAGE_WALKERS, "_last_stage_cells"],
         "_coupled": [*STAGE_WALKERS, "C.f.<lambda>"],
+    }
+
+
+ORACLE_ROUTE = ["integrand_table", "seminorm_oracle_pow"]
+MEASURE_KERNELS = {
+    "cube_integral", "coupled_cells", "build_box_measure", "relative_self_product",
+    "_last_stage_cells",
+}
+
+
+def reached_names(tree: ast.Module, roots: list[str]) -> set[str]:
+    """Names and attributes that the top-level functions ``roots`` read,
+    together with the module's own functions and classes they reach."""
+    defs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    names: set[str] = set()
+    todo, seen = list(roots), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ref is not None:
+                names.add(ref)
+                if ref in defs:
+                    todo.append(ref)
+    return names
+
+
+def test_the_oracle_route_reaches_no_cube_measure_kernel():
+    tree = ast.parse((SRC / "seminorm.py").read_text(encoding="utf-8"))
+    shared = reached_names(tree, ORACLE_ROUTE) & MEASURE_KERNELS
+    assert not shared, f"the oracle route references {sorted(shared)}"
+
+
+def test_check_flags_a_kernel_reached_through_a_helper():
+    tree = ast.parse(
+        "from .box_measure import build_box_measure, cube_integral\n"
+        "def integrand_table(sys, order, fs):\n"
+        "    return _walk(sys) + box_measure.coupled_cells(sys, order)\n"
+        "def _walk(sys):\n"
+        "    return Cell.total(sys)\n"
+        "class Cell:\n"
+        "    def total(sys):\n"
+        "        return cube_integral(sys, (0,), {})\n"
+        "def seminorm_oracle_pow(sys, order, f):\n"
+        "    return integrand_table(sys, order, {0: f})\n"
+        "def seminorm_pow(sys, order, f):\n"
+        "    return build_box_measure(sys, order)\n"
+    )
+    assert reached_names(tree, ORACLE_ROUTE) & MEASURE_KERNELS == {
+        "coupled_cells", "cube_integral",
     }

@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import json
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 
 from boxlab.box_measure import build_box_measure
 from boxlab.errors import InvariantViolationError, StructuralError
-from boxlab.seminorm import seminorm_pow
+from boxlab.seminorm import SeminormValue, seminorm_pow
 from boxlab.serialize import (
     approx_root_str,
     dumps,
@@ -57,6 +58,9 @@ def test_system_with_labels_round_trip():
         lambda p: p.update(weights=["1/4", "1/4", "1/0", "1/4"]),
         lambda p: p.update(weights=["1/4", "1/4", "abc", "1/4"]),
         lambda p: p.update(labels=["x"]),
+        lambda p: p.update(labels=[1, True, "c", "d"]),
+        lambda p: p.update(labels=["a", "b", "c", None]),
+        lambda p: p.update(labels="abcd"),
         lambda p: p.update(points=True, weights=["1"], transforms=[[0]]),
         lambda p: p.update(weights=["1/4", "1/4", "1/4", True]),
         lambda p: p.update(transforms=[[True, 0, 3, 2]]),
@@ -177,3 +181,31 @@ def test_seminorm_payload():
 def test_approx_root_digits():
     assert approx_root_str(Fraction(2), 1) == f"{2 ** 0.5:.12g}"
     assert approx_root_str(Fraction(0), 3) == "0"
+
+
+@pytest.mark.parametrize(
+    "pow_value, d, text",
+    [
+        (Fraction(10**400), 1, "1e+200"),
+        (Fraction(2 * 10**400), 1, "1.41421356237e+200"),
+        (Fraction(10**4000), 2, "1e+1000"),
+        (Fraction(1, 10**400), 1, "1e-200"),
+        (Fraction(3, 10**800), 2, "1.31607401295e-200"),
+        (Fraction(1, 10**310), 1, "1e-155"),
+    ],
+)
+def test_approx_root_beyond_the_float_range(pow_value, d, text):
+    """Powers that overflow a float, or fall below its normal range, are
+    rooted from the exact rational."""
+    assert approx_root_str(pow_value, d) == text
+    value = SeminormValue(d, pow_value, tuple(range(d)))
+    assert value.root() == pytest.approx(float(text))
+
+
+def test_approx_root_keeps_the_float_path_inside_the_range():
+    for pow_value in (Fraction(1, 3), Fraction(10**300), Fraction(3, 10**300)):
+        for d in (1, 2, 3):
+            r = float(pow_value)
+            for _ in range(d):
+                r = math.sqrt(r)
+            assert approx_root_str(pow_value, d) == f"{r:.12g}"

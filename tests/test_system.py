@@ -64,6 +64,19 @@ def test_structural_errors_raise():
 
 
 @pytest.mark.parametrize(
+    "labels", ["ab", (1, "b"), ("a", True), ("a", None), [b"a", "b"]],
+    ids=["bare-string", "int", "bool", "none", "bytes"],
+)
+def test_non_string_labels_are_rejected(labels):
+    with pytest.raises(StructuralError, match="label"):
+        FiniteSystem(uniform(2), (), labels=labels)
+
+
+def test_string_labels_are_kept_as_given():
+    assert FiniteSystem(uniform(2), (), labels=["a", "1"]).labels == ("a", "1")
+
+
+@pytest.mark.parametrize(
     "transform",
     [(1.7, 0.2), (True, False), (1, False), ("1", "0")],
     ids=["floats", "bools", "mixed-bool", "strings"],
