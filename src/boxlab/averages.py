@@ -18,13 +18,15 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from sys import float_info
 from typing import Mapping, Sequence
 
 from .box_measure import normalize_order, vertex_functions
 from .errors import PreconditionError, StructuralError
 from .perms import Perm, compose, inverse
-from .seminorm import SeminormValue, integrand_table, seminorm_pow
+from .seminorm import SeminormValue, approx_root, integrand_table, seminorm_pow
 from .system import FiniteSystem, Observable, as_fraction, transform_period
 
 
@@ -62,8 +64,11 @@ class AverageResult:
     l2_norm_sq: Fraction
 
 
-def _average_result(sys: FiniteSystem, values: Observable, interval: Interval) -> AverageResult:
-    return AverageResult(values, interval, values.l2_norm_sq(sys.weights))
+def _numerators(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """``values`` as integer numerators over the lcm of their denominators:
+    ``(numerators, denominator)``."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def derive_T_from_S(sys: FiniteSystem) -> tuple[Perm, ...]:
@@ -99,25 +104,37 @@ def _residue_counts(start: int, length: int, modulus: int) -> list[int]:
 def multi_average(
     sys: FiniteSystem, f_list: Sequence[Observable], interval: Interval
 ) -> AverageResult:
-    """Average over the interval of the product of translated observables."""
+    """Average over the interval of the product of translated observables.
+
+    Each observable is scaled to integer numerators over the lcm of its
+    denominators, the per-point sums run in integers over the one common
+    denominator (the product of those lcms times the length), and one
+    Fraction is built per point; the squared norm is summed the same way.
+    """
     if len(f_list) != sys.d:
         raise StructuralError(f"{len(f_list)} observables for {sys.d} transforms")
     for f in f_list:
         if f.n != sys.n:
             raise StructuralError("observable size does not match the system")
     counts = _residue_counts(interval.start, interval.length, common_period(sys))
-    # at residue r, current[i] holds the values of f_i composed with T_i^r
-    current = [f.values for f in f_list]
-    total = [Fraction(0)] * sys.n
+    scaled = [_numerators(f.values) for f in f_list]
+    den = interval.length * math.prod(scale for _, scale in scaled)
+    # at residue r, current[i] holds the numerators of f_i composed with T_i^r
+    current = [numerators for numerators, _ in scaled]
+    total = [0] * sys.n
     for c in counts:
         if c:
-            for x in range(sys.n):
-                total[x] += c * math.prod(vals[x] for vals in current)
+            terms = itertools.repeat(c, sys.n)  # at d = 0 the product is empty
+            for nums in current:
+                terms = map(operator.mul, terms, nums)
+            total = list(map(operator.add, total, terms))
         current = [
-            tuple(map(vals.__getitem__, t)) for vals, t in zip(current, sys.transforms)
+            tuple(map(nums.__getitem__, t)) for nums, t in zip(current, sys.transforms)
         ]
-    values = Observable(tuple(v / interval.length for v in total))
-    return _average_result(sys, values, interval)
+    values = Observable(tuple(Fraction(v, den) for v in total))
+    w_nums, w_den = _numerators(sys.weights)
+    l2 = Fraction(sum(w * v * v for w, v in zip(w_nums, total)), w_den * den * den)
+    return AverageResult(values, interval, l2)
 
 
 def multi_average_limit(sys: FiniteSystem, f_list: Sequence[Observable]) -> AverageResult:
@@ -205,6 +222,20 @@ class UniformityReport:
     scanned: int
 
 
+def _float_margin(max_abs: Fraction, sem: SeminormValue) -> float:
+    """``max_abs`` minus the seminorm root, as a float: the float difference
+    while both sides are in the float range.  Beyond it ``float(max_abs)``
+    would raise and two infinities would give NaN, so the difference is
+    taken in decimal at the root's 17 significant digits and then read as a
+    float, +-inf when it is beyond the range too."""
+    root = sem.root()
+    if max_abs <= float_info.max and math.isfinite(root):
+        return float(max_abs) - root
+    ctx = Context(prec=17, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    head = ctx.divide(Decimal(max_abs.numerator), Decimal(max_abs.denominator))
+    return float(ctx.subtract(head, Decimal(approx_root(sem.pow, sem.d))))
+
+
 def uniformity_scan(
     sys: FiniteSystem,
     order: Sequence[int],
@@ -245,7 +276,7 @@ def uniformity_scan(
         scanned += 1
     max_abs = Fraction(worst, den * length**d)
     sem = seminorm_pow(sys, order, fmap.get(0, Observable.constant(1, sys.n)))
-    margin = float(max_abs) - sem.root()
+    margin = _float_margin(max_abs, sem)
     pow_bound_holds = max_abs ** (1 << d) <= sem.pow
     holds_with_delta = None if delta is None else (margin < delta)
     return UniformityReport(max_abs, sem, margin, pow_bound_holds, holds_with_delta, scanned)
@@ -258,7 +289,9 @@ class VdcBound:
     holds: bool
 
 
-def weight_numerators(weights: Sequence[Fraction] | None, dim: int) -> tuple[list[int], int]:
+def weight_numerators(
+    weights: Sequence[Fraction] | None, dim: int
+) -> tuple[Sequence[int], int]:
     """The coordinate weights of a weighted space as integer numerators over
     their least common denominator: ``(numerators, denominator)``.
 
@@ -272,8 +305,7 @@ def weight_numerators(weights: Sequence[Fraction] | None, dim: int) -> tuple[lis
         raise StructuralError(f"{len(weights)} weights for vectors of dimension {dim}")
     if any(w < 0 for w in weights):
         raise PreconditionError("weights must be non-negative")
-    wscale = math.lcm(*(w.denominator for w in weights))
-    return [w.numerator * (wscale // w.denominator) for w in weights], wscale
+    return _numerators(weights)
 
 
 def van_der_corput_bound(

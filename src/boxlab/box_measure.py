@@ -388,11 +388,18 @@ def side_transform(perm: Perm, k: int, digit: int, invert: bool = False) -> Tupl
 
 
 def push_forward(m: SparseCubeMeasure, f: TupleMap) -> SparseCubeMeasure:
-    """Image measure: mass of a target point is the sum over its preimages."""
+    """Image measure: mass of a target point is the sum over its preimages.
+
+    A target's first preimage gives it that mass as it is; only a repeated
+    target adds, so a bijective map builds no new Fraction.
+    """
     entries: dict[CubePoint, Fraction] = {}
     for point, mass in m.entries.items():
         target = f(point)
-        entries[target] = entries.get(target, Fraction(0)) + mass
+        if target in entries:
+            entries[target] += mass
+        else:
+            entries[target] = mass
     return SparseCubeMeasure(m.k, m.base_n, entries)
 
 

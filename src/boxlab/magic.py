@@ -15,6 +15,9 @@ factor has seminorm zero).
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -212,7 +215,10 @@ def sharp_space(star: StarSystem) -> SharpSpace:
     masses: dict[CubePoint, Fraction] = {}
     for t, w in zip(star.carrier, star.weights):
         sharp = t[1:]
-        masses[sharp] = masses.get(sharp, Fraction(0)) + w
+        if sharp in masses:
+            masses[sharp] += w
+        else:
+            masses[sharp] = w
     tuples = tuple(sorted(masses))
     index = {t: i for i, t in enumerate(tuples)}
     transforms = []
@@ -328,15 +334,22 @@ def _magic_failures(star: StarSystem, rng: random.Random, draws: int) -> Iterato
 
 def vertex_product_observable(star: StarSystem, fs: Mapping) -> Observable:
     """The carrier observable multiplying one base observable per vertex;
-    ``fs`` is as for :func:`vertex_functions`."""
+    ``fs`` is as for :func:`vertex_functions`.
+
+    Each vertex observable is scaled once to integer numerators over the
+    lcm of its denominators; a carrier point's value is then one Fraction,
+    the product of its numerators over the product of those lcms.
+    """
     fmap = vertex_functions(fs, star.d, star.base.n)
-    values = []
-    for t in star.carrier:
-        term = Fraction(1)
-        for bits, obs in fmap.items():
-            term *= obs.values[t[bits]]
-        values.append(term)
-    return Observable(tuple(values))
+    terms = itertools.repeat(1, star.size)  # the empty product at no vertex
+    den = 1
+    for bits, obs in fmap.items():
+        scale = math.lcm(*(v.denominator for v in obs.values))
+        nums = [v.numerator * (scale // v.denominator) for v in obs.values]
+        terms = map(operator.mul, terms,
+                    map(nums.__getitem__, map(operator.itemgetter(bits), star.carrier)))
+        den *= scale
+    return Observable(tuple(Fraction(t, den) for t in terms))
 
 
 def span0_orthogonality_check(star: StarSystem, fs: Mapping) -> bool:

@@ -4,7 +4,10 @@ A system is a finite point set {0, ..., n-1} carrying rational probability
 weights and a family of commuting weight-preserving permutations.  Every
 weight and function value is an exact ``fractions.Fraction``, so identities
 checked elsewhere in the package are exact rational comparisons rather than
-float tolerances.
+float tolerances.  Values stay ``Fraction``s at every interface; the hot
+loops inside (conditional expectation here, the averages, integrals and
+vertex products elsewhere) scale them to integer numerators over one common
+denominator, sum in integers, and build one ``Fraction`` per result value.
 
 Because a weight-preserving permutation has constant weight along each of
 its cycles, the invariant sets of a transformation are realized concretely
@@ -14,6 +17,7 @@ cell-wise weighted average (zero on cells of weight zero).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -374,15 +378,25 @@ def conditional_expectation(
     The result is measurable with respect to the partition and satisfies
     the defining adjunction sum(w * out * g) = sum(w * f * g) for every
     partition-measurable g.
+
+    The weights and ``f`` are each scaled to integer numerators over the
+    lcm of their denominators, so a cell's average is one Fraction of two
+    integer sums, sum(w * f) over sum(w) times the denominator of ``f``.
     """
     if f.n != partition.n or len(weights) != partition.n:
         raise StructuralError("observable, partition, and weights sizes differ")
+    f_den = math.lcm(*(v.denominator for v in f.values))
+    w_den = math.lcm(*(w.denominator for w in weights))
+    w_nums = [w.numerator * (w_den // w.denominator) for w in weights]
+    wf_nums = [
+        w * v.numerator * (f_den // v.denominator) for w, v in zip(w_nums, f.values)
+    ]
     out = [Fraction(0)] * partition.n
     for cell in partition.cells:
-        cw = sum((weights[x] for x in cell), Fraction(0))
+        cw = sum(map(w_nums.__getitem__, cell))
         if cw == 0:
             continue
-        avg = sum((weights[x] * f.values[x] for x in cell), Fraction(0)) / cw
+        avg = Fraction(sum(map(wf_nums.__getitem__, cell)), cw * f_den)
         for x in cell:
             out[x] = avg
     return Observable(tuple(out))

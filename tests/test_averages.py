@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -309,6 +310,29 @@ def test_uniformity_scan_precondition():
     fs = {0: Observable.zero(4), 1: Observable((F(2), F(0), F(0), F(0)))}
     with pytest.raises(PreconditionError):
         uniformity_scan(Z4_TWO, (0, 1), fs, 4, [0])
+
+
+@pytest.mark.parametrize(
+    "fs, length, margin",
+    [({0: [10**400, 1]}, 2, 0.0),
+     ({0: [10**400, -10**400], 1: [1, 0]}, 3, math.inf),
+     ({0: [10**400, 10**400], 1: [1, -1]}, 3, -math.inf)],
+    ids=["both-beyond", "average-beyond", "root-beyond"],
+)
+def test_uniformity_margin_beyond_the_float_range(fs, length, margin):
+    """The float margin neither raises nor turns NaN when the worst
+    average or the root leaves the float range; the exact comparison is
+    untouched."""
+    swap = FiniteSystem(uniform(2), ((1, 0),))
+    rep = uniformity_scan(swap, (0,), fs, length, [0])
+    assert rep.margin == margin
+    assert rep.pow_bound_holds == (rep.max_abs_J ** 2 <= rep.seminorm.pow)
+
+
+def test_uniformity_margin_in_the_float_range_is_the_float_difference():
+    swap = FiniteSystem(uniform(2), ((1, 0),))
+    rep = uniformity_scan(swap, (0,), {0: [10**200, -10**200], 1: [1, 0]}, 3, [0])
+    assert rep.margin == float(rep.max_abs_J) - rep.seminorm.root() > 1e199
 
 
 # ------------------------------------------------------------- van der Corput

@@ -329,6 +329,28 @@ def test_average_wrong_observable_count(z4_file, sign_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "mode, flag", [("limit", "--limit"), ("interval", "--interval=-3:7")],
+)
+def test_average_matches_golden_bytes(tmp_path, mode, flag, fmt):
+    """Z/8 with shifts 1, 2: the limit and an interval that is not a full
+    period and starts below zero, byte for byte.  ``=`` keeps argparse from
+    reading ``-3:7`` as an option."""
+    system = tmp_path / "z8.json"
+    system.write_text(json.dumps(system_to_dict(FiniteSystem(
+        tuple(Fraction(1, 8) for _ in range(8)),
+        tuple(tuple((x + s) % 8 for x in range(8)) for s in (1, 2)),
+    ))))
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"values": ["1", "-1/2", "0", "2/3", "-1", "1/4", "3", "-5/6"]}))
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"values": ["-1/3", "1", "1/2", "0", "-2", "1/5", "1", "-1/7"]}))
+    code, out, _ = run_cli(["average", str(system), str(f), str(g), flag, "--format", fmt])
+    assert code == 0
+    assert out == (DATA / f"z8_average_{mode}_golden.{fmt}").read_text()
+
+
 # ------------------------------------------------------------- magic-check
 
 def test_magic_check_passes(z4_file):

@@ -1,8 +1,9 @@
 """The fast exact integrals against the slow paths they replace.
 
 ``cube_integral`` folds the last stage of the cube measure into a per-cell
-sum, the oracle table and van der Corput sum integer numerators, and each
-stage gives every entry of a cell the one mass m(y) / |C|; each must equal
+sum, the oracle table, van der Corput, the multiple average, the
+conditional expectation and the vertex product sum integer numerators, and
+each stage gives every entry of a cell the one mass m(y) / |C|; each must equal
 the plain Fraction computation exactly, and the support cap must fire
 exactly where the full build fires.
 """
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import boxlab.seminorm
 from boxlab import cli
-from boxlab.averages import van_der_corput_bound
+from boxlab.averages import Interval, common_period, multi_average, van_der_corput_bound
 from boxlab.box_measure import (
     Vertex,
     build_box_measure,
@@ -35,17 +36,31 @@ from boxlab.box_measure import (
 )
 from boxlab.draws import random_unit_vectors, random_vertex_functions
 from boxlab.errors import StructuralError, SupportCapError
-from boxlab.magic import build_star_system, star_seminorm_pow
+from boxlab.magic import (
+    build_star_system,
+    star_conditional_expectation,
+    star_seminorm_pow,
+    vertex_product_observable,
+    wstar_partition,
+)
 from boxlab.perms import compose, orbits
 from boxlab.seminorm import (
     csg_check,
     integrand_table,
     seminorm_pow,
     transform_power_tables,
+    zed_partition,
 )
 from boxlab.serialize import system_to_dict
-from boxlab.system import FiniteSystem, Observable
-from conftest import Z4_TWO, commuting_systems, count_calls
+from boxlab.system import (
+    FiniteSystem,
+    Observable,
+    Partition,
+    conditional_expectation,
+    join_partitions,
+    orbit_partition,
+)
+from conftest import Z4_TWO, commuting_systems, count_calls, uniform
 
 
 def full_map(f: Observable, d: int) -> dict[int, Observable]:
@@ -161,6 +176,70 @@ def reference_van_der_corput(vectors, H, weights=None):
             corr += weight * correlation(h)
     rhs = Fraction(4 * H, N) + abs(corr)
     return lhs, rhs, lhs <= rhs
+
+
+def fraction_multi_average(sys, f_list, interval):
+    """multi_average's per-point Fraction loop, before the integer kernel:
+    ``(values, l2_norm_sq)``."""
+    L = common_period(sys)
+    counts = [0] * L
+    for k in interval:
+        counts[k % L] += 1
+    current = [f.values for f in f_list]
+    total = [Fraction(0)] * sys.n
+    for c in counts:
+        if c:
+            for x in range(sys.n):
+                total[x] += c * math.prod(vals[x] for vals in current)
+        current = [
+            tuple(map(vals.__getitem__, t)) for vals, t in zip(current, sys.transforms)
+        ]
+    values = Observable(tuple(v / interval.length for v in total))
+    return values, values.l2_norm_sq(sys.weights)
+
+
+def fraction_conditional_expectation(f, partition, weights):
+    """conditional_expectation's per-cell Fraction loop."""
+    out = [Fraction(0)] * partition.n
+    for cell in partition.cells:
+        cw = sum((weights[x] for x in cell), Fraction(0))
+        if cw == 0:
+            continue
+        avg = sum((weights[x] * f.values[x] for x in cell), Fraction(0)) / cw
+        for x in cell:
+            out[x] = avg
+    return Observable(tuple(out))
+
+
+def fraction_vertex_product(star, fs):
+    """vertex_product_observable's per-point Fraction loop."""
+    fmap = vertex_functions(fs, star.d, star.base.n)
+    values = []
+    for t in star.carrier:
+        term = Fraction(1)
+        for bits, obs in fmap.items():
+            term *= obs.values[t[bits]]
+        values.append(term)
+    return Observable(tuple(values))
+
+
+def assert_multi_average_equals_fraction_loop(sys, f_list, interval):
+    out = multi_average(sys, f_list, interval)
+    assert (out.values, out.l2_norm_sq) == fraction_multi_average(sys, f_list, interval)
+
+
+def kernel_partitions(sys, order):
+    """Partitions with cells of every kind: singletons (a zero-weight point
+    is a zero-weight cell), the whole space, orbits, their join, and the
+    component partition."""
+    orbits_of = [orbit_partition(t) for t in sys.transforms]
+    return [
+        Partition.singletons(sys.n),
+        Partition.trivial(sys.n),
+        *orbits_of,
+        join_partitions(orbits_of),
+        zed_partition(sys, order),
+    ]
 
 
 # ------------------------------------------------------------- roster
@@ -440,6 +519,62 @@ def test_unit_vectors_equal_the_halving_loop():
         assert fast.getstate() == slow.getstate()
 
 
+def test_multi_average_equals_fraction_loop(roster_case):
+    name, sys, order = roster_case
+    rng = random.Random(113)
+    f_lists = [[mixed_observable(rng, sys.n) for _ in range(sys.d)] for _ in range(2)]
+    f_lists.append([Observable.zero(sys.n)] + [mixed_observable(rng, sys.n)] * (sys.d - 1))
+    L = common_period(sys)
+    for f_list in f_lists:
+        for start in (-2 * L - 3, -5, -1, 0, 3):
+            for length in sorted({1, max(1, L - 1), L, L + 1, 2 * L + 3}):
+                assert_multi_average_equals_fraction_loop(sys, f_list, Interval(start, length))
+
+
+def test_multi_average_of_no_observables_is_ones():
+    """At d = 0 the product over no observables is 1 at every point."""
+    sys0 = FiniteSystem(uniform(3), ())
+    ones = Observable((Fraction(1),) * 3)
+    assert multi_average(sys0, [], Interval(0, 3)).values == ones
+    for interval in (Interval(0, 3), Interval(-4, 5)):
+        out = multi_average(sys0, [], interval)
+        assert (out.values, out.l2_norm_sq) == (ones, 1)
+        assert_multi_average_equals_fraction_loop(sys0, [], interval)
+
+
+def test_conditional_expectation_equals_fraction_loop(roster_case):
+    name, sys, order = roster_case
+    rng = random.Random(127)
+    fs = [Observable.zero(sys.n), *(mixed_observable(rng, sys.n) for _ in range(3))]
+    for partition in kernel_partitions(sys, order):
+        for f in fs:
+            expected = fraction_conditional_expectation(f, partition, sys.weights)
+            assert conditional_expectation(f, partition, sys.weights) == expected, name
+
+
+def test_star_kernels_equal_fraction_loops(roster_case):
+    """The vertex product and the conditional expectations of the magic
+    checks, on the extension's carrier weights."""
+    name, sys, order = roster_case
+    rng = random.Random(131)
+    star = build_star_system(sys, order)
+    d = star.d
+    draws = [{}, {bits: Observable.zero(sys.n) for bits in range(1 << d)}]
+    for _ in range(3):
+        fs = {bits: mixed_observable(rng, sys.n) for bits in range(1 << d)}
+        draws += [fs, {bits: f for bits, f in fs.items() if rng.random() < 0.5}]
+    blocks = {}
+    for i, t in enumerate(star.carrier):
+        blocks.setdefault(t[1:], []).append(i)
+    partitions = [wstar_partition(star), Partition.from_cells(blocks.values(), star.size)]
+    for fs in draws:
+        F = vertex_product_observable(star, fs)
+        assert F == fraction_vertex_product(star, fs), name
+        for partition in partitions:
+            expected = fraction_conditional_expectation(F, partition, star.weights)
+            assert star_conditional_expectation(star, F, partition) == expected, name
+
+
 # ------------------------------------------------------------- Hypothesis
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
@@ -495,3 +630,40 @@ def test_hypothesis_van_der_corput_equals_reference(case):
     vecs = [tuple(c / 2 for c in v) for v in vectors]  # norm at most 1
     res = van_der_corput_bound(vecs, H)
     assert (res.lhs, res.rhs, res.holds) == reference_van_der_corput(vecs, H)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hypothesis_multi_average_equals_fraction_loop(data):
+    sys, _ = data.draw(commuting_systems())
+    vertex = st.lists(rationals, min_size=sys.n, max_size=sys.n).map(Observable)
+    f_list = data.draw(st.lists(vertex, min_size=sys.d, max_size=sys.d))
+    interval = Interval(data.draw(st.integers(-40, 40)), data.draw(st.integers(1, 30)))
+    assert_multi_average_equals_fraction_loop(sys, f_list, interval)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hypothesis_conditional_expectation_equals_fraction_loop(data):
+    sys, order = data.draw(commuting_systems())
+    f = data.draw(st.lists(rationals, min_size=sys.n, max_size=sys.n).map(Observable))
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=sys.n, max_size=sys.n))
+    cells = {}
+    for x, label in enumerate(labels):
+        cells.setdefault(label, []).append(x)
+    for partition in [Partition.from_cells(cells.values(), sys.n), *kernel_partitions(sys, order)]:
+        expected = fraction_conditional_expectation(f, partition, sys.weights)
+        assert conditional_expectation(f, partition, sys.weights) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_hypothesis_vertex_product_equals_fraction_loop(data):
+    sys, order = data.draw(commuting_systems(max_n=5, max_d=2))
+    star = build_star_system(sys, order)
+    vertex = st.lists(rationals, min_size=sys.n, max_size=sys.n).map(Observable)
+    fs = data.draw(st.dictionaries(st.integers(0, (1 << len(order)) - 1), vertex))
+    F = vertex_product_observable(star, fs)
+    assert F == fraction_vertex_product(star, fs)
+    expected = fraction_conditional_expectation(F, wstar_partition(star), star.weights)
+    assert star_conditional_expectation(star, F, wstar_partition(star)) == expected
