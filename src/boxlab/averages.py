@@ -27,7 +27,13 @@ from .box_measure import normalize_order, vertex_functions
 from .errors import PreconditionError, StructuralError
 from .perms import Perm, compose, inverse
 from .seminorm import SeminormValue, approx_root, integrand_table, seminorm_pow
-from .system import FiniteSystem, Observable, as_fraction, transform_period
+from .system import (
+    FiniteSystem,
+    Observable,
+    as_fraction,
+    integer_numerators,
+    transform_period,
+)
 
 
 @dataclass(frozen=True)
@@ -62,13 +68,6 @@ class AverageResult:
     values: Observable
     interval: Interval
     l2_norm_sq: Fraction
-
-
-def _numerators(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """``values`` as integer numerators over the lcm of their denominators:
-    ``(numerators, denominator)``."""
-    den = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def derive_T_from_S(sys: FiniteSystem) -> tuple[Perm, ...]:
@@ -106,9 +105,8 @@ def multi_average(
 ) -> AverageResult:
     """Average over the interval of the product of translated observables.
 
-    Each observable is scaled to integer numerators over the lcm of its
-    denominators, the per-point sums run in integers over the one common
-    denominator (the product of those lcms times the length), and one
+    The per-point sums run in the observables' integer numerators over one
+    common denominator (the product of theirs times the length), and one
     Fraction is built per point; the squared norm is summed the same way.
     """
     if len(f_list) != sys.d:
@@ -117,7 +115,7 @@ def multi_average(
         if f.n != sys.n:
             raise StructuralError("observable size does not match the system")
     counts = _residue_counts(interval.start, interval.length, common_period(sys))
-    scaled = [_numerators(f.values) for f in f_list]
+    scaled = [f.numerators for f in f_list]
     den = interval.length * math.prod(scale for _, scale in scaled)
     # at residue r, current[i] holds the numerators of f_i composed with T_i^r
     current = [numerators for numerators, _ in scaled]
@@ -132,7 +130,7 @@ def multi_average(
             tuple(map(nums.__getitem__, t)) for nums, t in zip(current, sys.transforms)
         ]
     values = Observable(tuple(Fraction(v, den) for v in total))
-    w_nums, w_den = _numerators(sys.weights)
+    w_nums, w_den = integer_numerators(sys.weights)
     l2 = Fraction(sum(w * v * v for w, v in zip(w_nums, total)), w_den * den * den)
     return AverageResult(values, interval, l2)
 
@@ -305,7 +303,7 @@ def weight_numerators(
         raise StructuralError(f"{len(weights)} weights for vectors of dimension {dim}")
     if any(w < 0 for w in weights):
         raise PreconditionError("weights must be non-negative")
-    return _numerators(weights)
+    return integer_numerators(weights)
 
 
 def van_der_corput_bound(
@@ -338,12 +336,12 @@ def van_der_corput_bound(
     for v in vecs:
         if len(v) != dim:
             raise StructuralError("vectors have mixed dimensions")
-    # integer numerators: coordinates over the lcm of their denominators,
-    # weights over theirs; an inner product of norm 1 reads ``unit``
-    scale = math.lcm(*(c.denominator for v in vecs for c in v))
+    # integer numerators: all coordinates over one denominator, weights over
+    # theirs; an inner product of norm 1 reads ``unit``
+    flat, scale = integer_numerators([c for v in vecs for c in v])
     w_int, wscale = weight_numerators(weights, dim)
     unit = scale * scale * wscale
-    ints = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vecs]
+    ints = [flat[i * dim:(i + 1) * dim] for i in range(N)]
 
     def ip(u: Sequence[int], v: Sequence[int]) -> int:
         return sum(w * a * b for w, a, b in zip(w_int, u, v))

@@ -29,7 +29,6 @@ reference over a built measure.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,13 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import InvariantViolationError, StructuralError, SupportCapError
 from .perms import Perm, inverse, is_permutation, orbits
-from .system import SUPPORT_CAP_DEFAULT, FiniteSystem, Observable, index_tuple
+from .system import (
+    SUPPORT_CAP_DEFAULT,
+    FiniteSystem,
+    Observable,
+    index_tuple,
+    integer_numerators,
+)
 
 CubePoint = tuple[int, ...]
 TupleMap = Callable[[CubePoint], CubePoint]
@@ -288,14 +293,9 @@ def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...]):
     Kept on ``sys`` by :func:`cube_integral`.
     """
     _, cells = coupled_cells(sys, order)
-    den = math.lcm(*(mass.denominator for mass, _ in cells))
-    return (
-        tuple(
-            (tuple(zip(*cell)), mass.numerator * (den // mass.denominator))
-            for mass, cell in cells
-        ),
-        den,
-    )
+    masses, den = integer_numerators([mass for mass, _ in cells])
+    columns = (tuple(zip(*cell)) for _, cell in cells)
+    return tuple(zip(columns, masses)), den
 
 
 def _cell_sum(
@@ -323,9 +323,9 @@ def cube_integral(sys: FiniteSystem, order: Sequence[int], fs: Mapping) -> Fract
     the product of the observables on vertices whose last digit is 0 and F1
     the product of those whose last digit is 1, the integral is therefore
     the sum over cells of m(y) / |C| * (sum_C F0) * (sum_C F1), with the
-    pair masses of :func:`coupled_cells`.  Pair masses and each vertex
-    observable are scaled to integers by the lcm of their denominators, the
-    sums run in integers, and one Fraction is built at the end.
+    pair masses of :func:`coupled_cells`.  The sums run in integers, over
+    the pair masses' numerators and each vertex observable's
+    ``numerators``, and one Fraction is built at the end.
 
     ``fs`` is as for :func:`vertex_functions`.  Equals
     ``integrate_product(build_box_measure(sys, order), fs)`` and, under the
@@ -338,16 +338,8 @@ def cube_integral(sys: FiniteSystem, order: Sequence[int], fs: Mapping) -> Fract
     fmap = vertex_functions(fs, k, sys.n)
     low: list[tuple[int, tuple[int, ...]]] = []
     high: list[tuple[int, tuple[int, ...]]] = []
-    scaled: dict[int, tuple[int, tuple[int, ...]]] = {}  # by id of the values
     for bits in sorted(fmap):
-        values = fmap[bits].values
-        if id(values) not in scaled:
-            scale = math.lcm(*(v.denominator for v in values))
-            scaled[id(values)] = (
-                scale,
-                tuple(v.numerator * (scale // v.denominator) for v in values),
-            )
-        scale, numerators = scaled[id(values)]
+        numerators, scale = fmap[bits].numerators
         den *= scale
         (low if bits < half else high).append((bits & (half - 1), numerators))
     # a seminorm's two halves carry the same factors: one sum serves both

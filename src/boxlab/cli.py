@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import random
@@ -162,6 +161,11 @@ def cmd_gowers(args) -> int:
     return EXIT_OK
 
 
+def _write_csv(rows: list) -> None:
+    """The rows as CSV on stdout, each line ending in a newline."""
+    csv.writer(_sys.stdout, lineterminator="\n").writerows(rows)
+
+
 def _average_payload(result) -> dict:
     return {
         "interval": {"start": result.interval.start, "length": result.interval.length},
@@ -187,12 +191,8 @@ def cmd_average(args) -> int:
         result = multi_average(system, f_list, _parse_interval(args.interval))
         payload = {"mode": "interval", **_average_payload(result)}
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["point", "value"])
-        for x, v in enumerate(result.values.values):
-            writer.writerow([x, format_rational(v)])
-        print(buf.getvalue(), end="")
+        _write_csv([["point", "value"],
+                    *([x, format_rational(v)] for x, v in enumerate(result.values.values))])
     else:
         print(dumps(payload))
     return EXIT_OK
@@ -220,13 +220,9 @@ def cmd_verify(args) -> int:
     outcomes = run_suite(system, order, seed=args.seed, draws=args.draws)
     failed = [o for o in outcomes if o.status == "FAIL"]
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["property", "status", "detail"])
-        for o in outcomes:
-            writer.writerow([o.name, o.status, o.detail])
-        writer.writerow(["all", "PASS" if not failed else "FAIL", f"seed={args.seed}"])
-        print(buf.getvalue(), end="")
+        rows = [[o.name, o.status, o.detail] for o in outcomes]
+        _write_csv([["property", "status", "detail"], *rows,
+                    ["all", "PASS" if not failed else "FAIL", f"seed={args.seed}"]])
     else:
         for o in outcomes:
             print(json.dumps(o.as_dict(), sort_keys=True))

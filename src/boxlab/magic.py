@@ -16,7 +16,6 @@ factor has seminorm zero).
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -336,16 +335,15 @@ def vertex_product_observable(star: StarSystem, fs: Mapping) -> Observable:
     """The carrier observable multiplying one base observable per vertex;
     ``fs`` is as for :func:`vertex_functions`.
 
-    Each vertex observable is scaled once to integer numerators over the
-    lcm of its denominators; a carrier point's value is then one Fraction,
-    the product of its numerators over the product of those lcms.
+    A carrier point's value is one Fraction: the product of the vertex
+    observables' integer numerators there over the product of their
+    denominators.
     """
     fmap = vertex_functions(fs, star.d, star.base.n)
     terms = itertools.repeat(1, star.size)  # the empty product at no vertex
     den = 1
     for bits, obs in fmap.items():
-        scale = math.lcm(*(v.denominator for v in obs.values))
-        nums = [v.numerator * (scale // v.denominator) for v in obs.values]
+        nums, scale = obs.numerators
         terms = map(operator.mul, terms,
                     map(nums.__getitem__, map(operator.itemgetter(bits), star.carrier)))
         den *= scale

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, TypeVar
 
+from .errors import InvariantViolationError
+
 Perm = tuple[int, ...]
 T = TypeVar("T")
 
@@ -56,7 +58,8 @@ def orbits(points: Iterable[T], step: Callable[[T], T]) -> list[tuple[T, ...]]:
     """Orbits of ``step``, which must permute ``points``.
 
     Each orbit is listed from its smallest point, and orbits come in the
-    sorted order of those points.
+    sorted order of those points.  A walk that meets a seen point other
+    than its start raises: ``step`` is not injective.
     """
     seen: set[T] = set()
     out = []
@@ -67,6 +70,8 @@ def orbits(points: Iterable[T], step: Callable[[T], T]) -> list[tuple[T, ...]]:
         seen.add(start)
         x = step(start)
         while x != start:
+            if x in seen:
+                raise InvariantViolationError(f"not a permutation: {x!r} is reached twice")
             seen.add(x)
             orbit.append(x)
             x = step(x)

@@ -42,6 +42,7 @@ from .system import (
     Partition,
     components,
     conditional_expectation,
+    integer_numerators,
     transform_period,
 )
 
@@ -120,8 +121,8 @@ def integrand_table(
     exponent is periodic.  Vertex eps picks up the translate by the
     transform at order position i, to the power residues[i], exactly when
     bit i of eps is 0; its translates compose with the lowest such position
-    innermost.  The weights and vertex functions are scaled to integer
-    numerators once.  The table is then filled by a walk over the residue
+    innermost.  The sums run in the integer numerators of the weights and
+    of the vertex functions.  The table is filled by a walk over the residue
     digits, highest position outermost: a vertex is translated by each of
     its zero digits once per residue prefix, and the vertices that share
     their remaining zero digits share one product vector from then on.
@@ -133,14 +134,11 @@ def integrand_table(
     fmap = vertex_functions(fs, d, sys.n)
     tables = transform_power_tables(sys, order)
     periods = tuple(len(t) for t in tables)
-    den = math.lcm(*(w.denominator for w in sys.weights))
-    terms = [w.numerator * (den // w.denominator) for w in sys.weights]
+    terms, den = integer_numerators(sys.weights)
     pending = {}
     for bits, obs in fmap.items():
-        values = obs.values
-        scale = math.lcm(*(v.denominator for v in values))
+        pending[bits], scale = obs.numerators
         den *= scale
-        pending[bits] = [v.numerator * (scale // v.denominator) for v in values]
     numerators: dict[tuple[int, ...], int] = {}
     _digit_walk(tables, d, terms, pending, (), numerators)
     return periods, numerators, den

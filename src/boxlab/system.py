@@ -6,8 +6,10 @@ weight and function value is an exact ``fractions.Fraction``, so identities
 checked elsewhere in the package are exact rational comparisons rather than
 float tolerances.  Values stay ``Fraction``s at every interface; the hot
 loops inside (conditional expectation here, the averages, integrals and
-vertex products elsewhere) scale them to integer numerators over one common
-denominator, sum in integers, and build one ``Fraction`` per result value.
+vertex products elsewhere) sum in integers and build one ``Fraction`` per
+result value.  Values are scaled to integer numerators over one common
+denominator in one place, :func:`integer_numerators`, and an observable at
+most once, by ``Observable.numerators``.
 
 Because a weight-preserving permutation has constant weight along each of
 its cycles, the invariant sets of a transformation are realized concretely
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolationError, StructuralError
@@ -43,6 +46,13 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise StructuralError(f"cannot parse rational from {value!r}") from exc
+
+
+def integer_numerators(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """``values`` as integer numerators over the lcm of their denominators:
+    ``(numerators, denominator)``, with ``((), 1)`` for no values."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def index_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -333,6 +343,11 @@ class Observable:
     def n(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def numerators(self) -> tuple[tuple[int, ...], int]:
+        """:func:`integer_numerators` of the values, kept; not in ==, hash or repr."""
+        return integer_numerators(self.values)
+
     def translate(self, t: Perm) -> "Observable":
         """Composition with ``t``: x -> values[t(x)]."""
         return Observable(tuple(self.values[t[x]] for x in range(self.n)), self.sup_bound)
@@ -379,18 +394,15 @@ def conditional_expectation(
     the defining adjunction sum(w * out * g) = sum(w * f * g) for every
     partition-measurable g.
 
-    The weights and ``f`` are each scaled to integer numerators over the
-    lcm of their denominators, so a cell's average is one Fraction of two
-    integer sums, sum(w * f) over sum(w) times the denominator of ``f``.
+    The weights (each read by :func:`as_fraction`) and ``f`` are each in
+    integer numerators, so a cell's average is one Fraction of two integer
+    sums, sum(w * f) over sum(w) times the denominator of ``f``.
     """
     if f.n != partition.n or len(weights) != partition.n:
         raise StructuralError("observable, partition, and weights sizes differ")
-    f_den = math.lcm(*(v.denominator for v in f.values))
-    w_den = math.lcm(*(w.denominator for w in weights))
-    w_nums = [w.numerator * (w_den // w.denominator) for w in weights]
-    wf_nums = [
-        w * v.numerator * (f_den // v.denominator) for w, v in zip(w_nums, f.values)
-    ]
+    f_nums, f_den = f.numerators
+    w_nums, _ = integer_numerators([as_fraction(w) for w in weights])
+    wf_nums = [w * v for w, v in zip(w_nums, f_nums)]
     out = [Fraction(0)] * partition.n
     for cell in partition.cells:
         cw = sum(map(w_nums.__getitem__, cell))

@@ -13,7 +13,7 @@ from boxlab.errors import SupportCapError
 from boxlab.seminorm import SeminormValue
 from boxlab.serialize import system_to_dict
 from boxlab.system import FiniteSystem
-from conftest import Z4_TWO, Z5_THREE, count_calls
+from conftest import NONUNIFORM, Z4_TWO, Z5_THREE, count_calls
 
 DATA = Path(__file__).parent / "data"
 
@@ -391,6 +391,18 @@ def test_verify_csv(z4_file):
     lines = out.splitlines()
     assert lines[0] == "property,status,detail"
     assert lines[-1].startswith("all,PASS")
+
+
+def test_verify_csv_matches_golden_bytes(tmp_path):
+    """The nonuniform roster system, byte for byte; a detail holding a comma
+    is quoted."""
+    path = tmp_path / "nonuniform.json"
+    path.write_text(json.dumps(system_to_dict(NONUNIFORM)))
+    code, out, _ = run_cli(
+        ["verify", str(path), "--draws", "5", "--seed", "2", "--format", "csv"]
+    )
+    assert code == 0
+    assert out == (DATA / "nonuniform_verify_golden.csv").read_text()
 
 
 def test_verify_injected_failure_exits_5(z4_file, monkeypatch):

@@ -2,6 +2,7 @@
 module imports anything inside a function, only ``box_measure`` reads
 vertex keys, no function that is given a system takes a support cap,
 only ``verify._Suite.run`` builds a property outcome, only
+``system.integer_numerators`` takes an lcm of denominators, only
 ``relative_self_product`` and ``coupled_cells`` walk the orbit cells of a
 stage, and the oracle route reaches none of the cube-measure kernels.
 
@@ -12,6 +13,8 @@ Per-vertex observable maps have one reader, ``vertex_functions``; a second
 module naming ``vertex_bits`` would be a second reader of the format.
 The last stage of a cube measure has one statement, ``coupled_cells``: a
 third caller of ``_orbit_cells`` or ``_coupled`` would be a second one.
+Exact values are scaled to integer numerators in one function; a second
+lcm over ``.denominator`` values would be a second copy of that format.
 The oracle seminorm route checks the cube-measure route, so a helper shared
 between the two would let one fault pass both.
 """
@@ -185,9 +188,20 @@ def test_check_flags_a_cap_parameter():
     ]
 
 
-def callers(tree: ast.Module, callee: str) -> list[str]:
+def read_attributes(call: ast.Call) -> set[str]:
+    """The attributes that the arguments of ``call`` look up."""
+    return {
+        node.attr
+        for arg in [*call.args, *call.keywords]
+        for node in ast.walk(arg)
+        if isinstance(node, ast.Attribute)
+    }
+
+
+def callers(tree: ast.Module, callee: str, reads: str | None = None) -> list[str]:
     """Qualified names of the functions and lambdas that call ``callee``,
-    by name or as an attribute; ``<module>`` for a call at top level."""
+    by name or as an attribute; ``<module>`` for a call at top level.  With
+    ``reads``, only the calls whose arguments look up that attribute."""
     out = []
 
     def visit(node: ast.AST, scope: str, prefix: str) -> None:
@@ -201,7 +215,7 @@ def callers(tree: ast.Module, callee: str) -> list[str]:
                 continue
             if isinstance(child, ast.Call) and callee in (
                 getattr(child.func, "id", None), getattr(child.func, "attr", None)
-            ):
+            ) and (reads is None or reads in read_attributes(child)):
                 out.append(scope)
             visit(child, scope, prefix)
 
@@ -230,6 +244,36 @@ def test_check_flags_an_outcome_built_outside_run():
     assert callers(tree, "PropertyOutcome") == [
         "<module>", "_Suite.run", "_Suite.check_a", "_Suite.check_b.<lambda>",
     ]
+
+
+def test_only_integer_numerators_takes_an_lcm_of_denominators():
+    found = [
+        f"{path.stem}.{name}"
+        for path in ALL_MODULES
+        for name in callers(ast.parse(path.read_text(encoding="utf-8")), "lcm", "denominator")
+    ]
+    assert found == ["system.integer_numerators"]
+
+
+def test_check_flags_an_lcm_of_denominators():
+    tree = ast.parse(
+        "import math\n"
+        "from math import lcm\n"
+        "def integer_numerators(values):\n"
+        "    return math.lcm(*(v.denominator for v in values))\n"
+        "def period(p):\n"
+        "    return math.lcm(*(len(c) for c in cycles(p)))\n"
+        "class C:\n"
+        "    def scale(self, f):\n"
+        "        return lcm(*[w.denominator for w in f.values])\n"
+        "    def mixed(self, a, b):\n"
+        "        return lambda: math.lcm(b, a.denominator)\n"
+        "DEN = math.lcm(*(x.denominator for x in W))\n"
+    )
+    assert callers(tree, "lcm", "denominator") == [
+        "integer_numerators", "C.scale", "C.mixed.<lambda>", "<module>",
+    ]
+    assert "period" in callers(tree, "lcm")
 
 
 STAGE_WALKERS = ["relative_self_product", "coupled_cells"]

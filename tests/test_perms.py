@@ -1,3 +1,12 @@
+import contextlib
+import signal
+from fractions import Fraction
+
+import pytest
+
+from boxlab.averages import common_period
+from boxlab.box_measure import build_box_measure
+from boxlab.errors import InvariantViolationError
 from boxlab.perms import (
     commute,
     compose,
@@ -9,6 +18,7 @@ from boxlab.perms import (
     period,
     power,
 )
+from boxlab.system import FiniteSystem, transform_period
 
 
 def test_identity_and_compose():
@@ -49,3 +59,34 @@ def test_orbits_of_a_map_on_tuples():
 def test_commute():
     assert commute((1, 2, 3, 0), (2, 3, 0, 1))
     assert not commute((1, 0, 2), (0, 2, 1))
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError inside the block once ``seconds`` of wall time pass,
+    so a walk that never ends fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+COLLAPSE = FiniteSystem((Fraction(1, 2), Fraction(1, 2)), ((0, 0),))
+
+
+@pytest.mark.parametrize("walk", [
+    lambda: cycles((0, 0)),
+    lambda: transform_period((1, 1)),
+    lambda: common_period(COLLAPSE),
+    lambda: build_box_measure(COLLAPSE, (0,)),
+    lambda: orbits([(0, 1), (1, 0), (1, 1)], lambda p: (1, p[1])),
+], ids=["cycles", "transform-period", "common-period", "box-measure", "tuples"])
+def test_a_walk_that_meets_a_seen_point_raises(walk):
+    with time_limit(0.25), pytest.raises(InvariantViolationError, match="not a permutation"):
+        walk()

@@ -1,9 +1,14 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from boxlab import system
 from boxlab.errors import InvariantViolationError, StructuralError
 from boxlab.draws import random_commuting_system, random_observable
 from boxlab.system import (
@@ -14,12 +19,13 @@ from boxlab.system import (
     components,
     conditional_expectation,
     group_orbit_partition,
+    integer_numerators,
     join_partitions,
     orbit_partition,
     transform_period,
     validate_system,
 )
-from conftest import Z4_TWO, uniform
+from conftest import Z4_TWO, count_calls, uniform
 
 
 # ---------------------------------------------------------------- validate
@@ -258,6 +264,49 @@ def test_condexp_idempotent_contractive_invariant():
             lhs = sum(w * a * b for w, a, b in zip(sys.weights, e.values, g.values))
             rhs = sum(w * a * b for w, a, b in zip(sys.weights, f.values, g.values))
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("weights", [(0.25, 0.75), (True, False), ("1/4", 0.75)],
+                         ids=["float", "bool", "str-and-float"])
+def test_condexp_rejects_weights_that_are_not_exact_rationals(weights):
+    f = Observable((Fraction(1), Fraction(3)))
+    with pytest.raises(StructuralError):
+        conditional_expectation(f, Partition.trivial(2), weights)
+
+
+def test_condexp_reads_weights_as_a_system_does():
+    f = Observable((Fraction(1), Fraction(3)))
+    out = conditional_expectation(f, Partition.trivial(2), ("1/4", "3/4"))
+    assert out.values == (Fraction(5, 2), Fraction(5, 2))
+
+
+# ------------------------------------------------------- integer numerators
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10**4), max_size=12))
+def test_integer_numerators_are_the_values_over_the_lcm(values):
+    numerators, den = integer_numerators(values)
+    assert all(type(n) is int for n in numerators)
+    assert [Fraction(n, den) for n in numerators] == values
+    lcm = reduce(lambda a, b: a * b // math.gcd(a, b), (v.denominator for v in values), 1)
+    assert den == lcm
+
+
+def test_integer_numerators_of_no_values():
+    assert integer_numerators([]) == ((), 1)
+
+
+def test_observable_numerators_are_kept_and_not_compared(monkeypatch):
+    calls = count_calls(monkeypatch, system, "integer_numerators")
+    f = Observable((Fraction(1, 2), Fraction(-1, 3), Fraction(2)))
+    g = Observable(f.values)
+    assert f.numerators == ((3, -2, 12), 6)
+    assert f.numerators is f.numerators
+    assert calls == [f.values]
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert "numerators" not in repr(f)
+    assert calls == [f.values]  # g is scaled only when asked
+    assert g.numerators == f.numerators and len(calls) == 2
 
 
 # ------------------------------------------------------------- period
