@@ -16,7 +16,9 @@ every diagonal transformation (the same permutation on all coordinates) and
 every side transformation (the permutation on coordinates whose digit i is
 0, identity elsewhere), and re-indexing the digits by a permutation maps
 the cube measure of one transformation order to the cube measure of the
-permuted order.
+permuted order.  A stage finds its cells in index space: it sorts its
+support once, maps it in one column-wise pass to an int step and walks
+:func:`~boxlab.perms.cycles` of that step, calling no per-point tuple map.
 
 Integrals and output need not build the last stage: it couples two
 copies of the previous stage independently inside each orbit cell C,
@@ -36,7 +38,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .errors import InvariantViolationError, StructuralError, SupportCapError
-from .perms import Perm, inverse, is_permutation, orbits
+from .perms import Perm, cycles, inverse, is_permutation, orbits
 from .system import (
     SUPPORT_CAP_DEFAULT,
     FiniteSystem,
@@ -193,7 +195,9 @@ def normalize_order(sys: FiniteSystem, order: Sequence[int]) -> tuple[int, ...]:
 def _orbit_cells(
     m: SparseCubeMeasure, perm: Perm, cap: int
 ) -> list[tuple[CubePoint, ...]]:
-    """Orbit cells of ``perm`` acting coordinatewise on the support of ``m``.
+    """Orbit cells of ``perm`` acting coordinatewise on the support of ``m``,
+    found as :func:`~boxlab.perms.cycles` of one int step: the index of each
+    point's image in the sorted support, taken in one column-wise pass.
 
     Raises unless ``perm`` preserves ``m`` entrywise, and raises
     SupportCapError when the self-coupling over these cells, which has
@@ -201,15 +205,20 @@ def _orbit_cells(
     """
     if len(perm) != m.base_n:
         raise StructuralError("permutation length does not match the base point count")
-    act = diagonal_transform(perm, m.k)
-    for point, mass in m.entries.items():
-        image = act(point)
-        if m.entries.get(image) != mass:
-            raise InvariantViolationError(
-                f"permutation does not preserve the measure at {point}"
-            )
-
-    cells = orbits(m.entries, act)
+    points = sorted(m.entries)
+    masses = list(map(m.entries.__getitem__, points))
+    index = dict(zip(points, range(len(points))))
+    step = list(map(index.get, zip(*[map(perm.__getitem__, c) for c in zip(*points)])))
+    if None in step or list(map(masses.__getitem__, step)) != masses:
+        bad = next(p for p, w in m.entries.items()
+                   if (j := step[index[p]]) is None or masses[j] != w)
+        raise InvariantViolationError(f"permutation does not preserve the measure at {bad}")
+    try:
+        walk = cycles(step)
+    except InvariantViolationError:  # the same walk over the points names the cube point
+        orbits(points, lambda p: points[step[index[p]]])
+        raise
+    cells = [tuple(map(points.__getitem__, c)) for c in walk]
     needed = sum(len(c) * len(c) for c in cells)
     if needed > cap:
         raise SupportCapError(needed, cap)

@@ -4,7 +4,8 @@ vertex keys, no function that is given a system takes a support cap,
 only ``verify._Suite.run`` builds a property outcome, only
 ``system.integer_numerators`` takes an lcm of denominators, only
 ``relative_self_product`` and ``coupled_cells`` walk the orbit cells of a
-stage, and the oracle route reaches none of the cube-measure kernels.
+stage, the oracle route reaches none of the cube-measure kernels, and the
+orbit-cell walk reaches none of the per-point maps that check its output.
 
 A stdlib ``ast`` check standing in for a linter: a module-level import
 binds a name, and that name must be read somewhere else in the module.
@@ -16,7 +17,9 @@ third caller of ``_orbit_cells`` or ``_coupled`` would be a second one.
 Exact values are scaled to integer numerators in one function; a second
 lcm over ``.denominator`` values would be a second copy of that format.
 The oracle seminorm route checks the cube-measure route, so a helper shared
-between the two would let one fault pass both.
+between the two would let one fault pass both.  For the same reason the
+stage walk finds its cells in index space and never calls the tuple maps
+that ``check_box_measure_laws`` pushes a built measure through.
 """
 
 import ast
@@ -363,4 +366,37 @@ def test_check_flags_a_kernel_reached_through_a_helper():
     )
     assert reached_names(tree, ORACLE_ROUTE) & MEASURE_KERNELS == {
         "coupled_cells", "cube_integral",
+    }
+
+
+# The per-point maps that check_box_measure_laws pushes a built measure
+# through: a stage walk reaching one would share it with its own check.
+POINT_MAPS = {
+    "diagonal_transform", "side_transform", "push_forward", "apply_digit_flip",
+    "apply_index_permutation",
+}
+
+
+def test_the_stage_walk_reaches_no_point_map():
+    tree = ast.parse((SRC / "box_measure.py").read_text(encoding="utf-8"))
+    shared = reached_names(tree, ["_orbit_cells"]) & POINT_MAPS
+    assert not shared, f"_orbit_cells references {sorted(shared)}"
+
+
+def test_check_flags_a_point_map_reached_by_the_stage_walk():
+    tree = ast.parse(
+        "def _orbit_cells(m, perm, cap):\n"
+        "    return orbits(m.entries, _act(perm, m.k)) + Cells.flipped(m)\n"
+        "def _act(perm, k):\n"
+        "    return diagonal_transform(perm, k)\n"
+        "def diagonal_transform(perm, k):\n"
+        "    return lambda p: tuple(perm[c] for c in p)\n"
+        "class Cells:\n"
+        "    def flipped(m):\n"
+        "        return box_measure.apply_digit_flip(m, 1)\n"
+        "def relative_self_product(m, perm, cap):\n"
+        "    return push_forward(m, side_transform(perm, m.k, 1))\n"
+    )
+    assert reached_names(tree, ["_orbit_cells"]) & POINT_MAPS == {
+        "diagonal_transform", "apply_digit_flip",
     }
