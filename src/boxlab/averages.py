@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from sys import float_info
@@ -30,28 +29,27 @@ from .seminorm import SeminormValue, approx_root, integrand_table, seminorm_pow
 from .system import (
     FiniteSystem,
     Observable,
+    Record,
     as_fraction,
     integer_numerators,
     transform_period,
 )
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Integer interval [start, start + length); length must be positive."""
 
-    start: int
-    length: int
+    _fields = ("start", "length")
 
-    def __post_init__(self):
-        for name in ("start", "length"):
-            value = getattr(self, name)
+    def __init__(self, start: int, length: int):
+        for name, value in (("start", start), ("length", length)):
             if type(value) is not int:
                 raise StructuralError(
                     f"interval {name} must be an int, got {type(value).__name__} {value!r}"
                 )
-        if self.length < 1:
-            raise StructuralError(f"interval length must be >= 1, got {self.length}")
+        if length < 1:
+            raise StructuralError(f"interval length must be >= 1, got {length}")
+        self._set(start=start, length=length)
 
     @property
     def stop(self) -> int:
@@ -61,13 +59,13 @@ class Interval:
         return iter(range(self.start, self.stop))
 
 
-@dataclass(frozen=True)
-class AverageResult:
+class AverageResult(Record):
     """An averaged observable together with its weighted squared L2 norm."""
 
-    values: Observable
-    interval: Interval
-    l2_norm_sq: Fraction
+    _fields = ("values", "interval", "l2_norm_sq")
+
+    def __init__(self, values: Observable, interval: Interval, l2_norm_sq: Fraction):
+        self._set(values=values, interval=interval, l2_norm_sq=l2_norm_sq)
 
 
 def derive_T_from_S(sys: FiniteSystem) -> tuple[Perm, ...]:
@@ -156,11 +154,11 @@ def _weighted_table_sum(numerators: Mapping, counts: Sequence[Sequence[int]]) ->
     return total
 
 
-@dataclass(frozen=True)
-class CharacteristicBound:
-    lhs: Fraction
-    rhs: SeminormValue
-    holds: bool
+class CharacteristicBound(Record):
+    _fields = ("lhs", "rhs", "holds")
+
+    def __init__(self, lhs: Fraction, rhs: SeminormValue, holds: bool):
+        self._set(lhs=lhs, rhs=rhs, holds=holds)
 
 
 def characteristic_bound_check(
@@ -210,14 +208,23 @@ def multilinear_average_J(
     return Fraction(_weighted_table_sum(numerators, counts), den * box)
 
 
-@dataclass(frozen=True)
-class UniformityReport:
-    max_abs_J: Fraction
-    seminorm: SeminormValue
-    margin: float
-    pow_bound_holds: bool
-    holds_with_delta: bool | None
-    scanned: int
+class UniformityReport(Record):
+    _fields = (
+        "max_abs_J", "seminorm", "margin", "pow_bound_holds", "holds_with_delta", "scanned",
+    )
+
+    def __init__(
+        self,
+        max_abs_J: Fraction,
+        seminorm: SeminormValue,
+        margin: float,
+        pow_bound_holds: bool,
+        holds_with_delta: bool | None,
+        scanned: int,
+    ):
+        self._set(max_abs_J=max_abs_J, seminorm=seminorm, margin=margin,
+                  pow_bound_holds=pow_bound_holds, holds_with_delta=holds_with_delta,
+                  scanned=scanned)
 
 
 def _float_margin(max_abs: Fraction, sem: SeminormValue) -> float:
@@ -280,11 +287,11 @@ def uniformity_scan(
     return UniformityReport(max_abs, sem, margin, pow_bound_holds, holds_with_delta, scanned)
 
 
-@dataclass(frozen=True)
-class VdcBound:
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
+class VdcBound(Record):
+    _fields = ("lhs", "rhs", "holds")
+
+    def __init__(self, lhs: Fraction, rhs: Fraction, holds: bool):
+        self._set(lhs=lhs, rhs=rhs, holds=holds)
 
 
 def weight_numerators(

@@ -32,7 +32,6 @@ reference over a built measure.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -43,6 +42,7 @@ from .system import (
     SUPPORT_CAP_DEFAULT,
     FiniteSystem,
     Observable,
+    Record,
     index_tuple,
     integer_numerators,
 )
@@ -51,18 +51,15 @@ CubePoint = tuple[int, ...]
 TupleMap = Callable[[CubePoint], CubePoint]
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Record):
     """Vertex of the k-cube; digit i (1-based) is bit i-1 of ``bits``."""
 
-    k: int
-    bits: int
+    _fields = ("k", "bits")
 
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.k):
-            raise StructuralError(
-                f"vertex bits {self.bits} out of range for dimension {self.k}"
-            )
+    def __init__(self, k: int, bits: int):
+        if not 0 <= bits < (1 << k):
+            raise StructuralError(f"vertex bits {bits} out of range for dimension {k}")
+        self._set(k=k, bits=bits)
 
     @staticmethod
     def origin(k: int) -> "Vertex":
@@ -125,8 +122,7 @@ def vertex_functions(fs: Mapping, k: int, n: int) -> dict[int, Observable]:
     return out
 
 
-@dataclass(frozen=True)
-class SparseCubeMeasure:
+class SparseCubeMeasure(Record):
     """Probability measure on X^(2^k) as a map from cube points to masses.
 
     Entries are pruned to strictly positive mass and must sum to exactly 1.
@@ -134,12 +130,10 @@ class SparseCubeMeasure:
     passed in, so one built measure can be shared by every caller.
     """
 
-    k: int
-    base_n: int
-    entries: Mapping[CubePoint, Fraction]
+    _fields = ("k", "base_n", "entries")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+    def __init__(self, k: int, base_n: int, entries: Mapping[CubePoint, Fraction]):
+        self._set(k=k, base_n=base_n, entries=MappingProxyType(dict(entries)))
 
     @property
     def width(self) -> int:

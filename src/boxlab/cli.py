@@ -20,7 +20,6 @@ import json
 import os
 import random
 import sys as _sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .averages import Interval, multi_average, multi_average_limit
@@ -96,7 +95,7 @@ def _parse_interval(text: str) -> Interval:
 def _load_valid_system(args: argparse.Namespace) -> FiniteSystem:
     """The system file, valid and bounded as the run's options say."""
     cap = _cap(args)
-    return require_valid(replace(load_system(args.system), cap=cap))
+    return require_valid(load_system(args.system).replace(cap=cap))
 
 
 def cmd_validate(args) -> int:

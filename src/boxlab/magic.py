@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -40,6 +39,7 @@ from .system import (
     FiniteSystem,
     Observable,
     Partition,
+    Record,
     conditional_expectation,
     group_orbit_partition,
     join_partitions,
@@ -288,11 +288,11 @@ def star_seminorm_pow(star: StarSystem, F: Observable) -> SeminormValue:
     return seminorm_pow(star.as_finite_system(), range(star.d), F)
 
 
-@dataclass(frozen=True)
-class MagicCheck:
-    expectation_is_zero: bool
-    star_pow: Fraction
-    holds: bool
+class MagicCheck(Record):
+    _fields = ("expectation_is_zero", "star_pow", "holds")
+
+    def __init__(self, expectation_is_zero: bool, star_pow: Fraction, holds: bool):
+        self._set(expectation_is_zero=expectation_is_zero, star_pow=star_pow, holds=holds)
 
 
 def magic_check(star: StarSystem, F: Observable) -> MagicCheck:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from sys import float_info
@@ -40,6 +39,7 @@ from .system import (
     FiniteSystem,
     Observable,
     Partition,
+    Record,
     components,
     conditional_expectation,
     integer_numerators,
@@ -47,13 +47,13 @@ from .system import (
 )
 
 
-@dataclass(frozen=True)
-class SeminormValue:
+class SeminormValue(Record):
     """The 2^d-th power of a box seminorm, with the order that produced it."""
 
-    d: int
-    pow: Fraction
-    order: tuple[int, ...]
+    _fields = ("d", "pow", "order")
+
+    def __init__(self, d: int, pow: Fraction, order: tuple[int, ...]):
+        self._set(d=d, pow=pow, order=order)
 
     def root(self) -> float:
         """Float approximation of the seminorm itself."""
@@ -215,11 +215,11 @@ def seminorm_recursion_pow(
     return SeminormValue(len(order), total / transform_period(last), order)
 
 
-@dataclass(frozen=True)
-class CsgResult:
-    lhs_pow: Fraction
-    rhs_pow: Fraction
-    holds: bool
+class CsgResult(Record):
+    _fields = ("lhs_pow", "rhs_pow", "holds")
+
+    def __init__(self, lhs_pow: Fraction, rhs_pow: Fraction, holds: bool):
+        self._set(lhs_pow=lhs_pow, rhs_pow=rhs_pow, holds=holds)
 
 
 def csg_check(sys: FiniteSystem, order: Sequence[int], fs: Mapping) -> CsgResult:

@@ -190,7 +190,9 @@ def load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise StructuralError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an int
+        # literal beyond the conversion limit; RecursionError deep nesting
         raise StructuralError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -15,12 +15,16 @@ Because a weight-preserving permutation has constant weight along each of
 its cycles, the invariant sets of a transformation are realized concretely
 as its orbit partition, and conditional expectation onto a partition is the
 cell-wise weighted average (zero on cells of weight zero).
+
+The value classes here and elsewhere in the package (systems, partitions,
+observables, measures and check results) derive from :class:`Record`, a
+small immutable base: equality, hash and repr by field, and a ``replace``
+that rebuilds through the constructor and so validates again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -30,6 +34,50 @@ from .perms import Perm, commute, cycles, is_permutation
 from .perms import period as _perm_period
 
 SUPPORT_CAP_DEFAULT = 10_000_000
+
+
+class Record:
+    """Immutable value named by the fields in ``_fields``.
+
+    A subclass's ``__init__`` validates its arguments and stores the
+    fields once, through :meth:`_set`; assigning or deleting an attribute
+    afterwards raises ``AttributeError``.  Two records are equal when they
+    are of the same class and their ``_key()``, by default the field values
+    in order, are equal; a record compared with another class gives
+    ``NotImplemented``.  The hash is that of the key and the repr is
+    ``Name(field=value, ...)``.  ``replace(**changes)`` builds a new record
+    through the constructor, so the new fields are validated as at first.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes) -> "Record":
+        fields = {name: getattr(self, name) for name in self._fields}
+        return type(self)(**{**fields, **changes})
 
 
 def as_fraction(value) -> Fraction:
@@ -67,36 +115,37 @@ def index_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
     return values
 
 
-@dataclass(frozen=True)
-class FiniteSystem:
+class FiniteSystem(Record):
     """Point weights plus commuting measure-preserving permutations.
 
     Construction only normalizes types and checks array shapes; the
     measure-theoretic invariants (weights sum to one, preservation,
     commutation, bijectivity) are reported by :func:`validate_system` so
     that broken candidate systems can be inspected rather than rejected
-    outright.
+    outright.  A :class:`Record` with fields ``weights``, ``transforms``,
+    ``labels`` and ``cap``.
 
     ``cap`` bounds the support of every cube-measure stage built for the
     system (see :func:`boxlab.box_measure.build_box_measure`).  It takes no
-    part in equality or the hash: ``dataclasses.replace(sys, cap=c)`` is an
-    equal system with a memo of its own.
+    part in equality or the hash: ``sys.replace(cap=c)`` is an equal system
+    with a memo of its own.
     """
 
-    weights: tuple[Fraction, ...]
-    transforms: tuple[Perm, ...]
-    labels: tuple[str, ...] | None = None
-    cap: int = field(default=SUPPORT_CAP_DEFAULT, compare=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("weights", "transforms", "labels", "cap")
 
-    def __post_init__(self):
-        weights = tuple(as_fraction(w) for w in self.weights)
+    def __init__(
+        self,
+        weights: Sequence,
+        transforms: Sequence[Sequence[int]],
+        labels: Sequence[str] | None = None,
+        cap: int = SUPPORT_CAP_DEFAULT,
+    ):
+        weights = tuple(as_fraction(w) for w in weights)
         if not weights:
             raise StructuralError("a system needs at least one point")
-        object.__setattr__(self, "weights", weights)
         n = len(weights)
-        transforms = []
-        for idx, t in enumerate(self.transforms):
+        arrays = []
+        for idx, t in enumerate(transforms):
             arr = tuple(t)
             # exact type: a bool (JSON true/false) is an int subclass
             if not all(type(v) is int for v in arr):
@@ -107,15 +156,14 @@ class FiniteSystem:
                 )
             if any(not 0 <= v < n for v in arr):
                 raise StructuralError(f"transform {idx} maps outside 0..{n - 1}")
-            transforms.append(arr)
-        object.__setattr__(self, "transforms", tuple(transforms))
-        if self.labels is not None:
+            arrays.append(arr)
+        if labels is not None:
             # a bare string would split into one label per character
-            if isinstance(self.labels, str):
+            if isinstance(labels, str):
                 raise StructuralError(
-                    f"labels must be a sequence of strings, got {self.labels!r}"
+                    f"labels must be a sequence of strings, got {labels!r}"
                 )
-            labels = tuple(self.labels)
+            labels = tuple(labels)
             for label in labels:
                 if not isinstance(label, str):
                     raise StructuralError(
@@ -123,10 +171,14 @@ class FiniteSystem:
                     )
             if len(labels) != n:
                 raise StructuralError(f"{len(labels)} labels for {n} points")
-            object.__setattr__(self, "labels", labels)
         # exact type: a bool is an int subclass
-        if type(self.cap) is not int or self.cap < 1:
-            raise StructuralError(f"support cap must be an int >= 1, got {self.cap!r}")
+        if type(cap) is not int or cap < 1:
+            raise StructuralError(f"support cap must be an int >= 1, got {cap!r}")
+        self._set(weights=weights, transforms=tuple(arrays), labels=labels, cap=cap,
+                  _memo={})
+
+    def _key(self) -> tuple:
+        return self.weights, self.transforms, self.labels
 
     @property
     def n(self) -> int:
@@ -200,16 +252,17 @@ def transform_period(t: Perm) -> int:
     return _perm_period(t)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Disjoint covering cells of {0, ..., n-1} with an inverse lookup.
 
     Cells are kept sorted (each cell ascending, cells ordered by smallest
     member) so equal partitions compare equal and serialize identically.
     """
 
-    cells: tuple[tuple[int, ...], ...]
-    cell_of: tuple[int, ...]
+    _fields = ("cells", "cell_of")
+
+    def __init__(self, cells: tuple[tuple[int, ...], ...], cell_of: tuple[int, ...]):
+        self._set(cells=cells, cell_of=cell_of)
 
     @staticmethod
     def from_cells(cells: Iterable[Iterable[int]], n: int) -> "Partition":
@@ -307,28 +360,25 @@ def group_orbit_partition(perms: Sequence[Perm], n: int) -> Partition:
     return components(n, ((x, p[x]) for p in perms for x in range(n)))
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(Record):
     """Rational-valued function on the point set, with optional sup bound."""
 
-    values: tuple[Fraction, ...]
-    sup_bound: Fraction | None = None
+    _fields = ("values", "sup_bound")
 
-    def __post_init__(self):
-        if isinstance(self.values, str):
+    def __init__(self, values: Sequence, sup_bound=None):
+        if isinstance(values, str):
             raise StructuralError(
-                f"observable values must be a sequence of rationals, got the string {self.values!r}"
+                f"observable values must be a sequence of rationals, got the string {values!r}"
             )
-        values = tuple(as_fraction(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if self.sup_bound is not None:
-            bound = as_fraction(self.sup_bound)
-            object.__setattr__(self, "sup_bound", bound)
-            bad = [x for x, v in enumerate(values) if abs(v) > bound]
+        values = tuple(as_fraction(v) for v in values)
+        if sup_bound is not None:
+            sup_bound = as_fraction(sup_bound)
+            bad = [x for x, v in enumerate(values) if abs(v) > sup_bound]
             if bad:
                 raise InvariantViolationError(
-                    f"values exceed the declared sup bound {bound} at {bad}"
+                    f"values exceed the declared sup bound {sup_bound} at {bad}"
                 )
+        self._set(values=values, sup_bound=sup_bound)
 
     @staticmethod
     def constant(c, n: int) -> "Observable":

@@ -18,7 +18,6 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .averages import (
@@ -64,7 +63,7 @@ from .seminorm import (
     zed_partition,
 )
 from .serialize import format_rational
-from .system import FiniteSystem, Observable, transform_period, validate_system
+from .system import FiniteSystem, Observable, Record, transform_period, validate_system
 
 # The magic extension is built from the base measure under sys.cap; its own
 # support cap, min(sys.cap, STAR_VERIFY_BUDGET), bounds the cube measures
@@ -73,12 +72,12 @@ from .system import FiniteSystem, Observable, transform_period, validate_system
 STAR_VERIFY_BUDGET = 100_000
 
 
-@dataclass
-class PropertyOutcome:
-    name: str
-    status: str  # PASS | FAIL | SKIP
-    detail: str
-    counterexample: dict | None = None
+class PropertyOutcome(Record):
+    _fields = ("name", "status", "detail", "counterexample")
+
+    def __init__(self, name: str, status: str, detail: str, counterexample: dict | None = None):
+        # status is PASS, FAIL or SKIP
+        self._set(name=name, status=status, detail=detail, counterexample=counterexample)
 
     def as_dict(self) -> dict:
         out = {"property": self.name, "status": self.status, "detail": self.detail}
@@ -99,18 +98,14 @@ def _fs_json(fs: dict[int, Observable]) -> dict[str, list[str]]:
     return {str(bits): _obs_json(f) for bits, f in sorted(fs.items())}
 
 
-@dataclass
 class _Suite:
-    sys: FiniteSystem
-    order: tuple[int, ...]
-    seed: int
-    draws: int
-    star_draws: int = field(init=False)
-
-    def __post_init__(self):
-        self.rng = random.Random(self.seed)
-        self.d = len(self.order)
-        self.star_draws = max(1, self.draws // 10)
+    def __init__(self, sys: FiniteSystem, order: tuple[int, ...], seed: int, draws: int):
+        self.sys = sys
+        self.order = order
+        self.draws = draws
+        self.rng = random.Random(seed)
+        self.d = len(order)
+        self.star_draws = max(1, draws // 10)
 
     # Built on first use and shared by the properties after it.  A build
     # that raises SupportCapError stores nothing, so every property that

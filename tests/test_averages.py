@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -302,7 +301,7 @@ def test_uniformity_scan_reads_each_interval_exactly(length, starts):
 
 def test_derived_system_keeps_the_cap():
     assert derived_transform_system(Z4_TWO).cap == Z4_TWO.cap
-    capped = replace(Z4_TWO, cap=77)
+    capped = Z4_TWO.replace(cap=77)
     assert derived_transform_system(capped).cap == 77
 
 

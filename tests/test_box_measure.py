@@ -2,7 +2,6 @@ import gc
 import itertools
 import random
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -132,7 +131,7 @@ def test_digit_permutation_entries_must_be_ints(sigma):
 
 def test_support_cap_error_names_the_cap():
     with pytest.raises(SupportCapError) as err:
-        build_box_measure(replace(Z4_TWO, cap=10), (0, 1))
+        build_box_measure(Z4_TWO.replace(cap=10), (0, 1))
     assert err.value.cap == 10
     assert "10" in str(err.value)
 
@@ -160,7 +159,7 @@ def test_measure_entries_are_read_only():
 def test_smaller_cap_still_raises_after_a_cached_build():
     build_box_measure(Z4_TWO, (1, 0))
     with pytest.raises(SupportCapError):
-        build_box_measure(replace(Z4_TWO, cap=10), (1, 0))
+        build_box_measure(Z4_TWO.replace(cap=10), (1, 0))
 
 
 def test_measures_are_freed_with_their_system():

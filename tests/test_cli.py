@@ -83,6 +83,20 @@ def test_validate_malformed_json_exits_2(tmp_path):
     assert "parse" in err
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe",  # not UTF-8
+    b"[" * 100_000,  # nested beyond the recursion limit
+    b"1" * 5000,  # an int literal beyond the 4300-digit conversion limit
+], ids=["not-utf8", "deep-nesting", "long-int"])
+def test_validate_undecodable_json_exits_2(tmp_path, content):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(["validate", str(path)])
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "parse" and str(path) in payload["message"]
+
+
 def test_validate_missing_file_exits_2():
     code, _, _ = run_cli(["validate", "/nonexistent/system.json"])
     assert code == 2

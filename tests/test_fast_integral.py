@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -400,17 +399,17 @@ def test_cap_raises_exactly_where_the_full_build_does(roster_case):
     sizes = stage_sizes(sys, order)
     for cap in sorted({s - 1 for s in sizes if s > 1} | set(sizes)):
         try:
-            build_box_measure(replace(sys, cap=cap), order)
+            build_box_measure(sys.replace(cap=cap), order)
         except SupportCapError as exc:
             needed = exc.needed
         else:
             needed = None
         # a fresh system per route: none reuses the stages of another
         routes = (
-            lambda: seminorm_pow(replace(sys, cap=cap), order, f),
-            lambda: csg_check(replace(sys, cap=cap), order, fs),
-            lambda: cube_integral(replace(sys, cap=cap), order, fs),
-            lambda: coupled_cells(replace(sys, cap=cap), order),
+            lambda: seminorm_pow(sys.replace(cap=cap), order, f),
+            lambda: csg_check(sys.replace(cap=cap), order, fs),
+            lambda: cube_integral(sys.replace(cap=cap), order, fs),
+            lambda: coupled_cells(sys.replace(cap=cap), order),
         )
         for route in routes:
             if needed is None:
@@ -420,7 +419,7 @@ def test_cap_raises_exactly_where_the_full_build_does(roster_case):
                     route()
                 assert (err.value.needed, err.value.cap) == (needed, cap), name
     # a cap at the largest stage's sum of |C|^2 is enough
-    assert seminorm_pow(replace(sys, cap=max(sizes)), order, f).pow == built_integral(
+    assert seminorm_pow(sys.replace(cap=max(sizes)), order, f).pow == built_integral(
         sys, order, full_map(f, d)
     )
 

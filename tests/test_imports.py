@@ -1,8 +1,9 @@
 """Every top-level import in the library modules is used, no library
-module imports anything inside a function, only ``box_measure`` reads
-vertex keys, no function that is given a system takes a support cap,
-only ``verify._Suite.run`` builds a property outcome, only
-``system.integer_numerators`` takes an lcm of denominators, only
+module imports anything inside a function or imports ``dataclasses``,
+importing the CLI loads neither ``dataclasses`` nor ``inspect``, only
+``box_measure`` reads vertex keys, no function that is given a system
+takes a support cap, only ``verify._Suite.run`` builds a property
+outcome, only ``system.integer_numerators`` takes an lcm of denominators, only
 ``relative_self_product`` and ``coupled_cells`` walk the orbit cells of a
 stage, the oracle route reaches none of the cube-measure kernels, and the
 orbit-cell walk reaches none of the per-point maps that check its output.
@@ -20,15 +21,22 @@ The oracle seminorm route checks the cube-measure route, so a helper shared
 between the two would let one fault pass both.  For the same reason the
 stage walk finds its cells in index space and never calls the tuple maps
 that ``check_box_measure_laws`` pushes a built measure through.
+Every CLI run pays for its imports: ``dataclasses`` loads ``inspect`` and
+its helpers and generates and compiles the methods of each class at start,
+so value classes derive from ``system.Record`` instead.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "boxlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 NOT_BOX_MEASURE = sorted(p for p in SRC.glob("*.py") if p.name != "box_measure.py")
 
 
@@ -101,6 +109,45 @@ def test_check_flags_a_function_local_boxlab_import():
     assert local_imports(tree) == [3, 4, 6, 10]
 
 
+def dataclasses_imports(tree: ast.Module) -> list[int]:
+    """Lines of the imports, at any depth, of ``dataclasses``."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "dataclasses"
+    })
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_no_module_imports_dataclasses(path):
+    lines = dataclasses_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name}: imports dataclasses at lines {lines}"
+
+
+def test_check_flags_a_dataclasses_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import json, dataclasses\n"
+        "from .system import Record\n"
+        "if True:\n"
+        "    from dataclasses import dataclass\n"
+        "import dataclasses as dc\n"
+        "from .dataclasses import field\n"
+    )
+    assert dataclasses_imports(tree) == [2, 5, 6]
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    probe = "import sys, boxlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
+
+
 def references(tree: ast.Module, name: str) -> list[int]:
     """Lines that import, read or look up ``name`` as a name or attribute."""
     return sorted({
@@ -131,16 +178,17 @@ def test_check_flags_a_vertex_bits_reference():
 
 
 # The first two take a measure, not a system; the next two set the cap of
-# the extension they build; the error records the cap it reports.  Every
-# other function reads the cap of the system it is given.
+# the extension they build; the error records the cap it reports, and the
+# system's constructor the cap it holds.  Every other function reads the
+# cap of the system it is given.
 TAKES_A_CAP = {
+    "system.FiniteSystem.__init__",
     "box_measure.relative_self_product",
     "box_measure._orbit_cells",
     "magic.build_star_system",
     "magic.StarSystem.__init__",
     "errors.SupportCapError.__init__",
 }
-ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def cap_parameters(tree: ast.Module, module: str) -> list[str]:

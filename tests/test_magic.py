@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -439,13 +438,13 @@ def test_normstar_star_cap_bounds_only_the_extension():
 
 
 def test_extension_takes_the_base_cap_unless_given_one():
-    base = replace(Z4_TWO, cap=500)
+    base = Z4_TWO.replace(cap=500)
     assert build_star_system(base, (0, 1)).as_finite_system().cap == 500
     star = build_star_system(base, (0, 1), cap=64)
     assert star.as_finite_system().cap == 64 and star.base.cap == 500
     # the base measure is built under the base's cap, not the extension's
     with pytest.raises(SupportCapError) as exc:
-        build_star_system(replace(Z4_TWO, cap=10), (0, 1), cap=10**6)
+        build_star_system(Z4_TWO.replace(cap=10), (0, 1), cap=10**6)
     assert exc.value.cap == 10
 
 

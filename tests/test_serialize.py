@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxlab.box_measure import build_box_measure
 from boxlab.errors import InvariantViolationError, StructuralError
@@ -45,6 +46,31 @@ def test_system_with_labels_round_trip():
     sys = system_from_dict(payload)
     assert sys.labels == ("a", "b", "c", "d")
     assert system_from_dict(system_to_dict(sys)) == sys
+
+
+def json_round_trip(payload: dict) -> dict:
+    return json.loads(json.dumps(payload))
+
+
+@settings(max_examples=60, deadline=None)
+@given(commuting_systems(), st.data())
+def test_hypothesis_system_round_trip(case, data):
+    sys, _ = case
+    labels = data.draw(st.none() | st.lists(st.text(max_size=4), min_size=sys.n,
+                                            max_size=sys.n))
+    sys = sys.replace(labels=labels)
+    back = system_from_dict(json_round_trip(system_to_dict(sys)))
+    assert back == sys and hash(back) == hash(sys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(), min_size=1, max_size=8),
+       st.none() | st.fractions(min_value=0))
+def test_hypothesis_observable_round_trip(values, slack):
+    bound = None if slack is None else max(map(abs, values)) + slack
+    f = Observable(values, bound)
+    back = observable_from_dict(json_round_trip(observable_to_dict(f)))
+    assert back == f and hash(back) == hash(f)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 
@@ -9,12 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxlab import system
+from boxlab.averages import (
+    AverageResult,
+    CharacteristicBound,
+    Interval,
+    UniformityReport,
+    VdcBound,
+)
+from boxlab.box_measure import SparseCubeMeasure, Vertex
 from boxlab.errors import InvariantViolationError, StructuralError
 from boxlab.draws import random_commuting_system, random_observable
+from boxlab.magic import MagicCheck
+from boxlab.seminorm import CsgResult, SeminormValue
 from boxlab.system import (
     FiniteSystem,
     Observable,
     Partition,
+    Record,
     as_fraction,
     components,
     conditional_expectation,
@@ -25,6 +35,7 @@ from boxlab.system import (
     transform_period,
     validate_system,
 )
+from boxlab.verify import PropertyOutcome
 from conftest import Z4_TWO, count_calls, uniform
 
 
@@ -98,14 +109,99 @@ def test_cap_must_be_an_int_of_at_least_one(cap):
     with pytest.raises(StructuralError):
         FiniteSystem(uniform(2), (), cap=cap)
     with pytest.raises(StructuralError):
-        replace(Z4_TWO, cap=cap)
+        Z4_TWO.replace(cap=cap)
 
 
 @pytest.mark.parametrize("cap", [1, 40, 10**12])
 def test_cap_takes_no_part_in_equality_or_the_hash(cap):
-    capped = replace(Z4_TWO, cap=cap)
+    Z4_TWO.memo(("probe",), lambda: "kept")
+    capped = Z4_TWO.replace(cap=cap)
     assert capped.cap == cap
     assert capped == Z4_TWO and hash(capped) == hash(Z4_TWO)
+    assert capped.memo(("probe",), lambda: "fresh") == "fresh"
+
+
+# ------------------------------------------------------------- records
+
+HALF_MINUS_ONE = "(Fraction(1, 2), Fraction(-1, 1))"
+SEMINORM_REPR = "SeminormValue(pow=1/16, d=2)"
+
+
+def seminorm_value():
+    return SeminormValue(2, Fraction(1, 16), (0, 1))
+
+
+# Each value class with a builder of a fresh instance and its repr: the
+# field form of a frozen dataclass, or the class's own short form.
+RECORDS = [
+    (lambda: Interval(0, 3), "Interval(start=0, length=3)"),
+    (lambda: AverageResult(Observable((Fraction(1, 2), -1)), Interval(2, 5), Fraction(5, 8)),
+     f"AverageResult(values=Observable(values={HALF_MINUS_ONE}, sup_bound=None), "
+     "interval=Interval(start=2, length=5), l2_norm_sq=Fraction(5, 8))"),
+    (lambda: CharacteristicBound(Fraction(1, 4), seminorm_value(), True),
+     f"CharacteristicBound(lhs=Fraction(1, 4), rhs={SEMINORM_REPR}, holds=True)"),
+    (lambda: UniformityReport(Fraction(1, 2), seminorm_value(), 0.25, True, None, 4),
+     f"UniformityReport(max_abs_J=Fraction(1, 2), seminorm={SEMINORM_REPR}, margin=0.25, "
+     "pow_bound_holds=True, holds_with_delta=None, scanned=4)"),
+    (lambda: VdcBound(Fraction(1, 3), Fraction(2, 3), True),
+     "VdcBound(lhs=Fraction(1, 3), rhs=Fraction(2, 3), holds=True)"),
+    (lambda: Vertex(3, 5), "Vertex(101)"),
+    (lambda: SparseCubeMeasure(1, 2, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}),
+     "SparseCubeMeasure(k=1, support=2)"),
+    (seminorm_value, SEMINORM_REPR),
+    (lambda: CsgResult(Fraction(1, 9), Fraction(1, 3), True),
+     "CsgResult(lhs_pow=Fraction(1, 9), rhs_pow=Fraction(1, 3), holds=True)"),
+    (lambda: MagicCheck(True, Fraction(0), True),
+     "MagicCheck(expectation_is_zero=True, star_pow=Fraction(0, 1), holds=True)"),
+    (lambda: FiniteSystem(uniform(2), ((1, 0),), ("a", "b")), "FiniteSystem(n=2, d=1)"),
+    (lambda: Partition.from_cells([[0, 2], [1]], 3), "Partition(2 cells on 3 points)"),
+    (lambda: Observable((Fraction(1, 2), -1)),
+     f"Observable(values={HALF_MINUS_ONE}, sup_bound=None)"),
+    (lambda: PropertyOutcome("csg", "FAIL", "bound violated"),
+     "PropertyOutcome(name='csg', status='FAIL', detail='bound violated', "
+     "counterexample=None)"),
+]
+
+
+@pytest.mark.parametrize("build, text", RECORDS,
+                         ids=[text.partition("(")[0] for _, text in RECORDS])
+def test_records_keep_the_frozen_dataclass_contract(build, text):
+    a, b = build(), build()
+    assert isinstance(a, Record) and a is not b
+    assert a == b
+    if isinstance(a, SparseCubeMeasure):  # a mapping has no hash, as under the dataclass
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert repr(a) == text
+    twin = object.__new__(type("Twin", (type(a),), {}))
+    twin.__dict__.update(vars(a))
+    assert a.__eq__(twin) is NotImplemented and a != twin
+    assert a.__eq__(a._key()) is NotImplemented
+    for name in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a.replace() == a
+
+
+@pytest.mark.parametrize("rebuild, error", [
+    (lambda: Interval(0, 3).replace(length=0), StructuralError),
+    (lambda: Interval(0, 3).replace(start=1.0), StructuralError),
+    (lambda: Z4_TWO.replace(cap=0), StructuralError),
+    (lambda: Z4_TWO.replace(transforms=((0, 1, 2),)), StructuralError),
+    (lambda: Vertex(2, 3).replace(bits=4), StructuralError),
+    (lambda: Observable((1, 0), 1).replace(values=(2, 0)), InvariantViolationError),
+    (lambda: Interval(0, 3).replace(stop=4), TypeError),
+], ids=["interval-length", "interval-start", "cap", "transform", "vertex", "sup-bound",
+        "not-a-field"])
+def test_replace_validates_again(rebuild, error):
+    with pytest.raises(error):
+        rebuild()
 
 
 @pytest.mark.parametrize("values", ["12", ""])

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -101,7 +100,7 @@ def test_suite_builds_every_base_measure_under_the_run_cap(monkeypatch):
         return real(sys, order)
 
     monkeypatch.setattr(boxlab.seminorm, "build_box_measure", recording)
-    outcomes = run_suite(replace(sys, cap=1000), (0, 1), draws=20)
+    outcomes = run_suite(sys.replace(cap=1000), (0, 1), draws=20)
     assert all(o.status == "PASS" for o in outcomes)
     assert caps and set(caps) == {1000}
 
@@ -130,7 +129,7 @@ def test_suite_rejects_a_draw_count_before_any_property(monkeypatch, draws):
 
 def test_failed_extension_build_is_retried_per_property(monkeypatch):
     stars = count_calls(monkeypatch, boxlab.verify, "build_star_system")
-    outcomes = {o.name: o for o in run_suite(replace(Z4_TWO, cap=20), (0, 1), seed=0, draws=4)}
+    outcomes = {o.name: o for o in run_suite(Z4_TWO.replace(cap=20), (0, 1), seed=0, draws=4)}
     # lemma-z stops at the base partition; magic, span0 and normstar each
     # retry the extension and SKIP with the same cap detail
     assert len(stars) == 3
@@ -158,25 +157,25 @@ FAULTS = [
      "digit flip 1 changes the measure", None),
     ("apply_index_permutation", nothing, "index-permutation", "FAIL",
      "measure equality fails for digit permutation (0, 1)", ["sigma"]),
-    ("seminorm_oracle_pow", lambda v: replace(v, pow=v.pow + 1), "seminorm-routes", "FAIL",
+    ("seminorm_oracle_pow", lambda v: v.replace(pow=v.pow + 1), "seminorm-routes", "FAIL",
      "measure/oracle/recursion disagree", ["draw", "f", "measure", "oracle", "recursion"]),
-    ("csg_check", lambda r: replace(r, holds=False), "csg", "FAIL",
+    ("csg_check", lambda r: r.replace(holds=False), "csg", "FAIL",
      "product bound violated", ["draw", "fs", "lhs_pow", "rhs_pow"]),
     ("zed_from_sharp", nothing, "lemma-z", "FAIL",
      "component and invariant-set routes disagree", None),
     ("zed_equivalence_check", lambda ok: False, "lemma-z", "FAIL",
      "seminorm-zero equivalence fails", ["draw", "f"]),
-    ("uniformity_scan", lambda r: replace(r, pow_bound_holds=False), "uniform-full-period",
+    ("uniformity_scan", lambda r: r.replace(pow_bound_holds=False), "uniform-full-period",
      "FAIL", "full-period average exceeds the origin seminorm",
      ["draw", "fs", "max_abs_J", "seminorm_pow", "starts"]),
     ("uniformity_scan", cap_error, "uniform-full-period", "SKIP",
      "sparse support would need 5000 entries, exceeding the cap of 40", None),
-    ("characteristic_bound_check", lambda r: replace(r, holds=False), "characteristic-bound",
+    ("characteristic_bound_check", lambda r: r.replace(holds=False), "characteristic-bound",
      "FAIL", "limit norm exceeds the seminorm", ["draw", "f_list"]),
-    ("characteristic_bound_check", lambda r: replace(r, lhs=Fraction(1)),
+    ("characteristic_bound_check", lambda r: r.replace(lhs=Fraction(1)),
      "characteristic-bound", "FAIL", "zero seminorm does not force a zero limit",
      ["draw", "f1"]),
-    ("van_der_corput_bound", lambda r: replace(r, holds=False), "van-der-corput", "FAIL",
+    ("van_der_corput_bound", lambda r: r.replace(holds=False), "van-der-corput", "FAIL",
      "bound violated", ["H", "N", "draw", "lhs", "rhs"]),
     ("magic_failures", lambda failures: iter([{"draw": 0, "G": ["1"], "star_pow": "1"}]),
      "magic", "FAIL", "zero expectation does not force zero seminorm",
