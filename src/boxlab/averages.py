@@ -32,7 +32,6 @@ from .system import (
     Record,
     as_fraction,
     integer_numerators,
-    transform_period,
 )
 
 
@@ -88,8 +87,9 @@ def derived_transform_system(sys: FiniteSystem) -> FiniteSystem:
 
 
 def common_period(sys: FiniteSystem) -> int:
-    """lcm of the transform periods; orbit products repeat with this period."""
-    return math.lcm(*(transform_period(t) for t in sys.transforms)) if sys.d else 1
+    """lcm of the transform periods, 1 with no transforms; orbit products
+    repeat with this period.  Kept on ``sys``."""
+    return sys.memo(("common_period",), lambda: math.lcm(*map(sys.period, range(sys.d))))
 
 
 def _residue_counts(start: int, length: int, modulus: int) -> list[int]:

@@ -127,13 +127,19 @@ class SparseCubeMeasure(Record):
 
     Entries are pruned to strictly positive mass and must sum to exactly 1.
     Instances are immutable: ``entries`` is a read-only copy of the mapping
-    passed in, so one built measure can be shared by every caller.
+    passed in, so one built measure can be shared by every caller.  Equal
+    measures hash equal: the hash is over ``k``, ``base_n`` and the set of
+    entries.
     """
 
     _fields = ("k", "base_n", "entries")
 
     def __init__(self, k: int, base_n: int, entries: Mapping[CubePoint, Fraction]):
         self._set(k=k, base_n=base_n, entries=MappingProxyType(dict(entries)))
+
+    def __hash__(self) -> int:
+        # a mappingproxy has no hash; equal mappings have equal item sets
+        return hash((self.k, self.base_n, frozenset(self.entries.items())))
 
     @property
     def width(self) -> int:
@@ -293,7 +299,7 @@ def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...]):
     Per orbit cell this returns the coordinate columns of its points (one
     tuple per vertex of the stage before) and the numerator of its pair
     mass m(y) / |C| over the one common denominator returned with them.
-    Kept on ``sys`` by :func:`cube_integral`.
+    Kept on ``sys`` by :func:`_cube_integral`.
     """
     _, cells = coupled_cells(sys, order)
     masses, den = integer_numerators([mass for mass, _ in cells])
@@ -333,12 +339,21 @@ def cube_integral(sys: FiniteSystem, order: Sequence[int], fs: Mapping) -> Fract
     ``fs`` is as for :func:`vertex_functions`.  Equals
     ``integrate_product(build_box_measure(sys, order), fs)`` and, under the
     same ``sys.cap``, raises SupportCapError exactly where that build would.
+    The order and ``fs`` are validated here, once; the sum itself is
+    :func:`_cube_integral`, which callers that have validated both already
+    (the seminorm and the product bound) call directly.
     """
     order = normalize_order(sys, order)
+    return _cube_integral(sys, order, vertex_functions(fs, len(order), sys.n))
+
+
+def _cube_integral(
+    sys: FiniteSystem, order: tuple[int, ...], fmap: Mapping[int, Observable]
+) -> Fraction:
+    """:func:`cube_integral` of an order read by :func:`normalize_order` and
+    a map read by :func:`vertex_functions`, checking neither again."""
     cells, den = sys.memo(("cells", order), lambda: _last_stage_cells(sys, order))
-    k = len(order)
-    half = 1 << (k - 1)
-    fmap = vertex_functions(fs, k, sys.n)
+    half = 1 << (len(order) - 1)
     low: list[tuple[int, tuple[int, ...]]] = []
     high: list[tuple[int, tuple[int, ...]]] = []
     for bits in sorted(fmap):

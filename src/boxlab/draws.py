@@ -7,10 +7,19 @@ decomposition.  Weights are drawn constant on the joint orbits, which makes
 them automatically preserved by every transform; an occasional orbit gets
 weight zero to exercise the null-set conventions.  With at most 6 points
 the weight denominators never exceed 12.
+
+Observable values are drawn from module-level tables of ``Fraction``s, so
+a draw builds no Fraction per value: each value is
+``rng.choice(rng.choice(rows))``, a row and then an entry of it.  One
+``rng.choice(seq)`` consumes the stream as ``rng.randint`` over a range of
+``len(seq)`` integers does, one ``_randbelow(len(seq))``, so the tables
+give the values, and leave the rng in the state, of drawing the numerator
+and the denominator with ``randint`` and building the Fraction.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -27,25 +36,31 @@ def require_draws(draws: int) -> int:
     return draws
 
 
-def rational_in_unit(rng: random.Random, max_den: int = 6) -> Fraction:
-    """A rational in [-1, 1] with a small denominator."""
-    den = rng.randint(1, max_den)
-    return Fraction(rng.randint(-den, den), den)
+# random_observable's values a / b, a in [-3, 3] and b in [1, 4]: row a, entry b
+_OBSERVABLE_ROWS = tuple(
+    tuple(Fraction(a, b) for b in range(1, 5)) for a in range(-3, 4)
+)
+# rational_in_unit's values a / b, b in [1, 4] and a in [-b, b]: row b, entry a
+_UNIT_ROWS = tuple(
+    tuple(Fraction(a, b) for a in range(-b, b + 1)) for b in range(1, 5)
+)
 
 
-def random_observable(
-    rng: random.Random, n: int, max_num: int = 3, max_den: int = 4
-) -> Observable:
-    return Observable(
-        tuple(Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den)) for _ in range(n))
-    )
+def rational_in_unit(rng: random.Random) -> Fraction:
+    """A rational in [-1, 1] with denominator at most 4: the denominator is
+    drawn first, then the numerator."""
+    return rng.choice(rng.choice(_UNIT_ROWS))
 
 
-def random_bounded_observable(rng: random.Random, n: int, max_den: int = 4) -> Observable:
-    """Values in [-1, 1], declared via sup_bound."""
-    return Observable(
-        tuple(rational_in_unit(rng, max_den) for _ in range(n)), sup_bound=Fraction(1)
-    )
+def random_observable(rng: random.Random, n: int) -> Observable:
+    """Values a / b with a in [-3, 3] and b in [1, 4], the numerator drawn first."""
+    choice = rng.choice
+    return Observable(tuple(choice(choice(_OBSERVABLE_ROWS)) for _ in range(n)))
+
+
+def random_bounded_observable(rng: random.Random, n: int) -> Observable:
+    """Values of :func:`rational_in_unit`, in [-1, 1], declared via sup_bound."""
+    return Observable(tuple(rational_in_unit(rng) for _ in range(n)), sup_bound=Fraction(1))
 
 
 def _block_transforms(rng: random.Random, size: int, d: int) -> list[list[int]]:
@@ -126,27 +141,34 @@ def random_zero_expectation_observable(
     return g - conditional_expectation(g, partition, sys.weights)
 
 
+_COORD_NUMERATORS = (-2, -1, 0, 1, 2)
+_COORD_DENOMINATORS = (1, 2, 3)
+
+
 def random_unit_vectors(
     rng: random.Random, count: int, dim: int, weights=None
 ) -> list[tuple[Fraction, ...]]:
     """Vectors of weighted norm at most 1.
 
-    Each coordinate is drawn as a / b with a in [-2, 2] and b in [1, 3];
-    the vector is then scaled by 2^-k, for the least k >= 0 with weighted
-    norm at most 4^k, so its coordinates are ``Fraction(a, b << k)``.  The
-    vectors, and the rng state after them, are those of halving the drawn
-    vector until its norm is at most 1.  The norm is computed once, in
-    integers: coordinates over the common denominator 6, weights over
+    Each coordinate is drawn as a / b with a in [-2, 2] and b in [1, 3],
+    each picked by ``rng.choice``; the vector is then scaled by 2^-k, for
+    the least k >= 0 with weighted norm at most 4^k, so its coordinates are
+    ``Fraction(a, b << k)``, each built once per call and then reused.
+    The vectors, and the rng state after them, are those of halving the
+    drawn vector until its norm is at most 1.  The norm is computed once,
+    in integers: coordinates over the common denominator 6, weights over
     theirs.  ``weights`` are read as by :func:`van_der_corput_bound`: one
     exact non-negative weight per coordinate, ``None`` for all 1.
     """
     w_int, wscale = weight_numerators(weights, dim)
     unit = 36 * wscale  # the integer norm of a vector of norm 1
+    choice = rng.choice
+    coordinate = functools.cache(Fraction)  # at most 5 * 3 values per k
     out = []
     for _ in range(count):
-        pairs = [(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)]
+        pairs = [(choice(_COORD_NUMERATORS), choice(_COORD_DENOMINATORS)) for _ in range(dim)]
         norm = sum(w * (a * (6 // b)) ** 2 for w, (a, b) in zip(w_int, pairs))
         # norm <= unit * 4^k iff ceil(norm / unit) <= 2^(2k)
         k = (max(-(-norm // unit) - 1, 0).bit_length() + 1) // 2
-        out.append(tuple(Fraction(a, b << k) for a, b in pairs))
+        out.append(tuple(coordinate(a, b << k) for a, b in pairs))
     return out

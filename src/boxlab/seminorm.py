@@ -9,8 +9,8 @@ here except the explicitly toleranced triangle check is decided exactly.
 Three routes compute the same power:
 
 * ``seminorm_pow``       integrates against the sparse cube measure, with
-  its last stage folded into a per-cell sum (``cube_integral``): only the
-  stages before the last are built;
+  its last stage folded into a per-cell sum (``cube_integral``'s kernel):
+  only the stages before the last are built;
 * ``seminorm_oracle_pow`` evaluates the iterated-average formula as a finite
   multi-sum over full periods (each summand is periodic in each index, so
   the full-period average equals the limit).  ``integrand_table`` fills
@@ -32,7 +32,12 @@ from fractions import Fraction
 from sys import float_info
 from typing import Mapping, Sequence
 
-from .box_measure import build_box_measure, cube_integral, normalize_order, vertex_functions
+from .box_measure import (
+    _cube_integral,
+    build_box_measure,
+    normalize_order,
+    vertex_functions,
+)
 from .errors import PreconditionError, StructuralError
 from .perms import compose, identity
 from .system import (
@@ -43,7 +48,6 @@ from .system import (
     components,
     conditional_expectation,
     integer_numerators,
-    transform_period,
 )
 
 
@@ -86,27 +90,38 @@ def approx_root(pow_value: Fraction, d: int, digits: int = 17) -> float | Decima
 
 
 def _full_vertex_map(f: Observable, d: int) -> dict[int, Observable]:
-    return {bits: f for bits in range(1 << d)}
+    return dict.fromkeys(range(1 << d), f)
 
 
 def seminorm_pow(sys: FiniteSystem, order: Sequence[int], f: Observable) -> SeminormValue:
     """Cube-measure route: integrate f at every vertex against the cube
-    measure, with its last stage folded into a per-cell sum."""
+    measure, with its last stage folded into a per-cell sum.
+
+    The order and ``f`` are validated here, once, as :func:`cube_integral`
+    would validate them; the 2^d vertices then share the checked ``f``.
+    """
     order = normalize_order(sys, order)
-    value = cube_integral(sys, order, _full_vertex_map(f, len(order)))
+    return _seminorm_pow(sys, order, vertex_functions({0: f}, len(order), sys.n)[0])
+
+
+def _seminorm_pow(sys: FiniteSystem, order: tuple[int, ...], f: Observable) -> SeminormValue:
+    """:func:`seminorm_pow` of a normalized order and a checked observable."""
+    value = _cube_integral(sys, order, _full_vertex_map(f, len(order)))
     return SeminormValue(len(order), value, order)
 
 
 def transform_power_tables(sys: FiniteSystem, order: Sequence[int]):
-    """Per order position: the list of permutation powers over one full period."""
-    tables = []
-    for idx in order:
-        t = sys.transforms[idx]
-        powers = [identity(sys.n)]
-        for _ in range(transform_period(t) - 1):
-            powers.append(compose(t, powers[-1]))
-        tables.append(powers)
-    return tables
+    """Per order position: the tuple of permutation powers over one full
+    period, kept on ``sys`` per transform."""
+    return tuple(sys.memo(("powers", idx), lambda: _powers(sys, idx)) for idx in order)
+
+
+def _powers(sys: FiniteSystem, idx: int) -> tuple[tuple[int, ...], ...]:
+    t = sys.transforms[idx]
+    powers = [identity(sys.n)]
+    for _ in range(sys.period(idx) - 1):
+        powers.append(compose(t, powers[-1]))
+    return tuple(powers)
 
 
 def integrand_table(
@@ -206,13 +221,14 @@ def seminorm_recursion_pow(
     if len(order) < 2:
         raise PreconditionError("the recursion needs at least two transforms")
     last = sys.transforms[order[-1]]
+    period = sys.period(order[-1])
     sub_order = order[:-1]
     total = Fraction(0)
     shifted = f
-    for _ in range(transform_period(last)):
+    for _ in range(period):
         total += seminorm_pow(sys, sub_order, shifted * f).pow
         shifted = shifted.translate(last)
-    return SeminormValue(len(order), total / transform_period(last), order)
+    return SeminormValue(len(order), total / period, order)
 
 
 class CsgResult(Record):
@@ -232,11 +248,11 @@ def csg_check(sys: FiniteSystem, order: Sequence[int], fs: Mapping) -> CsgResult
     order = normalize_order(sys, order)
     d = len(order)
     fmap = vertex_functions(fs, d, sys.n)
-    lhs = cube_integral(sys, order, fmap)
+    lhs = _cube_integral(sys, order, fmap)
     lhs_pow = abs(lhs) ** (1 << d)
     rhs_pow = Fraction(1)
     for obs in fmap.values():
-        rhs_pow *= seminorm_pow(sys, order, obs).pow
+        rhs_pow *= _seminorm_pow(sys, order, obs).pow
     return CsgResult(lhs_pow, rhs_pow, lhs_pow <= rhs_pow)
 
 

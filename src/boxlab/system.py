@@ -198,6 +198,10 @@ class FiniteSystem(Record):
             self._memo[key] = compute()
         return self._memo[key]
 
+    def period(self, i: int) -> int:
+        """:func:`transform_period` of transform ``i``, kept on the system."""
+        return self.memo(("period", i), lambda: transform_period(self.transforms[i]))
+
     def __repr__(self) -> str:
         return f"FiniteSystem(n={self.n}, d={self.d})"
 
@@ -370,11 +374,14 @@ class Observable(Record):
             raise StructuralError(
                 f"observable values must be a sequence of rationals, got the string {values!r}"
             )
-        values = tuple(as_fraction(v) for v in values)
+        values = tuple(map(as_fraction, values))
         if sup_bound is not None:
             sup_bound = as_fraction(sup_bound)
-            bad = [x for x, v in enumerate(values) if abs(v) > sup_bound]
-            if bad:
+            # |a / b| > p / q exactly when |a| * q > p * b, as b, q > 0: one
+            # pass in ints, and the indices are listed only on a failure
+            p, q = sup_bound.numerator, sup_bound.denominator
+            if any(abs(v.numerator) * q > p * v.denominator for v in values):
+                bad = [x for x, v in enumerate(values) if abs(v) > sup_bound]
                 raise InvariantViolationError(
                     f"values exceed the declared sup bound {sup_bound} at {bad}"
                 )

@@ -63,7 +63,7 @@ from .seminorm import (
     zed_partition,
 )
 from .serialize import format_rational
-from .system import FiniteSystem, Observable, Record, transform_period, validate_system
+from .system import FiniteSystem, Observable, Record, validate_system
 
 # The magic extension is built from the base measure under sys.cap; its own
 # support cap, min(sys.cap, STAR_VERIFY_BUDGET), bounds the cube measures
@@ -238,9 +238,7 @@ class _Suite:
         return f"routes agree, equivalence on {len(fs)} draws"
 
     def check_uniform_full_period(self) -> str:
-        length = math.lcm(
-            *(transform_period(self.sys.transforms[i]) for i in self.order)
-        )
+        length = math.lcm(*map(self.sys.period, self.order))
         rounds = max(1, self.draws // 10)
         for i in range(rounds):
             fs = random_vertex_functions(self.rng, self.sys.n, self.d, True)

@@ -156,6 +156,17 @@ def test_measure_entries_are_read_only():
         m.k = 3
 
 
+def test_equal_measures_hash_equal(roster_case):
+    """A measure is a set member and a dict key by value."""
+    _, sys, order = roster_case
+    m = build_box_measure(sys, order)
+    twin = build_box_measure(sys.replace(), order)
+    assert twin is not m and twin == m and hash(twin) == hash(m)
+    assert {m: 1}[twin] == 1
+    base = measure_from_weights(sys.weights)
+    assert len({m, twin, base}) == 2
+
+
 def test_smaller_cap_still_raises_after_a_cached_build():
     build_box_measure(Z4_TWO, (1, 0))
     with pytest.raises(SupportCapError):

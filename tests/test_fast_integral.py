@@ -383,9 +383,14 @@ def test_oracle_table_composes_only_the_power_tables(monkeypatch):
     power_calls = len(calls)
     assert power_calls <= sum(len(t) - 1 for t in tables)
     calls.clear()
-    periods, numerators, _ = integrand_table(z16, order, full_map(f, 3))
+    # an equal system with a memo of its own builds its tables again
+    periods, numerators, _ = integrand_table(z16.replace(), order, full_map(f, 3))
     assert len(numerators) == math.prod(periods) == 2048
     assert len(calls) == power_calls
+    calls.clear()
+    # the tables are kept on the system: a second table composes nothing
+    assert integrand_table(z16, order, full_map(f, 3))[1] == numerators
+    assert not calls
 
 
 # ------------------------------------------------------------- support cap

@@ -5,8 +5,10 @@ importing the CLI loads neither ``dataclasses`` nor ``inspect``, only
 takes a support cap, only ``verify._Suite.run`` builds a property
 outcome, only ``system.integer_numerators`` takes an lcm of denominators, only
 ``relative_self_product`` and ``coupled_cells`` walk the orbit cells of a
-stage, the oracle route reaches none of the cube-measure kernels, and the
-orbit-cell walk reaches none of the per-point maps that check its output.
+stage, the oracle route reaches none of the cube-measure kernels, the
+orbit-cell walk reaches none of the per-point maps that check its output,
+and the value draws read the rng only by ``rng.choice`` and build no
+Fraction per value.
 
 A stdlib ``ast`` check standing in for a linter: a module-level import
 binds a name, and that name must be read somewhere else in the module.
@@ -21,6 +23,9 @@ The oracle seminorm route checks the cube-measure route, so a helper shared
 between the two would let one fault pass both.  For the same reason the
 stage walk finds its cells in index space and never calls the tuple maps
 that ``check_box_measure_laws`` pushes a built measure through.
+A property suite draws thousands of values per run; a ``randint`` pair and
+a Fraction built per value were most of its time on small systems, so the
+draws read whole tables of Fractions with ``rng.choice`` instead.
 Every CLI run pays for its imports: ``dataclasses`` loads ``inspect`` and
 its helpers and generates and compiles the methods of each class at start,
 so value classes derive from ``system.Record`` instead.
@@ -362,8 +367,8 @@ def test_check_flags_a_second_walk_of_the_last_stage():
 
 ORACLE_ROUTE = ["integrand_table", "seminorm_oracle_pow"]
 MEASURE_KERNELS = {
-    "cube_integral", "coupled_cells", "build_box_measure", "relative_self_product",
-    "_last_stage_cells",
+    "cube_integral", "_cube_integral", "coupled_cells", "build_box_measure",
+    "relative_self_product", "_last_stage_cells",
 }
 
 
@@ -406,14 +411,16 @@ def test_check_flags_a_kernel_reached_through_a_helper():
         "    return Cell.total(sys)\n"
         "class Cell:\n"
         "    def total(sys):\n"
-        "        return cube_integral(sys, (0,), {})\n"
+        "        return cube_integral(sys, (0,), {}) + _table_sum(sys)\n"
+        "def _table_sum(sys):\n"
+        "    return box_measure._cube_integral(sys, (0,), {})\n"
         "def seminorm_oracle_pow(sys, order, f):\n"
         "    return integrand_table(sys, order, {0: f})\n"
         "def seminorm_pow(sys, order, f):\n"
         "    return build_box_measure(sys, order)\n"
     )
     assert reached_names(tree, ORACLE_ROUTE) & MEASURE_KERNELS == {
-        "coupled_cells", "cube_integral",
+        "coupled_cells", "cube_integral", "_cube_integral",
     }
 
 
@@ -448,3 +455,70 @@ def test_check_flags_a_point_map_reached_by_the_stage_walk():
     assert reached_names(tree, ["_orbit_cells"]) & POINT_MAPS == {
         "diagonal_transform", "apply_digit_flip",
     }
+
+
+# The value draws of draws.py: each reads the rng only by ``rng.choice`` (or
+# hands it to another of them) and takes its values from tables, so a draw
+# builds no Fraction per value.
+VALUE_DRAWS = [
+    "rational_in_unit", "random_observable", "random_bounded_observable",
+    "random_unit_vectors",
+]
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def draw_faults(tree: ast.Module, names: list[str]) -> list[str]:
+    """``function:line what`` for each read of ``rng`` other than
+    ``rng.choice`` or an argument to one of ``names``, and each Fraction
+    built inside a loop or comprehension, in the functions ``names``."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    out = []
+    for name in names:
+        func = defs[name]
+        parents = {child: node for node in ast.walk(func) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.Name) and node.id == "rng"
+                    and isinstance(node.ctx, ast.Load)):
+                continue
+            up = parents[node]
+            if isinstance(up, ast.Attribute):
+                if up.attr != "choice":
+                    out.append(f"{name}:{node.lineno} rng.{up.attr}")
+            elif not (isinstance(up, ast.Call) and node in up.args
+                      and getattr(up.func, "id", None) in names):
+                out.append(f"{name}:{node.lineno} rng passed on")
+        out.extend(
+            f"{name}:{node.lineno} Fraction per value"
+            for loop in ast.walk(func) if isinstance(loop, LOOPS)
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Call)
+            and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        )
+    return sorted(set(out), key=lambda fault: (int(fault.split(":")[1].split()[0]), fault))
+
+
+def test_value_draws_read_only_rng_choice_and_build_no_fraction():
+    tree = ast.parse((SRC / "draws.py").read_text(encoding="utf-8"))
+    assert draw_faults(tree, VALUE_DRAWS) == []
+
+
+def test_check_flags_a_randint_draw_and_a_fraction_per_value():
+    tree = ast.parse(
+        "def rational_in_unit(rng, max_den=6):\n"
+        "    den = rng.randint(1, max_den)\n"
+        "    return Fraction(rng.randint(-den, den), den)\n"
+        "def random_observable(rng, n):\n"
+        "    return Observable(tuple(rng.choice(ROWS) for _ in range(n)), Fraction(1))\n"
+        "def random_bounded_observable(rng, n):\n"
+        "    return Observable([rational_in_unit(rng) for _ in range(n)])\n"
+        "def random_unit_vectors(rng, count, dim):\n"
+        "    out = []\n"
+        "    for _ in range(count):\n"
+        "        out.append([fractions.Fraction(a, 2) for a in draw(rng, dim)])\n"
+        "    return out\n"
+    )
+    assert draw_faults(tree, VALUE_DRAWS) == [
+        "rational_in_unit:2 rng.randint", "rational_in_unit:3 rng.randint",
+        "random_unit_vectors:11 Fraction per value",
+        "random_unit_vectors:11 rng passed on",
+    ]

@@ -169,11 +169,7 @@ def test_records_keep_the_frozen_dataclass_contract(build, text):
     a, b = build(), build()
     assert isinstance(a, Record) and a is not b
     assert a == b
-    if isinstance(a, SparseCubeMeasure):  # a mapping has no hash, as under the dataclass
-        with pytest.raises(TypeError):
-            hash(a)
-    else:
-        assert hash(a) == hash(b)
+    assert hash(a) == hash(b)
     assert repr(a) == text
     twin = object.__new__(type("Twin", (type(a),), {}))
     twin.__dict__.update(vars(a))
@@ -420,6 +416,60 @@ def test_observable_sup_bound_enforced():
         Observable((Fraction(2),), sup_bound=Fraction(1))
     f = Observable((Fraction(1, 2), Fraction(-1)), sup_bound=Fraction(1))
     assert f.max_abs() == 1
+
+
+def per_value_bound_error(values, bound) -> str | None:
+    """The error of the per-value rule, |v| > bound at some v, or None."""
+    values = [Fraction(v) for v in values]
+    bound = Fraction(bound)
+    bad = [x for x, v in enumerate(values) if abs(v) > bound]
+    return f"values exceed the declared sup bound {bound} at {bad}" if bad else None
+
+
+def sup_bound_error(values, bound) -> str | None:
+    try:
+        Observable(values, sup_bound=bound)
+    except InvariantViolationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("values, bound", [
+    ((), 0), ((), 1), ((), -1),
+    ((0, 0), 0), ((0, "1/3", 0), 0), (("-1/3",), 0),
+    ((0,), -1), ((1, -1, 0), "-1/2"),
+    ((1, -1), 1), (("3/2", "-3/2"), "3/2"), ((1, "-1/2", 1), 1),
+    ((2, 1, -3), 1), (("1/2", "-7/6", "7/6", "-1/2"), "7/6"), (("1/2", "-7/6", 2), "7/6"),
+], ids=[
+    "empty-0", "empty-1", "empty-negative",
+    "zero-bound-zeros", "zero-bound-one-nonzero", "zero-bound-negative-value",
+    "negative-bound", "negative-bound-mixed",
+    "at-plus-minus-one", "at-plus-minus-bound", "inside-and-at",
+    "outside-both-sides", "at-bound-mixed-denominators", "one-above",
+])
+def test_sup_bound_check_equals_the_per_value_rule(values, bound):
+    assert sup_bound_error(values, bound) == per_value_bound_error(values, bound)
+
+
+def test_sup_bound_error_names_every_index_outside():
+    with pytest.raises(InvariantViolationError) as info:
+        Observable((2, 1, Fraction(-3), Fraction(1, 2), Fraction(-5, 4)), sup_bound=1)
+    assert str(info.value) == "values exceed the declared sup bound 1 at [0, 2, 4]"
+    with pytest.raises(InvariantViolationError) as info:
+        Observable((0, 0), sup_bound=Fraction(-1, 2))
+    assert str(info.value) == "values exceed the declared sup bound -1/2 at [0, 1]"
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(rationals, max_size=12), rationals)
+def test_sup_bound_check_equals_the_per_value_rule_on_drawn_values(values, bound):
+    assert sup_bound_error(values, bound) == per_value_bound_error(values, bound)
+    # the bound as given, and its negation, are both exactly at the edge
+    edge = [*values, bound, -bound]
+    assert sup_bound_error(edge, bound) == per_value_bound_error(edge, bound)
 
 
 def test_observable_algebra():

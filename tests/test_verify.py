@@ -1,17 +1,24 @@
+import contextlib
+import hashlib
+import io
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import boxlab.box_measure
 import boxlab.seminorm
 import boxlab.verify
+from boxlab import cli
 from boxlab.box_measure import build_box_measure
 from boxlab.errors import StructuralError, SupportCapError
 from boxlab.seminorm import seminorm_pow
+from boxlab.serialize import system_to_dict
 from boxlab.system import FiniteSystem, Observable
 from boxlab.verify import PropertyOutcome, run_suite
-from conftest import BLOCKS4, Z4_TWO, ZERO_WEIGHT, count_calls, uniform
+from conftest import BLOCKS4, ROSTER, Z4_TWO, ZERO_WEIGHT, count_calls, uniform
 
 EXPECTED_PROPERTIES = [
     "system-valid",
@@ -213,3 +220,35 @@ def test_outcome_serialization():
         "detail": "boom",
         "counterexample": {"draw": 1},
     }
+
+
+# Written by json.dumps(stream_digests(...), indent=2, sort_keys=True); a
+# change that alters the draws or the outcomes on purpose writes it again.
+GOLDEN_STREAM = Path(__file__).parent / "data" / "verify_stream_golden.json"
+
+
+def stream_digests(tmp_path) -> dict[str, dict[str, str]]:
+    """Per roster system, the sha256 of the suite's outcomes at seed 0 and
+    20 draws, as ``verify`` prints them, followed by the state of its rng
+    after the last draw; and of ``magic-check --draws 5``'s exit code and
+    stdout."""
+    out: dict[str, dict[str, str]] = {"verify": {}, "magic-check": {}}
+    for name, sys, order in ROSTER:
+        suite = boxlab.verify._Suite(sys.replace(), order, 0, 20)
+        lines = "".join(json.dumps(o.as_dict(), sort_keys=True) + "\n" for o in suite.run())
+        out["verify"][name] = hashlib.sha256(
+            f"{lines}{suite.rng.getstate()!r}".encode()).hexdigest()
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(system_to_dict(sys)))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(["magic-check", str(path), "--draws", "5",
+                             "--order", ",".join(map(str, order))])
+        out["magic-check"][name] = hashlib.sha256(
+            f"{code}\n{stdout.getvalue()}".encode()).hexdigest()
+    return out
+
+
+def test_verify_stream_matches_golden_digests(tmp_path):
+    """Every draw, check and outcome of the suite, pinned on the roster."""
+    assert stream_digests(tmp_path) == json.loads(GOLDEN_STREAM.read_text())
