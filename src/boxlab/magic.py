@@ -10,12 +10,14 @@ vanishes has vanishing box seminorm up there.  This module builds the
 extension, the partitions involved, and executable checks for the magic
 property and the two lemmas feeding it (orthogonality of zero-expectation
 vertex products, and vanishing of the extended seminorm when the origin
-factor has seminorm zero).
+factor has seminorm zero).  Seminorms on the extension take the oracle
+route, under the base system's cap like the build itself.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -31,9 +33,14 @@ from .box_measure import (
     vertex_functions,
 )
 from .draws import random_observable, require_draws
-from .errors import InvariantViolationError, PreconditionError, StructuralError
+from .errors import (
+    InvariantViolationError,
+    PreconditionError,
+    StructuralError,
+    SupportCapError,
+)
 from .perms import Perm, compose
-from .seminorm import SeminormValue, seminorm_pow, zed_partition
+from .seminorm import SeminormValue, seminorm_oracle_pow, seminorm_pow, zed_partition
 from .serialize import format_rational
 from .system import (
     FiniteSystem,
@@ -70,7 +77,6 @@ class StarSystem:
         weights: tuple[Fraction, ...],
         star_transforms: tuple[Perm, ...],
         diag_transforms: tuple[Perm, ...],
-        cap: int | None = None,
     ):
         self.base = base
         self.order = order
@@ -78,8 +84,7 @@ class StarSystem:
         self.weights = weights
         self.star_transforms = star_transforms
         self.diag_transforms = diag_transforms
-        self._system = FiniteSystem(
-            weights, star_transforms, cap=base.cap if cap is None else cap)
+        self._system = FiniteSystem(weights, star_transforms, cap=base.cap)
 
     @property
     def d(self) -> int:
@@ -94,8 +99,8 @@ class StarSystem:
         return self.carrier[i][0]
 
     def as_finite_system(self) -> FiniteSystem:
-        """The carrier weights with the side transforms, built once with the
-        extension and shared by every seminorm evaluated on it."""
+        """The carrier weights with the side transforms, under the base's cap,
+        built once and shared by every seminorm evaluated on it."""
         return self._system
 
     def box_measure(self) -> SparseCubeMeasure:
@@ -119,16 +124,11 @@ def _carrier_permutation(star_carrier, index, tuple_map) -> Perm:
     return tuple(out)
 
 
-def build_star_system(
-    sys: FiniteSystem,
-    order: Sequence[int],
-    cap: int | None = None,
-) -> StarSystem:
+def build_star_system(sys: FiniteSystem, order: Sequence[int]) -> StarSystem:
     """Materialize the extension on the support of the cube measure.
 
-    That measure is built under ``sys.cap``.  The extension, viewed as a
-    finite system, bounds the cube measures of its own seminorms by
-    ``cap``, which defaults to ``sys.cap``.
+    That measure is built under ``sys.cap``, and the extension, viewed as a
+    finite system, carries the same cap (see :func:`star_seminorm_pow`).
     """
     order = normalize_order(sys, order)
     d = len(order)
@@ -141,7 +141,7 @@ def build_star_system(
         perm = sys.transforms[order[pos - 1]]
         star.append(_carrier_permutation(carrier, index, side_transform(perm, d, pos)))
         diag.append(_carrier_permutation(carrier, index, diagonal_transform(perm, d)))
-    out = StarSystem(sys, order, carrier, weights, tuple(star), tuple(diag), cap)
+    out = StarSystem(sys, order, carrier, weights, tuple(star), tuple(diag))
     _check_star_invariants(out)
     return out
 
@@ -278,14 +278,19 @@ def star_conditional_expectation(
 def star_seminorm_pow(star: StarSystem, F: Observable) -> SeminormValue:
     """Box seminorm power of a carrier observable, for the side transforms.
 
-    The measure route on the extension viewed as a finite system: the
-    integral folds the last stage of its cube measure into a per-cell sum,
-    and the stages before it are built once and shared by repeated
-    evaluations.  The extension's support cap guards the sparse growth.
+    The oracle route on the extension viewed as a finite system, which
+    builds no cube measure.  Its work, the product of the side transforms'
+    periods (the table cells) times the carrier size, is bounded by the
+    extension's cap, the base's; beyond it this raises
+    :class:`SupportCapError` naming that work.
     """
     if F.n != star.size:
         raise StructuralError(f"observable has {F.n} values, carrier has {star.size}")
-    return seminorm_pow(star.as_finite_system(), range(star.d), F)
+    X = star.as_finite_system()
+    needed = math.prod(map(X.period, range(star.d))) * X.n
+    if needed > X.cap:
+        raise SupportCapError(needed, X.cap)
+    return seminorm_oracle_pow(X, range(star.d), F)
 
 
 class MagicCheck(Record):
@@ -377,9 +382,9 @@ def span0_orthogonality_check(star: StarSystem, fs: Mapping) -> bool:
 def normstar_check(star: StarSystem, fs: Mapping) -> bool:
     """Zero box seminorm of the origin factor forces zero extended seminorm
     of the vertex product.  The precondition is checked exactly on the
-    base, and the extended seminorm on the extension, each under its own
-    system's cap (see :func:`build_star_system`).  ``fs`` is as for
-    :func:`vertex_functions`."""
+    base first, raising :class:`PreconditionError` when violated; the
+    extended seminorm then runs as :func:`star_seminorm_pow`, under the
+    same cap.  ``fs`` is as for :func:`vertex_functions`."""
     fmap = vertex_functions(fs, star.d, star.base.n)
     f_origin = fmap.get(0, Observable.constant(1, star.base.n))
     if seminorm_pow(star.base, star.order, f_origin).pow != 0:

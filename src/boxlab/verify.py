@@ -65,12 +65,6 @@ from .seminorm import (
 from .serialize import format_rational
 from .system import FiniteSystem, Observable, Record, validate_system
 
-# The magic extension is built from the base measure under sys.cap; its own
-# support cap, min(sys.cap, STAR_VERIFY_BUDGET), bounds the cube measures
-# that magic and normstar integrate against.  An extension whose stages
-# need more entries SKIPs with the error of the first such stage.
-STAR_VERIFY_BUDGET = 100_000
-
 
 class PropertyOutcome(Record):
     _fields = ("name", "status", "detail", "counterexample")
@@ -113,8 +107,7 @@ class _Suite:
 
     @functools.cached_property
     def star(self) -> StarSystem:
-        return build_star_system(
-            self.sys, self.order, cap=min(self.sys.cap, STAR_VERIFY_BUDGET))
+        return build_star_system(self.sys, self.order)
 
     def run(self) -> list[PropertyOutcome]:
         results = []
@@ -323,8 +316,9 @@ class _Suite:
         for i, fs in self._origin_zero_draws():
             try:
                 holds = normstar_check(star, fs)
-            except PreconditionError:
-                continue  # draw not admissible for this system
+            except PreconditionError:  # by Lemma Z, only a wrong partition misses
+                raise _Fail("zero-expectation origin draw has nonzero seminorm",
+                            {"draw": i, "fs": _fs_json(fs)}) from None
             if not holds:
                 raise _Fail("zero origin seminorm does not force zero extended seminorm",
                             {"draw": i, "fs": _fs_json(fs)})

@@ -36,6 +36,7 @@ from boxlab.box_measure import (
 from boxlab.draws import random_unit_vectors, random_vertex_functions
 from boxlab.errors import StructuralError, SupportCapError
 from boxlab.magic import (
+    StarSystem,
     build_star_system,
     star_conditional_expectation,
     star_seminorm_pow,
@@ -314,6 +315,44 @@ def test_star_seminorm_equals_built_star_measure(roster_case):
         F = mixed_observable(rng, star.size)
         expected = integrate_product(m, full_map(F, star.d))
         assert star_seminorm_pow(star, F).pow == expected, name
+
+
+def assert_star_seminorm_is_the_bounded_oracle(star: StarSystem, F: Observable) -> None:
+    """The extension's seminorm equals the measure route on the extension as
+    a finite system, for F and for zero; it computes under a cap equal to
+    its work, table cells times carrier, and raises under one below it."""
+    X = star.as_finite_system()
+    for G in (F, Observable.zero(star.size)):
+        assert star_seminorm_pow(star, G) == seminorm_pow(X, range(star.d), G)
+    cells = math.prod(math.lcm(*map(len, orbits(range(X.n), t.__getitem__)))
+                      for t in star.star_transforms)
+    needed = cells * star.size
+
+    def under(cap: int) -> StarSystem:
+        return StarSystem(star.base.replace(cap=cap), star.order, star.carrier, star.weights,
+                          star.star_transforms, star.diag_transforms)
+
+    assert star_seminorm_pow(under(needed), F) == star_seminorm_pow(star, F)
+    if needed > 1:  # a cap is at least 1
+        with pytest.raises(SupportCapError) as exc:
+            star_seminorm_pow(under(needed - 1), F)
+        assert (exc.value.needed, exc.value.cap) == (needed, needed - 1)
+
+
+def test_star_seminorm_is_the_bounded_oracle(roster_case):
+    name, sys, order = roster_case
+    star = build_star_system(sys, order)
+    assert_star_seminorm_is_the_bounded_oracle(
+        star, mixed_observable(random.Random(127), star.size))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_hypothesis_star_seminorm_is_the_bounded_oracle(data):
+    sys, order = data.draw(commuting_systems(max_n=5, max_d=2))
+    star = build_star_system(sys, order)
+    F = data.draw(st.lists(rationals, min_size=star.size, max_size=star.size).map(Observable))
+    assert_star_seminorm_is_the_bounded_oracle(star, F)
 
 
 def test_integer_oracle_table_equals_fraction_reference(roster_case):

@@ -182,16 +182,14 @@ def test_check_flags_a_vertex_bits_reference():
     assert references(tree, "vertex_bits") == [1, 4, 6]
 
 
-# The first two take a measure, not a system; the next two set the cap of
-# the extension they build; the error records the cap it reports, and the
-# system's constructor the cap it holds.  Every other function reads the
-# cap of the system it is given.
+# The system's constructor takes the cap it holds; the two stage builders
+# take a measure, not a system; the error records the cap it reports.
+# Every other function, the magic extension's included, reads the cap of
+# the system it is given.
 TAKES_A_CAP = {
     "system.FiniteSystem.__init__",
     "box_measure.relative_self_product",
     "box_measure._orbit_cells",
-    "magic.build_star_system",
-    "magic.StarSystem.__init__",
     "errors.SupportCapError.__init__",
 }
 

@@ -424,27 +424,22 @@ def test_normstar_guard_fires():
         normstar_check(star, fs)
 
 
-def test_normstar_star_cap_bounds_only_the_extension():
-    star = build_star_system(Z4_TWO, (0, 1), cap=10)
+def test_extension_carries_the_base_cap():
+    star = build_star_system(Z4_TWO.replace(cap=255), (0, 1))
+    assert star.as_finite_system().cap == 255
+    # the extension's seminorm needs 8 table cells times a carrier of 32
     fs = {b: Observable.constant(1, 4) for b in range(1, 4)}
     fs[0] = Observable.zero(4)
     with pytest.raises(SupportCapError) as exc:
         normstar_check(star, fs)
-    assert exc.value.cap == 10
-    # the precondition on the base runs under the base's cap and rejects first
+    assert (exc.value.needed, exc.value.cap) == (256, 255)
+    # the precondition on the base runs first and rejects
     fs[0] = Observable((F(1), F(-1), F(1), F(-1)))
     with pytest.raises(PreconditionError):
         normstar_check(star, fs)
-
-
-def test_extension_takes_the_base_cap_unless_given_one():
-    base = Z4_TWO.replace(cap=500)
-    assert build_star_system(base, (0, 1)).as_finite_system().cap == 500
-    star = build_star_system(base, (0, 1), cap=64)
-    assert star.as_finite_system().cap == 64 and star.base.cap == 500
-    # the base measure is built under the base's cap, not the extension's
+    # the base measure is built under the same cap
     with pytest.raises(SupportCapError) as exc:
-        build_star_system(Z4_TWO.replace(cap=10), (0, 1), cap=10**6)
+        build_star_system(Z4_TWO.replace(cap=10), (0, 1))
     assert exc.value.cap == 10
 
 
