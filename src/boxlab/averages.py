@@ -128,7 +128,7 @@ def multi_average(
             tuple(map(nums.__getitem__, t)) for nums, t in zip(current, sys.transforms)
         ]
     values = Observable(tuple(Fraction(v, den) for v in total))
-    w_nums, w_den = integer_numerators(sys.weights)
+    w_nums, w_den = sys.weight_numerators()
     l2 = Fraction(sum(w * v * v for w, v in zip(w_nums, total)), w_den * den * den)
     return AverageResult(values, interval, l2)
 

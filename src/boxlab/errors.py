@@ -22,12 +22,13 @@ class InvariantViolationError(BoxlabError):
 
 
 class SupportCapError(BoxlabError):
-    """A sparse construction would exceed the configured entry cap."""
+    """A computation would exceed the configured cap: a sparse construction
+    in its support entries, or an oracle evaluation in the table cells
+    times points it visits."""
 
-    def __init__(self, needed: int, cap: int):
-        super().__init__(
-            f"sparse support would need {needed} entries, exceeding the cap of {cap}"
-        )
+    def __init__(self, needed: int, cap: int, work: str = "sparse support",
+                 unit: str = "entries"):
+        super().__init__(f"{work} would need {needed} {unit}, exceeding the cap of {cap}")
         self.needed = needed
         self.cap = cap
 

@@ -17,7 +17,6 @@ route, under the base system's cap like the build itself.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import random
 from fractions import Fraction
@@ -33,14 +32,15 @@ from .box_measure import (
     vertex_functions,
 )
 from .draws import random_observable, require_draws
-from .errors import (
-    InvariantViolationError,
-    PreconditionError,
-    StructuralError,
-    SupportCapError,
-)
+from .errors import InvariantViolationError, PreconditionError, StructuralError
 from .perms import Perm, compose
-from .seminorm import SeminormValue, seminorm_oracle_pow, seminorm_pow, zed_partition
+from .seminorm import (
+    SeminormValue,
+    require_oracle_work,
+    seminorm_oracle_pow,
+    seminorm_pow,
+    zed_partition,
+)
 from .serialize import format_rational
 from .system import (
     FiniteSystem,
@@ -279,17 +279,15 @@ def star_seminorm_pow(star: StarSystem, F: Observable) -> SeminormValue:
     """Box seminorm power of a carrier observable, for the side transforms.
 
     The oracle route on the extension viewed as a finite system, which
-    builds no cube measure.  Its work, the product of the side transforms'
-    periods (the table cells) times the carrier size, is bounded by the
-    extension's cap, the base's; beyond it this raises
-    :class:`SupportCapError` naming that work.
+    builds no cube measure.  Its work, the table cells times points of
+    :func:`~boxlab.seminorm.oracle_work`, is bounded by the extension's cap,
+    the base's; beyond it this raises :class:`SupportCapError` naming that
+    work.
     """
     if F.n != star.size:
         raise StructuralError(f"observable has {F.n} values, carrier has {star.size}")
     X = star.as_finite_system()
-    needed = math.prod(map(X.period, range(star.d))) * X.n
-    if needed > X.cap:
-        raise SupportCapError(needed, X.cap)
+    require_oracle_work(X, range(star.d))
     return seminorm_oracle_pow(X, range(star.d), F)
 
 

@@ -13,7 +13,8 @@ Three routes compute the same power:
   only the stages before the last are built;
 * ``seminorm_oracle_pow`` evaluates the iterated-average formula as a finite
   multi-sum over full periods (each summand is periodic in each index, so
-  the full-period average equals the limit).  ``integrand_table`` fills
+  the full-period average equals the limit), one per block of joint orbit
+  cells with equal periods (``oracle_blocks``).  ``integrand_table`` fills
   that multi-sum's table in integer numerators over one denominator, by a
   walk over the residue digits that translates each vertex function once
   per residue prefix and shares products between vertices; it reads none
@@ -38,8 +39,8 @@ from .box_measure import (
     normalize_order,
     vertex_functions,
 )
-from .errors import PreconditionError, StructuralError
-from .perms import compose, identity
+from .errors import PreconditionError, StructuralError, SupportCapError
+from .perms import Perm, compose, identity, orbits
 from .system import (
     FiniteSystem,
     Observable,
@@ -47,7 +48,7 @@ from .system import (
     Record,
     components,
     conditional_expectation,
-    integer_numerators,
+    group_orbit_partition,
 )
 
 
@@ -113,15 +114,65 @@ def _seminorm_pow(sys: FiniteSystem, order: tuple[int, ...], f: Observable) -> S
 def transform_power_tables(sys: FiniteSystem, order: Sequence[int]):
     """Per order position: the tuple of permutation powers over one full
     period, kept on ``sys`` per transform."""
-    return tuple(sys.memo(("powers", idx), lambda: _powers(sys, idx)) for idx in order)
+    return tuple(
+        sys.memo(("powers", idx), lambda: _powers(sys.transforms[idx], sys.period(idx)))
+        for idx in order
+    )
 
 
-def _powers(sys: FiniteSystem, idx: int) -> tuple[tuple[int, ...], ...]:
-    t = sys.transforms[idx]
-    powers = [identity(sys.n)]
-    for _ in range(sys.period(idx) - 1):
+def _powers(t: Perm, period: int) -> tuple[Perm, ...]:
+    powers = [identity(len(t))]
+    for _ in range(period - 1):
         powers.append(compose(t, powers[-1]))
     return tuple(powers)
+
+
+def oracle_blocks(sys: FiniteSystem, order: Sequence[int]):
+    """The blocks :func:`seminorm_oracle_pow` sums over, kept on ``sys``.
+
+    Every translate of a point stays in its joint orbit cell of the
+    transforms at ``order``, so the integrand is a sum over those cells,
+    and each cell's part is periodic with the periods of the transforms on
+    that cell.  A block joins the cells with equal periods that hold a
+    point of nonzero weight; it comes as those periods and its sorted
+    points.
+    """
+    order = normalize_order(sys, order)
+    return sys.memo(("oracle blocks", order), lambda: _oracle_blocks(sys, order))
+
+
+def _oracle_blocks(sys: FiniteSystem, order: tuple[int, ...]):
+    perms = [sys.transforms[idx] for idx in order]
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for cell in group_orbit_partition(perms, sys.n).cells:
+        if any(map(sys.weights.__getitem__, cell)):
+            periods = tuple(math.lcm(*map(len, orbits(cell, t.__getitem__))) for t in perms)
+            blocks.setdefault(periods, []).extend(cell)
+    return tuple((periods, tuple(sorted(points))) for periods, points in blocks.items())
+
+
+def _block_system(sys: FiniteSystem, order: tuple[int, ...], periods, points) -> FiniteSystem:
+    """The weights on a block and the transforms at ``order`` restricted to
+    it, in indices local to the block, kept on ``sys``."""
+    def build() -> FiniteSystem:
+        local = {x: k for k, x in enumerate(points)}
+        steps = [tuple(local[sys.transforms[idx][x]] for x in points) for idx in order]
+        return FiniteSystem(tuple(map(sys.weights.__getitem__, points)), steps, cap=sys.cap)
+    return sys.memo(("oracle block", order, periods), build)
+
+
+def oracle_work(sys: FiniteSystem, order: Sequence[int]) -> int:
+    """Table cells times points that :func:`seminorm_oracle_pow` visits:
+    over its blocks, the product of the block's periods times its size."""
+    return sum(math.prod(periods) * len(points) for periods, points in oracle_blocks(sys, order))
+
+
+def require_oracle_work(sys: FiniteSystem, order: Sequence[int]) -> None:
+    """Raise :class:`SupportCapError` when :func:`oracle_work` exceeds
+    ``sys.cap``."""
+    needed = oracle_work(sys, order)
+    if needed > sys.cap:
+        raise SupportCapError(needed, sys.cap, "oracle evaluation", "table cells times points")
 
 
 def integrand_table(
@@ -149,7 +200,7 @@ def integrand_table(
     fmap = vertex_functions(fs, d, sys.n)
     tables = transform_power_tables(sys, order)
     periods = tuple(len(t) for t in tables)
-    terms, den = integer_numerators(sys.weights)
+    terms, den = sys.weight_numerators()
     pending = {}
     for bits, obs in fmap.items():
         pending[bits], scale = obs.numerators
@@ -183,13 +234,24 @@ def _digit_walk(tables, j: int, terms, pending: dict, suffix: tuple, out: dict) 
         return
     bit = 1 << j
     for r, p in enumerate(powers):
+        # a vector that several patterns share is translated, and a pair
+        # multiplied, once; power 0 is the identity
+        made = {}
         below: dict[int, list[int]] = {}
         for q, g in pending.items():
-            if not q & bit:
-                g = list(map(g.__getitem__, p))
+            if r and not q & bit:
+                key = id(g)
+                if key not in made:
+                    made[key] = list(map(g.__getitem__, p))
+                g = made[key]
             q &= bit - 1
             other = below.get(q)
-            below[q] = g if other is None else list(map(operator.mul, other, g))
+            if other is not None:
+                key = id(other), id(g)
+                if key not in made:
+                    made[key] = list(map(operator.mul, other, g))
+                g = made[key]
+            below[q] = g
         _digit_walk(tables, j, terms, below, (r,) + suffix, out)
 
 
@@ -198,13 +260,21 @@ def seminorm_oracle_pow(
 ) -> SeminormValue:
     """Iterated-average route, independent of the cube-measure code paths.
 
-    The nested limits of averages collapse to one finite mean over the full
-    period box, because on a finite system the integrand is periodic in
-    every index separately.
+    The nested limits of averages collapse to finite means over full
+    period boxes, because on a finite system the integrand is periodic in
+    every index separately.  The integrand splits over
+    :func:`oracle_blocks`, and each block's part is the mean of its
+    :func:`integrand_table` over the box of the block's own periods.
     """
     order = normalize_order(sys, order)
-    periods, numerators, den = integrand_table(sys, order, _full_vertex_map(f, len(order)))
-    total = Fraction(sum(numerators.values()), den * math.prod(periods))
+    f = vertex_functions({0: f}, len(order), sys.n)[0]
+    total = Fraction(0)
+    for periods, points in oracle_blocks(sys, order):
+        block = _block_system(sys, order, periods, points)
+        # a block of every point keeps them in order
+        g = f if len(points) == sys.n else Observable(tuple(map(f.values.__getitem__, points)))
+        _, numerators, den = integrand_table(block, range(block.d), _full_vertex_map(g, block.d))
+        total += Fraction(sum(numerators.values()), den * math.prod(periods))
     return SeminormValue(len(order), total, order)
 
 

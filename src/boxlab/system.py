@@ -202,6 +202,10 @@ class FiniteSystem(Record):
         """:func:`transform_period` of transform ``i``, kept on the system."""
         return self.memo(("period", i), lambda: transform_period(self.transforms[i]))
 
+    def weight_numerators(self) -> tuple[tuple[int, ...], int]:
+        """:func:`integer_numerators` of the weights, kept on the system."""
+        return self.memo("weight numerators", lambda: integer_numerators(self.weights))
+
     def __repr__(self) -> str:
         return f"FiniteSystem(n={self.n}, d={self.d})"
 

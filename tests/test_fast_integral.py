@@ -47,6 +47,8 @@ from boxlab.perms import compose, orbits
 from boxlab.seminorm import (
     csg_check,
     integrand_table,
+    oracle_work,
+    seminorm_oracle_pow,
     seminorm_pow,
     transform_power_tables,
     zed_partition,
@@ -320,13 +322,11 @@ def test_star_seminorm_equals_built_star_measure(roster_case):
 def assert_star_seminorm_is_the_bounded_oracle(star: StarSystem, F: Observable) -> None:
     """The extension's seminorm equals the measure route on the extension as
     a finite system, for F and for zero; it computes under a cap equal to
-    its work, table cells times carrier, and raises under one below it."""
+    its oracle work and raises under one below it."""
     X = star.as_finite_system()
     for G in (F, Observable.zero(star.size)):
         assert star_seminorm_pow(star, G) == seminorm_pow(X, range(star.d), G)
-    cells = math.prod(math.lcm(*map(len, orbits(range(X.n), t.__getitem__)))
-                      for t in star.star_transforms)
-    needed = cells * star.size
+    needed = oracle_work(X, range(star.d))
 
     def under(cap: int) -> StarSystem:
         return StarSystem(star.base.replace(cap=cap), star.order, star.carrier, star.weights,
@@ -353,6 +353,68 @@ def test_hypothesis_star_seminorm_is_the_bounded_oracle(data):
     star = build_star_system(sys, order)
     F = data.draw(st.lists(rationals, min_size=star.size, max_size=star.size).map(Observable))
     assert_star_seminorm_is_the_bounded_oracle(star, F)
+
+
+def blocks_system(sizes, shifts, units=None) -> FiniteSystem:
+    """Shift k on each cyclic block, one transform per k; block b weighs
+    units[b] per point."""
+    units = units or [1] * len(sizes)
+    total = sum(u * c for u, c in zip(units, sizes))
+    weights = [Fraction(u, total) for u, c in zip(units, sizes) for _ in range(c)]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    return FiniteSystem(weights, [
+        tuple(s + (x + k) % c for s, c in zip(starts, sizes) for x in range(c))
+        for k in shifts])
+
+
+def test_oracle_work_sums_each_cells_periods():
+    # blocks 2, 3, 5 under shifts 1, 2, 3: local periods (2, 1, 2), (3, 3, 1)
+    # and (5, 5, 5); one table over the whole system would have 30 * 15 * 10
+    sys = blocks_system((2, 3, 5), (1, 2, 3))
+    assert oracle_work(sys, (0, 1, 2)) == 4 * 2 + 9 * 3 + 125 * 5 == 660
+    assert oracle_work(sys, (2,)) == 2 * 2 + 1 * 3 + 5 * 5
+    # two cells of four points, each turned by one of the two transforms
+    # only: periods (4, 1) and (1, 4), not (4, 4)
+    crossed = FiniteSystem(uniform(8), ((1, 2, 3, 0, 4, 5, 6, 7), (0, 1, 2, 3, 5, 6, 7, 4)))
+    assert oracle_work(crossed, (0, 1)) == 4 * 4 + 4 * 4
+    # a null cell adds no work and nothing to the seminorm
+    null = blocks_system((2, 3, 5), (1, 2, 3), units=[1, 2, 0])
+    assert oracle_work(null, (0, 1, 2)) == 4 * 2 + 9 * 3
+    for s, order in ((sys, (0, 1, 2)), (null, (0, 1, 2)), (crossed, (0, 1))):
+        f = mixed_observable(random.Random(131), s.n)
+        assert seminorm_oracle_pow(s, order, f) == seminorm_pow(s, order, f)
+
+
+def test_star_oracle_work_is_pinned():
+    z7 = FiniteSystem(uniform(7), [tuple((x + k) % 7 for x in range(7)) for k in (1, 2, 3)])
+    for sys, order, needed in (
+        (Z4_TWO, (0, 1), 8 * 32),
+        (z7, (0, 1, 2), 343 * 2401),
+        # mixed cycle lengths: per cell 8 * 16 + 27 * 81 + 125 * 625, where
+        # one table over the carrier of 722 would have 30 ** 3 cells
+        (blocks_system((2, 3, 5), (1, 1, 1)), (0, 1, 2), 80_440),
+    ):
+        star = build_star_system(sys, order)
+        assert oracle_work(star.as_finite_system(), range(star.d)) == needed
+
+
+def assert_oracle_is_the_table_mean(sys: FiniteSystem, order, f: Observable) -> None:
+    periods, numerators, den = integrand_table(sys, order, full_map(f, len(order)))
+    mean = Fraction(sum(numerators.values()), den * math.prod(periods))
+    assert seminorm_oracle_pow(sys, order, f).pow == mean
+
+
+def test_oracle_blocks_sum_to_the_whole_table_mean(roster_case):
+    name, sys, order = roster_case
+    assert_oracle_is_the_table_mean(sys, order, mixed_observable(random.Random(137), sys.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hypothesis_oracle_blocks_sum_to_the_whole_table_mean(data):
+    sys, order = data.draw(commuting_systems(max_n=9, max_d=3))
+    f = data.draw(st.lists(rationals, min_size=sys.n, max_size=sys.n).map(Observable))
+    assert_oracle_is_the_table_mean(sys, order, f)
 
 
 def test_integer_oracle_table_equals_fraction_reference(roster_case):
@@ -383,6 +445,18 @@ def assert_table_equals_reference(sys, rng):
 def test_oracle_table_equals_reference_on_every_ordered_subset(roster_case):
     _, sys, _ = roster_case
     assert_table_equals_reference(sys, random.Random(139))
+
+
+def test_oracle_table_with_shared_vertex_functions_equals_reference(roster_case):
+    # the walk translates a shared vector, and multiplies a shared pair, once:
+    # vertex maps drawn from a pool of two observables share both
+    _, sys, order = roster_case
+    rng = random.Random(149)
+    d = len(order)
+    for _ in range(4):
+        pool = [mixed_observable(rng, sys.n) for _ in range(2)]
+        fs = {bits: rng.choice(pool) for bits in range(1 << d)}
+        assert table_fractions(sys, order, fs) == reference_integrand_table(sys, order, fs)
 
 
 def random_permutation_system(rng: random.Random) -> FiniteSystem:

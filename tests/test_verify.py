@@ -80,9 +80,29 @@ def test_heavy_extension_passes_under_the_run_cap():
     for name in ("magic", "normstar"):
         assert by_name.pop(name).as_dict() == {
             "property": name, "status": "SKIP",
-            "detail": "sparse support would need 823543 entries, exceeding the cap of 823542",
+            "detail": "oracle evaluation would need 823543 table cells times points, "
+                      "exceeding the cap of 823542",
         }
     assert all(o.status == "PASS" for o in by_name.values())
+
+
+def test_mixed_block_extension_passes():
+    # blocks of 2, 3 and 5 points, each shifted by 1 under all three
+    # transforms: the extension's cells have periods 2, 3 and 5, so its
+    # seminorms need 80 440 table cells times points, far under the cap,
+    # though one table over the whole carrier would need 19 494 000
+    sizes = (2, 3, 5)
+    t = tuple(s + (x + 1) % c for s, c in zip((0, 2, 5), sizes) for x in range(c))
+    sys = FiniteSystem(uniform(10), (t, t, t))
+    by_name = {o.name: o for o in run_suite(sys, (0, 1, 2), seed=0, draws=2)}
+    assert all(o.status == "PASS" for o in by_name.values()), [
+        (o.name, o.status, o.detail) for o in by_name.values()
+    ]
+    by_name = {o.name: o for o in run_suite(sys.replace(cap=80_439), (0, 1, 2),
+                                             seed=0, draws=2)}
+    for name in ("magic", "normstar"):
+        assert by_name[name].detail == ("oracle evaluation would need 80440 table cells "
+                                        "times points, exceeding the cap of 80439")
 
 
 def test_suite_builds_the_extension_and_its_partition_once(monkeypatch):
