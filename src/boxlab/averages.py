@@ -9,7 +9,12 @@ differ from it by at most a boundary term of order 1/length.
 
 The module also evaluates the multilinear interval averages that drive the
 seminorm machinery, the characteristic seminorm bound for the limit of a
-multiple average, and the finite van der Corput inequality.
+multiple average, and the finite van der Corput inequality.  Multilinear
+averages and uniformity scans sum the integrand per block of
+:func:`~boxlab.seminorm.oracle_blocks`, each block's table over its own
+periods, so their cost is the sum of the block tables, not one table over
+the lcm of all periods.  The van der Corput sums run in an integer kernel
+that ``verify`` calls directly with vectors drawn as integer numerators.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Mapping, Sequence
 from .box_measure import normalize_order, vertex_functions
 from .errors import PreconditionError, StructuralError
 from .perms import Perm, compose, inverse
-from .seminorm import SeminormValue, approx_root, integrand_table, seminorm_pow
+from .seminorm import SeminormValue, approx_root, block_tables, seminorm_pow
 from .system import (
     FiniteSystem,
     Observable,
@@ -154,6 +159,35 @@ def _weighted_table_sum(numerators: Mapping, counts: Sequence[Sequence[int]]) ->
     return total
 
 
+def _box_tables(sys: FiniteSystem, order: tuple[int, ...], fmap: Mapping[int, Observable]):
+    """The integrand's :func:`~boxlab.seminorm.block_tables` over one common
+    denominator: ``([(periods, numerators, multiplier)], den)``, a block's
+    numerators times its multiplier being over ``den``."""
+    tables = block_tables(sys, order, fmap)
+    den = math.lcm(*(block_den for _, _, block_den in tables))
+    return [(periods, nums, den // block_den) for periods, nums, block_den in tables], den
+
+
+def _period_counts(interval: Interval, tables) -> dict[int, list[int]]:
+    """:func:`_residue_counts` of ``interval`` for each period that a block
+    of ``tables`` has at some order position, keyed by the period."""
+    return {
+        L: _residue_counts(interval.start, interval.length, L)
+        for L in {L for periods, _, _ in tables for L in periods}
+    }
+
+
+def _box_sum(tables, counts: Sequence[Mapping[int, Sequence[int]]]) -> int:
+    """The integrand's numerator summed over a box of intervals, given by
+    their :func:`_period_counts` per order position: each block's table
+    weighted by the residue counts for its own periods."""
+    return sum(
+        multiplier * _weighted_table_sum(
+            numerators, [by_period[L] for by_period, L in zip(counts, periods)])
+        for periods, numerators, multiplier in tables
+    )
+
+
 class CharacteristicBound(Record):
     _fields = ("lhs", "rhs", "holds")
 
@@ -194,18 +228,17 @@ def multilinear_average_J(
 
     Vertex eps receives transform i to the power n_i exactly when digit i
     of eps is 0; the n_i range over the given intervals.  Periodicity in
-    each index reduces the mean to residue counts against one full-period
-    table of integrand values.  ``fs`` is as for :func:`vertex_functions`.
+    each index reduces the mean to residue counts against full-period
+    tables of integrand values, one per block of
+    :func:`~boxlab.seminorm.oracle_blocks` over the block's own periods.
+    ``fs`` is as for :func:`vertex_functions`.
     """
     order = normalize_order(sys, order)
     if len(intervals) != len(order):
         raise StructuralError(f"{len(intervals)} intervals for {len(order)} transforms")
-    periods, numerators, den = integrand_table(sys, order, fs)
-    counts = [
-        _residue_counts(iv.start, iv.length, L) for iv, L in zip(intervals, periods)
-    ]
-    box = math.prod(iv.length for iv in intervals)
-    return Fraction(_weighted_table_sum(numerators, counts), den * box)
+    tables, den = _box_tables(sys, order, vertex_functions(fs, len(order), sys.n))
+    total = _box_sum(tables, [_period_counts(iv, tables) for iv in intervals])
+    return Fraction(total, den * math.prod(iv.length for iv in intervals))
 
 
 class UniformityReport(Record):
@@ -256,7 +289,9 @@ def uniformity_scan(
     them, and the exact power comparison |J|^(2^d) <= seminorm power (which
     must hold whenever the length is a multiple of every period).  ``fs``
     is as for :func:`vertex_functions`; each (start, length) is read as an
-    :class:`Interval`, and ``starts`` must name at least one.
+    :class:`Interval`, and ``starts`` must name at least one.  Each tuple
+    is summed per block, as :func:`multilinear_average_J` sums, against
+    tables built once for the scan.
     """
     order = normalize_order(sys, order)
     intervals = [Interval(s, length) for s in starts]
@@ -267,17 +302,12 @@ def uniformity_scan(
     for bits in sorted(fmap):
         if bits and fmap[bits].max_abs() > 1:
             raise PreconditionError(f"vertex {bits} observable has sup norm above 1")
-    periods, numerators, den = integrand_table(sys, order, fmap)
-    count_cache = {
-        (iv.start, L): _residue_counts(iv.start, iv.length, L)
-        for iv in intervals
-        for L in set(periods)
-    }
+    tables, den = _box_tables(sys, order, fmap)
+    counts = [_period_counts(iv, tables) for iv in intervals]
     worst = 0
     scanned = 0
-    for combo in itertools.product(intervals, repeat=d):
-        counts = [count_cache[(iv.start, L)] for iv, L in zip(combo, periods)]
-        worst = max(worst, abs(_weighted_table_sum(numerators, counts)))
+    for combo in itertools.product(counts, repeat=d):
+        worst = max(worst, abs(_box_sum(tables, combo)))
         scanned += 1
     max_abs = Fraction(worst, den * length**d)
     sem = seminorm_pow(sys, order, fmap.get(0, Observable.constant(1, sys.n)))
@@ -326,9 +356,12 @@ def van_der_corput_bound(
     and the correlation average keeps denominator N.  Requires every vector
     norm at most 1, 1 <= H <= N and one non-negative weight per coordinate.
 
-    The sums run in integer numerators, and each lag h is summed per
-    coordinate column: column j contributes its weight times the sum of
-    ``col[n + h] * col[n]`` over n.
+    The sums run in integer numerators, in :func:`_van_der_corput`, one
+    coordinate column at a time: the correlation sum is the weighted sum of
+    the squared sums of the column over every window of H consecutive
+    indices, so it takes O(N + H) operations per column, not O(N H).
+    ``verify`` draws its vectors as integer numerators and calls that
+    kernel directly.
     """
     # exact type: a bool is an int subclass, a float is not a lag count
     if type(H) is not int:
@@ -343,34 +376,49 @@ def van_der_corput_bound(
     for v in vecs:
         if len(v) != dim:
             raise StructuralError("vectors have mixed dimensions")
-    # integer numerators: all coordinates over one denominator, weights over
-    # theirs; an inner product of norm 1 reads ``unit``
     flat, scale = integer_numerators([c for v in vecs for c in v])
+    return _van_der_corput(
+        [flat[i * dim:(i + 1) * dim] for i in range(N)], scale, H, weights)
+
+
+def _van_der_corput(
+    ints: Sequence[Sequence[int]],
+    scale: int,
+    H: int,
+    weights: Sequence[Fraction] | None = None,
+) -> VdcBound:
+    """:func:`van_der_corput_bound` of the vectors ``ints / scale``: at
+    least one, all of one dimension, each a sequence of integer numerators
+    over the one denominator ``scale``, with 1 <= H <= their number, none of it
+    checked again.  The weights are read here, and a vector of norm above 1
+    is rejected here."""
+    N = len(ints)
+    dim = len(ints[0])
+    # an inner product of norm 1 reads ``unit``
     w_int, wscale = weight_numerators(weights, dim)
     unit = scale * scale * wscale
-    ints = [flat[i * dim:(i + 1) * dim] for i in range(N)]
-
-    def ip(u: Sequence[int], v: Sequence[int]) -> int:
-        return sum(w * a * b for w, a, b in zip(w_int, u, v))
-
-    norms = [ip(v, v) for v in ints]
-    for i, norm in enumerate(norms):
-        if norm > unit:
+    for i, v in enumerate(ints):
+        if sum(map(operator.mul, map(operator.mul, v, v), w_int)) > unit:
             raise PreconditionError(f"vector {i} has norm above 1")
 
-    sums = [sum(column) for column in zip(*ints)]
-    lhs = Fraction(ip(sums, sums), N * N * unit)
-
-    # The weight (H - |h|) / H^2 vanishes at |h| = H, and the lag -h
-    # correlation equals the lag h one, so only the Gram diagonals
-    # 0 <= h < H are summed, each once.
-    columns = list(zip(*ints))
-    corr = H * sum(norms)
-    for h in range(1, H):
-        lag = sum(w * sum(map(operator.mul, col[h:], col)) for w, col in zip(w_int, columns))
-        corr += 2 * (H - h) * lag
-    rhs = Fraction(4 * H, N) + abs(Fraction(corr, H * H * N * unit))
-    return VdcBound(lhs, rhs, lhs <= rhs)
+    # With v zero outside 0..N-1, sum the squared norms of the sums of v
+    # over the N + H - 1 windows of H consecutive indices that meet 0..N-1:
+    # the pair (n + h, n) lies in H - |h| windows, so this is
+    # sum_h (H - |h|) sum_n <v_(n+h), v_n>, the correlation term of rhs
+    # times H^2 N.  It is never negative, so the absolute value in rhs is
+    # the term itself.  Each column, padded with H - 1 zeros at each end,
+    # gives its window sums as differences of its prefix sums.
+    pad = (0,) * (H - 1)
+    lhs_num = corr = 0
+    for w, col in zip(w_int, zip(*ints)):
+        prefix = (0, *itertools.accumulate(pad + col + pad))
+        windows = tuple(map(operator.sub, prefix[H:], prefix))
+        lhs_num += w * prefix[-1] * prefix[-1]
+        corr += w * sum(map(operator.mul, windows, windows))
+    # lhs = lhs_num / (N^2 unit) and rhs = 4H/N + corr / (H^2 N unit)
+    rhs_num = 4 * H * H * H * unit + corr
+    return VdcBound(Fraction(lhs_num, N * N * unit), Fraction(rhs_num, H * H * N * unit),
+                    lhs_num * H * H <= rhs_num * N)
 
 
 def decomposable_reduction_check(

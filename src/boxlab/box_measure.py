@@ -299,7 +299,7 @@ def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...]):
     Per orbit cell this returns the coordinate columns of its points (one
     tuple per vertex of the stage before) and the numerator of its pair
     mass m(y) / |C| over the one common denominator returned with them.
-    Kept on ``sys`` by :func:`_cube_integral`.
+    Kept on ``sys`` by :func:`_cube_numerators`.
     """
     _, cells = coupled_cells(sys, order)
     masses, den = integer_numerators([mass for mass, _ in cells])
@@ -309,7 +309,7 @@ def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...]):
 
 def _cell_sum(
     columns: tuple[tuple[int, ...], ...],
-    factors: list[tuple[int, tuple[int, ...]]],
+    factors: list[tuple[int, Sequence[int]]],
 ) -> int:
     """Sum over a cell of the product of the factor values, factor
     (bits, values) reading the coordinate column at vertex ``bits``; the
@@ -352,12 +352,22 @@ def _cube_integral(
 ) -> Fraction:
     """:func:`cube_integral` of an order read by :func:`normalize_order` and
     a map read by :func:`vertex_functions`, checking neither again."""
+    return Fraction(*_cube_numerators(
+        sys, order, {bits: obs.numerators for bits, obs in fmap.items()}))
+
+
+def _cube_numerators(
+    sys: FiniteSystem, order: tuple[int, ...], factors: Mapping[int, tuple[Sequence[int], int]]
+) -> tuple[int, int]:
+    """The integral of :func:`_cube_integral` as ``(total, den)``: per
+    vertex, ``factors`` holds the values' integer numerators and their
+    denominator, and the integral is ``total / den``."""
     cells, den = sys.memo(("cells", order), lambda: _last_stage_cells(sys, order))
     half = 1 << (len(order) - 1)
-    low: list[tuple[int, tuple[int, ...]]] = []
-    high: list[tuple[int, tuple[int, ...]]] = []
-    for bits in sorted(fmap):
-        numerators, scale = fmap[bits].numerators
+    low: list[tuple[int, Sequence[int]]] = []
+    high: list[tuple[int, Sequence[int]]] = []
+    for bits in sorted(factors):
+        numerators, scale = factors[bits]
         den *= scale
         (low if bits < half else high).append((bits & (half - 1), numerators))
     # a seminorm's two halves carry the same factors: one sum serves both
@@ -367,7 +377,7 @@ def _cube_integral(
         s0 = _cell_sum(columns, low)
         s1 = s0 if same else _cell_sum(columns, high)
         total += mass * s0 * s1
-    return Fraction(total, den)
+    return total, den
 
 
 def diagonal_transform(perm: Perm, k: int) -> TupleMap:

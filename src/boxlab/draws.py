@@ -15,11 +15,17 @@ a draw builds no Fraction per value: each value is
 ``len(seq)`` integers does, one ``_randbelow(len(seq))``, so the tables
 give the values, and leave the rng in the state, of drawing the numerator
 and the denominator with ``randint`` and building the Fraction.
+
+Unit vectors for the van der Corput inequality come from one drawing loop
+in two forms: Fractions (:func:`random_unit_vectors`) and integer
+numerators over one denominator (:func:`random_unit_vector_numerators`),
+which ``verify`` hands straight to the inequality's integer kernel.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -142,7 +148,31 @@ def random_zero_expectation_observable(
 
 
 _COORD_NUMERATORS = (-2, -1, 0, 1, 2)
-_COORD_DENOMINATORS = (1, 2, 3)
+# 6 / b for the coordinate denominators b = 1, 2, 3: a / b is (a * 6 / b) / 6
+_SIXTHS_PER_UNIT = (6, 3, 2)
+
+
+def _unit_vector_draws(
+    rng: random.Random, count: int, dim: int, weights
+) -> list[tuple[list[int], int]]:
+    """Per vector, its drawn coordinates as integer numerators over 6 and
+    its scale exponent k: the least k >= 0 with weighted norm at most 4^k.
+
+    Each coordinate is drawn as a / b with a in [-2, 2] and b in [1, 3],
+    each picked by ``rng.choice``.  The norm is computed in integers, the
+    coordinates over 6 and the weights over theirs.
+    """
+    w_int, wscale = weight_numerators(weights, dim)
+    unit = 36 * wscale  # the integer norm of a vector of norm 1
+    choice = rng.choice
+    out = []
+    for _ in range(count):
+        # the numerator is drawn first, then the denominator
+        sixths = [choice(_COORD_NUMERATORS) * choice(_SIXTHS_PER_UNIT) for _ in range(dim)]
+        norm = sum(map(operator.mul, map(operator.mul, sixths, sixths), w_int))
+        # norm <= unit * 4^k iff ceil(norm / unit) <= 2^(2k)
+        out.append((sixths, (max(-(-norm // unit) - 1, 0).bit_length() + 1) // 2))
+    return out
 
 
 def random_unit_vectors(
@@ -150,25 +180,29 @@ def random_unit_vectors(
 ) -> list[tuple[Fraction, ...]]:
     """Vectors of weighted norm at most 1.
 
-    Each coordinate is drawn as a / b with a in [-2, 2] and b in [1, 3],
-    each picked by ``rng.choice``; the vector is then scaled by 2^-k, for
-    the least k >= 0 with weighted norm at most 4^k, so its coordinates are
-    ``Fraction(a, b << k)``, each built once per call and then reused.
-    The vectors, and the rng state after them, are those of halving the
-    drawn vector until its norm is at most 1.  The norm is computed once,
-    in integers: coordinates over the common denominator 6, weights over
-    theirs.  ``weights`` are read as by :func:`van_der_corput_bound`: one
-    exact non-negative weight per coordinate, ``None`` for all 1.
+    The draws of :func:`_unit_vector_draws`, each vector scaled by 2^-k, so
+    a coordinate a / b reads ``Fraction(6a / b, 6 << k)``, each value built
+    once per call and then reused.  The vectors, and the rng state after
+    them, are those of halving the drawn vector until its norm is at most
+    1.  ``weights`` are read as by :func:`van_der_corput_bound`: one exact
+    non-negative weight per coordinate, ``None`` for all 1.
     """
-    w_int, wscale = weight_numerators(weights, dim)
-    unit = 36 * wscale  # the integer norm of a vector of norm 1
-    choice = rng.choice
     coordinate = functools.cache(Fraction)  # at most 5 * 3 values per k
-    out = []
-    for _ in range(count):
-        pairs = [(choice(_COORD_NUMERATORS), choice(_COORD_DENOMINATORS)) for _ in range(dim)]
-        norm = sum(w * (a * (6 // b)) ** 2 for w, (a, b) in zip(w_int, pairs))
-        # norm <= unit * 4^k iff ceil(norm / unit) <= 2^(2k)
-        k = (max(-(-norm // unit) - 1, 0).bit_length() + 1) // 2
-        out.append(tuple(coordinate(a, b << k) for a, b in pairs))
-    return out
+    return [
+        tuple(coordinate(a, 6 << k) for a in sixths)
+        for sixths, k in _unit_vector_draws(rng, count, dim, weights)
+    ]
+
+
+def random_unit_vector_numerators(
+    rng: random.Random, count: int, dim: int, weights=None
+) -> tuple[list[list[int]], int]:
+    """:func:`random_unit_vectors` as integer numerators over one
+    denominator: ``(rows, 6 << K)`` with K the largest k of the draw.
+
+    Reads the rng exactly as :func:`random_unit_vectors` does, so it leaves
+    it in the same state, and builds no Fraction.
+    """
+    draws = _unit_vector_draws(rng, count, dim, weights)
+    top = max((k for _, k in draws), default=0)
+    return [[a << (top - k) for a in sixths] for sixths, k in draws], 6 << top

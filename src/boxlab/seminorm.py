@@ -20,7 +20,10 @@ Three routes compute the same power:
   per residue prefix and shares products between vertices; it reads none
   of the cube-measure kernels;
 * ``seminorm_recursion_pow`` averages the (d-1)-transform power of the
-  shifted products over one full period of the last transform.
+  shifted products over one full period of the last transform.  It
+  translates f's integer numerators itself, hands each product to the
+  cube kernel at the other transforms and sums the parts as integers; it
+  reads none of the oracle's tables.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from typing import Mapping, Sequence
 
 from .box_measure import (
     _cube_integral,
+    _cube_numerators,
     build_box_measure,
     normalize_order,
     vertex_functions,
@@ -255,6 +259,32 @@ def _digit_walk(tables, j: int, terms, pending: dict, suffix: tuple, out: dict) 
         _digit_walk(tables, j, terms, below, (r,) + suffix, out)
 
 
+def block_tables(sys: FiniteSystem, order: tuple[int, ...], fmap: Mapping[int, Observable]):
+    """Per block of :func:`oracle_blocks`, its periods and the
+    :func:`integrand_table` of the vertex functions restricted to its
+    points: ``(periods, numerators, den)``.
+
+    ``order`` is read by ``normalize_order`` and ``fmap`` by
+    ``vertex_functions``.  The integrand is the sum of the blocks' parts,
+    each periodic with its block's periods.  A vertex function shared by
+    several vertices is restricted once, so the table's walk shares it too.
+    """
+    out = []
+    for periods, points in oracle_blocks(sys, order):
+        block = _block_system(sys, order, periods, points)
+        local = fmap
+        if len(points) < sys.n:  # a block of every point keeps them in order
+            restricted: dict[int, Observable] = {}
+            local = {}
+            for bits, obs in fmap.items():
+                if id(obs) not in restricted:
+                    restricted[id(obs)] = Observable(tuple(map(obs.values.__getitem__, points)))
+                local[bits] = restricted[id(obs)]
+        _, numerators, den = integrand_table(block, range(block.d), local)
+        out.append((periods, numerators, den))
+    return out
+
+
 def seminorm_oracle_pow(
     sys: FiniteSystem, order: Sequence[int], f: Observable
 ) -> SeminormValue:
@@ -269,11 +299,7 @@ def seminorm_oracle_pow(
     order = normalize_order(sys, order)
     f = vertex_functions({0: f}, len(order), sys.n)[0]
     total = Fraction(0)
-    for periods, points in oracle_blocks(sys, order):
-        block = _block_system(sys, order, periods, points)
-        # a block of every point keeps them in order
-        g = f if len(points) == sys.n else Observable(tuple(map(f.values.__getitem__, points)))
-        _, numerators, den = integrand_table(block, range(block.d), _full_vertex_map(g, block.d))
+    for periods, numerators, den in block_tables(sys, order, _full_vertex_map(f, len(order))):
         total += Fraction(sum(numerators.values()), den * math.prod(periods))
     return SeminormValue(len(order), total, order)
 
@@ -286,19 +312,29 @@ def seminorm_recursion_pow(
 
     The mean over one period carries the 1/N normalization of the limit it
     realizes; without it the average would diverge.  Requires d >= 2.
+    ``f`` is validated once; its numerator tuple is then translated along
+    the last transform step by step, and each product f * T^n f goes to
+    the cube kernel at the other transforms as numerators over the square
+    of f's denominator.  Every part then has one denominator, so the parts
+    are summed as integers and one Fraction is built.
     """
     order = normalize_order(sys, order)
     if len(order) < 2:
         raise PreconditionError("the recursion needs at least two transforms")
+    f = vertex_functions({0: f}, len(order), sys.n)[0]
     last = sys.transforms[order[-1]]
     period = sys.period(order[-1])
     sub_order = order[:-1]
-    total = Fraction(0)
-    shifted = f
+    numerators, scale = f.numerators
+    vertices = range(1 << len(sub_order))
+    total = 0
+    shifted = numerators
     for _ in range(period):
-        total += seminorm_pow(sys, sub_order, shifted * f).pow
-        shifted = shifted.translate(last)
-    return SeminormValue(len(order), total / period, order)
+        product = (tuple(map(operator.mul, shifted, numerators)), scale * scale)
+        part, den = _cube_numerators(sys, sub_order, dict.fromkeys(vertices, product))
+        total += part
+        shifted = tuple(map(shifted.__getitem__, last))
+    return SeminormValue(len(order), Fraction(total, den * period), order)
 
 
 class CsgResult(Record):

@@ -21,10 +21,10 @@ import random
 from typing import Iterator
 
 from .averages import (
+    _van_der_corput,
     characteristic_bound_check,
     derived_transform_system,
     uniformity_scan,
-    van_der_corput_bound,
 )
 from .box_measure import (
     apply_digit_flip,
@@ -40,7 +40,7 @@ from .box_measure import (
 from .draws import (
     random_bounded_observable,
     random_observable,
-    random_unit_vectors,
+    random_unit_vector_numerators,
     random_vertex_functions,
     random_zero_expectation_observable,
     require_draws,
@@ -275,8 +275,8 @@ class _Suite:
             N = self.rng.randint(2, 32)
             H = self.rng.randint(1, N)
             dim = self.rng.randint(1, 4)
-            vecs = random_unit_vectors(self.rng, N, dim)
-            res = van_der_corput_bound(vecs, H)
+            # the kernel reads the draw's integer numerators: no Fraction per coordinate
+            res = _van_der_corput(*random_unit_vector_numerators(self.rng, N, dim), H)
             if not res.holds:
                 raise _Fail("bound violated",
                             {"draw": i, "N": N, "H": H,

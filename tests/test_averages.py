@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,10 +26,11 @@ from boxlab.draws import (
     random_commuting_system,
     random_observable,
     random_unit_vectors,
+    random_vertex_functions,
     random_zero_expectation_observable,
 )
 from boxlab.errors import PreconditionError, StructuralError
-from boxlab.seminorm import seminorm_pow, zed_partition
+from boxlab.seminorm import integrand_table, oracle_blocks, seminorm_pow, zed_partition
 from boxlab.system import FiniteSystem, Observable, conditional_expectation, orbit_partition
 from conftest import Z4_TWO, shift, uniform
 from test_fast_integral import commuting_systems, rationals
@@ -332,6 +334,93 @@ def test_uniformity_margin_in_the_float_range_is_the_float_difference():
     swap = FiniteSystem(uniform(2), ((1, 0),))
     rep = uniformity_scan(swap, (0,), {0: [10**200, -10**200], 1: [1, 0]}, 3, [0])
     assert rep.margin == float(rep.max_abs_J) - rep.seminorm.root() > 1e199
+
+
+# ------------------------------------------------- per-block scan and averages
+
+def cyclic_blocks(sizes, d: int) -> FiniteSystem:
+    """Disjoint cycles of the given sizes, each shifted by 1 under all d
+    transforms, with uniform weights: the periods differ from block to
+    block, so the whole system's are their lcm."""
+    perm, start = [], 0
+    for size in sizes:
+        perm += [start + (x + 1) % size for x in range(size)]
+        start += size
+    return FiniteSystem(uniform(start), (tuple(perm),) * d)
+
+
+def whole_table_average(table, intervals) -> Fraction:
+    """The mean over the box of ``intervals`` of an ``integrand_table``
+    over the whole system's periods, summed term by term."""
+    periods, numerators, den = table
+    total = sum(
+        numerators[tuple(e % L for e, L in zip(exponents, periods))]
+        for exponents in itertools.product(*intervals)
+    )
+    return Fraction(total, den * math.prod(iv.length for iv in intervals))
+
+
+def whole_table_max_abs_J(sys, order, fs, length, starts) -> Fraction:
+    table = integrand_table(sys, order, fs)
+    intervals = [Interval(s, length) for s in starts]
+    return max(
+        abs(whole_table_average(table, combo))
+        for combo in itertools.product(intervals, repeat=len(order))
+    )
+
+
+BLOCK_SCANS = [
+    # (sizes, d, length, starts): lengths off every period and, at d = 2, the
+    # full common period
+    ((2, 3, 5), 2, 7, [-4, 0, 3]),
+    ((2, 3, 5), 2, 30, [-31, 2]),
+    ((2, 3, 5), 3, 7, [-4, 3]),
+    ((3, 4, 5), 2, 13, [-9, 0, 5]),
+    ((3, 4, 5), 2, 60, [1, 7]),
+    ((3, 4, 5), 3, 7, [-2, 5]),
+]
+
+
+@pytest.mark.parametrize(
+    "sizes, d, length, starts", BLOCK_SCANS,
+    ids=[f"{','.join(map(str, c[0]))}-d{c[1]}-len{c[2]}" for c in BLOCK_SCANS],
+)
+def test_uniformity_scan_per_block_equals_the_whole_table(sizes, d, length, starts):
+    sys = cyclic_blocks(sizes, d)
+    assert len(oracle_blocks(sys, range(d))) == len(sizes)
+    rng = random.Random(59)
+    for _ in range(2):
+        fs = random_vertex_functions(rng, sys.n, d, True)
+        rep = uniformity_scan(sys, range(d), fs, length, starts)
+        assert rep.max_abs_J == whole_table_max_abs_J(sys, range(d), fs, length, starts)
+        assert rep.scanned == len(starts) ** d
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hypothesis_uniformity_scan_per_block_equals_the_whole_table(data):
+    sys, order = data.draw(commuting_systems())
+    fs = random_vertex_functions(random.Random(data.draw(st.integers(0, 2**32))),
+                                 sys.n, len(order), True)
+    length = data.draw(st.integers(1, 9))
+    starts = data.draw(st.lists(st.integers(-20, 20), min_size=1, max_size=3))
+    rep = uniformity_scan(sys, order, fs, length, starts)
+    assert rep.max_abs_J == whole_table_max_abs_J(sys, order, fs, length, starts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hypothesis_multilinear_average_per_block_equals_the_whole_table(data):
+    sys, order = data.draw(commuting_systems())
+    fs = random_vertex_functions(random.Random(data.draw(st.integers(0, 2**32))),
+                                 sys.n, len(order), False)
+    starts = data.draw(st.lists(st.integers(-20, 20), min_size=len(order),
+                                max_size=len(order)))
+    lengths = data.draw(st.lists(st.integers(1, 9), min_size=len(order),
+                                 max_size=len(order)))
+    intervals = [Interval(s, n) for s, n in zip(starts, lengths)]
+    assert multilinear_average_J(sys, order, fs, intervals) == whole_table_average(
+        integrand_table(sys, order, fs), intervals)
 
 
 # ------------------------------------------------------------- van der Corput

@@ -22,7 +22,14 @@ from hypothesis import strategies as st
 
 import boxlab.seminorm
 from boxlab import cli
-from boxlab.averages import Interval, common_period, multi_average, van_der_corput_bound
+from boxlab.averages import (
+    Interval,
+    VdcBound,
+    _van_der_corput,
+    common_period,
+    multi_average,
+    van_der_corput_bound,
+)
 from boxlab.box_measure import (
     Vertex,
     build_box_measure,
@@ -33,8 +40,12 @@ from boxlab.box_measure import (
     relative_self_product,
     vertex_functions,
 )
-from boxlab.draws import random_unit_vectors, random_vertex_functions
-from boxlab.errors import StructuralError, SupportCapError
+from boxlab.draws import (
+    random_unit_vector_numerators,
+    random_unit_vectors,
+    random_vertex_functions,
+)
+from boxlab.errors import PreconditionError, StructuralError, SupportCapError
 from boxlab.magic import (
     StarSystem,
     build_star_system,
@@ -610,16 +621,20 @@ def test_van_der_corput_equals_reference_at_verify_ranges():
 
 
 def halving_unit_vectors(rng, count, dim, weights=None):
-    """random_unit_vectors as first written: halve until the norm fits."""
+    """random_unit_vectors as first written: halve until the norm fits.
+    Returns the vectors and how often each was halved."""
     if weights is None:
         weights = [Fraction(1)] * dim
-    out = []
+    out, halvings = [], []
     for _ in range(count):
         v = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)]
+        k = 0
         while sum((w * c * c for w, c in zip(weights, v)), Fraction(0)) > 1:
             v = [c / 2 for c in v]
+            k += 1
         out.append(tuple(v))
-    return out
+        halvings.append(k)
+    return out, halvings
 
 
 def test_unit_vectors_equal_the_halving_loop():
@@ -631,9 +646,72 @@ def test_unit_vectors_equal_the_halving_loop():
         seed = meta.getrandbits(32)
         fast, slow = random.Random(seed), random.Random(seed)
         vecs = random_unit_vectors(fast, N, dim, weights)
-        assert vecs == halving_unit_vectors(slow, N, dim, weights)
+        assert vecs == halving_unit_vectors(slow, N, dim, weights)[0]
         assert all(type(c) is Fraction for v in vecs for c in v)
         assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit-weights", "weights"])
+def test_unit_vector_numerators_equal_the_fraction_draw(weighted):
+    meta = random.Random(151 + weighted)
+    for _ in range(300):
+        N = meta.randint(1, 32)
+        dim = meta.randint(1, 4)
+        weights = None
+        while weighted and weights is None:
+            weights = draw_weights(meta, dim)
+        seed = meta.getrandbits(32)
+        ints, fracs = random.Random(seed), random.Random(seed)
+        rows, den = random_unit_vector_numerators(ints, N, dim, weights)
+        vecs = random_unit_vectors(fracs, N, dim, weights)
+        assert [tuple(Fraction(a, den) for a in row) for row in rows] == vecs
+        assert all(type(a) is int for row in rows for a in row)
+        # 6 << K, with K the most halvings any vector of the draw took
+        _, halvings = halving_unit_vectors(random.Random(seed), N, dim, weights)
+        assert den == 6 << max(halvings)
+        assert ints.getstate() == fracs.getstate()
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and text of the error it raises."""
+    try:
+        return call()
+    except (PreconditionError, StructuralError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def expected_van_der_corput(vecs, H, weights):
+    """The reference bound, or the PreconditionError that the weights or a
+    vector of norm above 1 must raise, the weights checked first."""
+    if weights is not None and any(w < 0 for w in weights):
+        return "PreconditionError", "weights must be non-negative"
+    for i, v in enumerate(vecs):
+        if sum(w * c * c for w, c in zip(weights or [1] * len(v), v)) > 1:
+            return "PreconditionError", f"vector {i} has norm above 1"
+    return VdcBound(*reference_van_der_corput(vecs, H, weights))
+
+
+def test_van_der_corput_kernel_equals_the_public_bound():
+    rng = random.Random(157)
+    raised = set()
+    for i in range(300):
+        N = rng.randint(1, 32)
+        dim = rng.randint(1, 4)
+        weights = draw_weights(rng, dim)
+        rows, den = random_unit_vector_numerators(rng, N, dim, weights)
+        if i % 3 == 0:  # a vector pushed past norm 1, or a negative weight
+            grown = rng.randrange(N)
+            rows[grown] = tuple(rng.choice((2, 3)) * a for a in rows[grown])
+            if weights is not None and rng.random() < 0.3:
+                weights = [-w for w in weights]
+        vecs = [tuple(Fraction(a, den) for a in row) for row in rows]
+        H = rng.randint(1, N)
+        got = outcome(lambda: _van_der_corput(rows, den, H, weights))
+        assert got == outcome(lambda: van_der_corput_bound(vecs, H, weights))
+        assert got == expected_van_der_corput(vecs, H, weights)
+        if isinstance(got, tuple):
+            raised.add(got[1].split()[0])
+    assert raised == {"vector", "weights"}
 
 
 def test_multi_average_equals_fraction_loop(roster_case):

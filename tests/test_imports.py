@@ -5,10 +5,10 @@ importing the CLI loads neither ``dataclasses`` nor ``inspect``, only
 takes a support cap, only ``verify._Suite.run`` builds a property
 outcome, only ``system.integer_numerators`` takes an lcm of denominators, only
 ``relative_self_product`` and ``coupled_cells`` walk the orbit cells of a
-stage, the oracle route reaches none of the cube-measure kernels, the
-orbit-cell walk reaches none of the per-point maps that check its output,
-and the value draws read the rng only by ``rng.choice`` and build no
-Fraction per value.
+stage, the oracle route reaches none of the cube-measure kernels and the
+recursion route none of the oracle's table code, the orbit-cell walk
+reaches none of the per-point maps that check its output, and the value
+draws read the rng only by ``rng.choice`` and build no Fraction per value.
 
 A stdlib ``ast`` check standing in for a linter: a module-level import
 binds a name, and that name must be read somewhere else in the module.
@@ -19,8 +19,8 @@ The last stage of a cube measure has one statement, ``coupled_cells``: a
 third caller of ``_orbit_cells`` or ``_coupled`` would be a second one.
 Exact values are scaled to integer numerators in one function; a second
 lcm over ``.denominator`` values would be a second copy of that format.
-The oracle seminorm route checks the cube-measure route, so a helper shared
-between the two would let one fault pass both.  For the same reason the
+The oracle seminorm route checks the cube-measure route and the recursion
+route, so a helper shared with either would let one fault pass both.  For the same reason the
 stage walk finds its cells in index space and never calls the tuple maps
 that ``check_box_measure_laws`` pushes a built measure through.
 A property suite draws thousands of values per run; a ``randint`` pair and
@@ -365,8 +365,8 @@ def test_check_flags_a_second_walk_of_the_last_stage():
 
 ORACLE_ROUTE = ["integrand_table", "seminorm_oracle_pow"]
 MEASURE_KERNELS = {
-    "cube_integral", "_cube_integral", "coupled_cells", "build_box_measure",
-    "relative_self_product", "_last_stage_cells",
+    "cube_integral", "_cube_integral", "_cube_numerators", "coupled_cells",
+    "build_box_measure", "relative_self_product", "_last_stage_cells",
 }
 
 
@@ -422,6 +422,38 @@ def test_check_flags_a_kernel_reached_through_a_helper():
     }
 
 
+# The recursion route checks the oracle route as the measure route does: it
+# runs on the cube kernel and must reach none of the oracle's table code.
+RECURSION_ROUTE = ["seminorm_recursion_pow"]
+ORACLE_KERNELS = {"integrand_table", "_digit_walk", "transform_power_tables", "oracle_blocks"}
+
+
+def test_the_recursion_route_reaches_no_oracle_kernel():
+    tree = ast.parse((SRC / "seminorm.py").read_text(encoding="utf-8"))
+    shared = reached_names(tree, RECURSION_ROUTE) & ORACLE_KERNELS
+    assert not shared, f"the recursion route references {sorted(shared)}"
+
+
+def test_check_flags_an_oracle_kernel_reached_by_the_recursion():
+    tree = ast.parse(
+        "from .box_measure import _cube_numerators\n"
+        "def seminorm_recursion_pow(sys, order, f):\n"
+        "    return _shifts(sys, order) + Shifts.parts(sys, order, f)\n"
+        "def _shifts(sys, order):\n"
+        "    return seminorm.transform_power_tables(sys, order[-1:])\n"
+        "class Shifts:\n"
+        "    def parts(sys, order, f):\n"
+        "        return [_cube_numerators(sys, order[:-1], {}), _blocks(sys, order)]\n"
+        "def _blocks(sys, order):\n"
+        "    return oracle_blocks(sys, order)\n"
+        "def integrand_table(sys, order, fs):\n"
+        "    return _digit_walk(sys, order, fs)\n"
+    )
+    assert reached_names(tree, RECURSION_ROUTE) & ORACLE_KERNELS == {
+        "transform_power_tables", "oracle_blocks",
+    }
+
+
 # The per-point maps that check_box_measure_laws pushes a built measure
 # through: a stage walk reaching one would share it with its own check.
 POINT_MAPS = {
@@ -460,7 +492,7 @@ def test_check_flags_a_point_map_reached_by_the_stage_walk():
 # builds no Fraction per value.
 VALUE_DRAWS = [
     "rational_in_unit", "random_observable", "random_bounded_observable",
-    "random_unit_vectors",
+    "_unit_vector_draws", "random_unit_vectors", "random_unit_vector_numerators",
 ]
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
@@ -514,9 +546,15 @@ def test_check_flags_a_randint_draw_and_a_fraction_per_value():
         "    for _ in range(count):\n"
         "        out.append([fractions.Fraction(a, 2) for a in draw(rng, dim)])\n"
         "    return out\n"
+        "def _unit_vector_draws(rng, count, dim, weights):\n"
+        "    return [[rng.choice(A) * rng.choice(B) for _ in range(dim)] for _ in range(count)]\n"
+        "def random_unit_vector_numerators(rng, count, dim, weights=None):\n"
+        "    rows = _unit_vector_draws(rng, count, dim, weights)\n"
+        "    return rows + [tuple(rng.randrange(5) for _ in range(dim))], 6\n"
     )
     assert draw_faults(tree, VALUE_DRAWS) == [
         "rational_in_unit:2 rng.randint", "rational_in_unit:3 rng.randint",
         "random_unit_vectors:11 Fraction per value",
         "random_unit_vectors:11 rng passed on",
+        "random_unit_vector_numerators:17 rng.randrange",
     ]

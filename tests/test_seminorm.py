@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxlab.draws import (
     random_commuting_system,
@@ -11,6 +13,7 @@ from boxlab.draws import (
 )
 from boxlab.errors import PreconditionError, StructuralError
 from boxlab.seminorm import (
+    SeminormValue,
     csg_check,
     gowers_norm_pow,
     seminorm_oracle_pow,
@@ -21,7 +24,8 @@ from boxlab.seminorm import (
     zed_partition,
 )
 from boxlab.system import FiniteSystem, Observable, Partition, conditional_expectation
-from conftest import BLOCKS4, Z2_PAIR, Z4_TWO, ROSTER, shift, uniform
+from conftest import BLOCKS4, Z2_PAIR, Z4_TWO, ROSTER, commuting_systems, shift, uniform
+from test_fast_integral import rationals
 
 
 def F(x):
@@ -93,6 +97,45 @@ def test_routes_agree_on_random_systems():
         assert a == seminorm_oracle_pow(sys, order, f).pow
         if sys.d >= 2:
             assert a == seminorm_recursion_pow(sys, order, f).pow
+
+
+def reference_recursion_pow(sys, order, f) -> Fraction:
+    """The recursion as first written: the mean over one period P of the
+    last transform T of seminorm_pow(sys, order[:-1], f * T^n f)."""
+    last = sys.transforms[order[-1]]
+    period = sys.period(order[-1])
+    total, shifted = Fraction(0), f
+    for _ in range(period):
+        total += seminorm_pow(sys, order[:-1], f * shifted).pow
+        shifted = shifted.translate(last)
+    return total / period
+
+
+def recursion_observables(rng: random.Random, n: int) -> list[Observable]:
+    """Mixed denominators and signs, a constant, and zero."""
+    mixed = [
+        Observable(tuple(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7, 10)))
+                         for _ in range(n)))
+        for _ in range(3)
+    ]
+    return [*mixed, Observable.constant(Fraction(-2, 3), n), Observable.zero(n)]
+
+
+@pytest.mark.parametrize("case", [c for c in ROSTER if len(c[2]) >= 2], ids=lambda c: c[0])
+def test_recursion_equals_the_mean_of_shifted_seminorms(case):
+    name, sys, order = case
+    for f in recursion_observables(random.Random(61), sys.n):
+        got = seminorm_recursion_pow(sys, order, f)
+        assert got == SeminormValue(len(order), reference_recursion_pow(sys, order, f), order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_hypothesis_recursion_equals_the_mean_of_shifted_seminorms(data):
+    sys, order = data.draw(commuting_systems().filter(lambda case: len(case[1]) >= 2))
+    values = data.draw(st.lists(rationals, min_size=sys.n, max_size=sys.n))
+    f = Observable(values)
+    assert seminorm_recursion_pow(sys, order, f).pow == reference_recursion_pow(sys, order, f)
 
 
 def test_recursion_needs_two_transforms():

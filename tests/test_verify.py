@@ -210,7 +210,7 @@ FAULTS = [
     ("characteristic_bound_check", lambda r: r.replace(lhs=Fraction(1)),
      "characteristic-bound", "FAIL", "zero seminorm does not force a zero limit",
      ["draw", "f1"]),
-    ("van_der_corput_bound", lambda r: r.replace(holds=False), "van-der-corput", "FAIL",
+    ("_van_der_corput", lambda r: r.replace(holds=False), "van-der-corput", "FAIL",
      "bound violated", ["H", "N", "draw", "lhs", "rhs"]),
     ("magic_failures", lambda failures: iter([{"draw": 0, "G": ["1"], "star_pow": "1"}]),
      "magic", "FAIL", "zero expectation does not force zero seminorm",
