@@ -30,7 +30,13 @@ from typing import Mapping, Sequence
 from .box_measure import normalize_order, vertex_functions
 from .errors import PreconditionError, StructuralError
 from .perms import Perm, compose, inverse
-from .seminorm import SeminormValue, approx_root, block_tables, seminorm_pow
+from .seminorm import (
+    SeminormValue,
+    _seminorm_numerators,
+    approx_root,
+    block_tables,
+    seminorm_pow,
+)
 from .system import (
     FiniteSystem,
     Observable,
@@ -109,9 +115,21 @@ def multi_average(
     """Average over the interval of the product of translated observables.
 
     The per-point sums run in the observables' integer numerators over one
-    common denominator (the product of theirs times the length), and one
-    Fraction is built per point; the squared norm is summed the same way.
+    common denominator (the product of theirs times the length), in
+    :func:`_average_numerators`, and one Fraction is built per point; the
+    squared norm is summed the same way.
     """
+    total, den, norm, norm_den = _average_numerators(sys, f_list, interval)
+    values = Observable(tuple(Fraction(v, den) for v in total))
+    return AverageResult(values, interval, Fraction(norm, norm_den))
+
+
+def _average_numerators(
+    sys: FiniteSystem, f_list: Sequence[Observable], interval: Interval
+) -> tuple[list[int], int, int, int]:
+    """:func:`multi_average` in integers: ``(total, den, norm, norm_den)``,
+    the average at x being total[x] / den and its weighted squared L2 norm
+    norm / norm_den."""
     if len(f_list) != sys.d:
         raise StructuralError(f"{len(f_list)} observables for {sys.d} transforms")
     for f in f_list:
@@ -132,10 +150,9 @@ def multi_average(
         current = [
             tuple(map(nums.__getitem__, t)) for nums, t in zip(current, sys.transforms)
         ]
-    values = Observable(tuple(Fraction(v, den) for v in total))
     w_nums, w_den = sys.weight_numerators()
-    l2 = Fraction(sum(w * v * v for w, v in zip(w_nums, total)), w_den * den * den)
-    return AverageResult(values, interval, l2)
+    norm = sum(map(operator.mul, w_nums, map(operator.mul, total, total)))
+    return total, den, norm, w_den * den * den
 
 
 def multi_average_limit(sys: FiniteSystem, f_list: Sequence[Observable]) -> AverageResult:
@@ -202,20 +219,25 @@ def characteristic_bound_check(
     of the first observable for the reversed difference transforms.
 
     Compared in exact powers: (|limit|_2^2)^(2^(d-1)) <= seminorm power.
-    Requires sup norm <= 1 for every observable after the first.
+    Requires sup norm <= 1 for every observable after the first, read off
+    its integer numerators.  The norm comes from the integer sums of
+    :func:`_average_numerators` over one full common period, the seminorm
+    power from the cube kernel, and the verdict from both in integers; the
+    result's two Fractions are built after it.
     """
     if len(f_list) != sys.d or sys.d < 1:
         raise StructuralError(f"{len(f_list)} observables for {sys.d} transforms")
     for i, f in enumerate(f_list[1:], start=2):
-        if f.max_abs() > 1:
+        numerators, scale = f.numerators
+        if max(map(abs, numerators), default=0) > scale:
             raise PreconditionError(f"observable {i} has sup norm above 1")
-    limit = multi_average_limit(sys, f_list)
-    lhs = limit.l2_norm_sq
-    tsys = derived_transform_system(sys)
+    _, _, norm, norm_den = _average_numerators(sys, f_list, Interval(0, common_period(sys)))
     order = tuple(reversed(range(sys.d)))
-    rhs = seminorm_pow(tsys, order, f_list[0])
-    holds = lhs ** (1 << (sys.d - 1)) <= rhs.pow
-    return CharacteristicBound(lhs, rhs, holds)
+    pow_num, pow_den = _seminorm_numerators(derived_transform_system(sys), order, f_list[0])
+    m = 1 << (sys.d - 1)
+    holds = norm**m * pow_den <= pow_num * norm_den**m
+    return CharacteristicBound(
+        Fraction(norm, norm_den), SeminormValue(sys.d, Fraction(pow_num, pow_den), order), holds)
 
 
 def multilinear_average_J(

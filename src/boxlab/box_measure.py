@@ -24,13 +24,15 @@ Integrals and output need not build the last stage: it couples two
 copies of the previous stage independently inside each orbit cell C,
 giving every pair of C the one mass m(y) / |C|.  :func:`coupled_cells`
 returns those cells and pair masses, and feeds both the writer of
-``box-measure`` and :func:`cube_integral`, which sums the integrand per
-cell in integer numerators.  :func:`integrate_product` stays the plain
-reference over a built measure.
+``box-measure`` and :func:`cube_integral`, which keeps them flat, one
+coordinate column per vertex over the points in cell order, and takes the
+integrand's sum per cell from prefix sums in integer numerators.
+:func:`integrate_product` stays the plain reference over a built measure.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
 from types import MappingProxyType
@@ -294,33 +296,21 @@ def coupled_cells(
 
 
 def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...]):
-    """The cells of :func:`coupled_cells` in integers.
+    """The cells of :func:`coupled_cells` in integers, flat.
 
-    Per orbit cell this returns the coordinate columns of its points (one
-    tuple per vertex of the stage before) and the numerator of its pair
-    mass m(y) / |C| over the one common denominator returned with them.
-    Kept on ``sys`` by :func:`_cube_numerators`.
+    Returns ``(columns, ends, masses, den)``.  The points of the stage
+    before the last are listed cell after cell; ``columns`` holds, per
+    vertex of that stage, the tuple of their coordinates there, and cell i
+    is the slice ``ends[i - 1]:ends[i]`` of every column (from 0 for the
+    first).  ``masses[i]`` is the numerator of cell i's pair mass
+    m(y) / |C| over the one common denominator ``den``.  Kept on ``sys``
+    by :func:`_cube_numerators`.
     """
     _, cells = coupled_cells(sys, order)
     masses, den = integer_numerators([mass for mass, _ in cells])
-    columns = (tuple(zip(*cell)) for _, cell in cells)
-    return tuple(zip(columns, masses)), den
-
-
-def _cell_sum(
-    columns: tuple[tuple[int, ...], ...],
-    factors: list[tuple[int, Sequence[int]]],
-) -> int:
-    """Sum over a cell of the product of the factor values, factor
-    (bits, values) reading the coordinate column at vertex ``bits``; the
-    cell size |C| when there is no factor."""
-    if not factors:
-        return len(columns[0])
-    (bits, values), *rest = factors
-    terms = map(values.__getitem__, columns[bits])
-    for bits, values in rest:
-        terms = map(operator.mul, terms, map(values.__getitem__, columns[bits]))
-    return sum(terms)
+    points = [point for _, cell in cells for point in cell]
+    ends = tuple(itertools.accumulate(len(cell) for _, cell in cells))
+    return tuple(zip(*points)), ends, masses, den
 
 
 def cube_integral(sys: FiniteSystem, order: Sequence[int], fs: Mapping) -> Fraction:
@@ -340,18 +330,11 @@ def cube_integral(sys: FiniteSystem, order: Sequence[int], fs: Mapping) -> Fract
     ``integrate_product(build_box_measure(sys, order), fs)`` and, under the
     same ``sys.cap``, raises SupportCapError exactly where that build would.
     The order and ``fs`` are validated here, once; the sum itself is
-    :func:`_cube_integral`, which callers that have validated both already
-    (the seminorm and the product bound) call directly.
+    :func:`_cube_numerators`, which callers that have validated both
+    already (the seminorm routes and the per-draw checks) call directly.
     """
     order = normalize_order(sys, order)
-    return _cube_integral(sys, order, vertex_functions(fs, len(order), sys.n))
-
-
-def _cube_integral(
-    sys: FiniteSystem, order: tuple[int, ...], fmap: Mapping[int, Observable]
-) -> Fraction:
-    """:func:`cube_integral` of an order read by :func:`normalize_order` and
-    a map read by :func:`vertex_functions`, checking neither again."""
+    fmap = vertex_functions(fs, len(order), sys.n)
     return Fraction(*_cube_numerators(
         sys, order, {bits: obs.numerators for bits, obs in fmap.items()}))
 
@@ -359,10 +342,19 @@ def _cube_integral(
 def _cube_numerators(
     sys: FiniteSystem, order: tuple[int, ...], factors: Mapping[int, tuple[Sequence[int], int]]
 ) -> tuple[int, int]:
-    """The integral of :func:`_cube_integral` as ``(total, den)``: per
+    """The integral of :func:`cube_integral` as ``(total, den)``: per
     vertex, ``factors`` holds the values' integer numerators and their
-    denominator, and the integral is ``total / den``."""
-    cells, den = sys.memo(("cells", order), lambda: _last_stage_cells(sys, order))
+    denominator, and the integral is ``total / den``.
+
+    Over the flat points of :func:`_last_stage_cells`, each half of the
+    vertices (last digit 0, last digit 1) is one product per point, chained
+    ``map(operator.mul, ...)`` over the half's coordinate columns; a half
+    with no factor is 1 at every point.  Each cell's sum of a half is a
+    difference of that product's prefix sums at the cell ends, and the
+    total is one sum of mass times the two halves' cell sums.
+    """
+    columns, ends, masses, den = sys.memo(
+        ("cells", order), lambda: _last_stage_cells(sys, order))
     half = 1 << (len(order) - 1)
     low: list[tuple[int, Sequence[int]]] = []
     high: list[tuple[int, Sequence[int]]] = []
@@ -370,14 +362,29 @@ def _cube_numerators(
         numerators, scale = factors[bits]
         den *= scale
         (low if bits < half else high).append((bits & (half - 1), numerators))
+    s0 = _half_sums(columns, ends, low)
     # a seminorm's two halves carry the same factors: one sum serves both
-    same = high == low
-    total = 0
-    for columns, mass in cells:
-        s0 = _cell_sum(columns, low)
-        s1 = s0 if same else _cell_sum(columns, high)
-        total += mass * s0 * s1
-    return total, den
+    s1 = s0 if high == low else _half_sums(columns, ends, high)
+    return sum(map(operator.mul, masses, map(operator.mul, s0, s1))), den
+
+
+def _half_sums(
+    columns: tuple[tuple[int, ...], ...],
+    ends: tuple[int, ...],
+    factors: list[tuple[int, Sequence[int]]],
+) -> list[int]:
+    """Per cell, the sum over its points of the product of the factor
+    values, factor (bits, values) reading the coordinate column at vertex
+    ``bits``: the cell size when there is no factor."""
+    terms = None
+    for bits, values in factors:
+        column = map(values.__getitem__, columns[bits])
+        terms = column if terms is None else map(operator.mul, terms, column)
+    if terms is None:
+        terms = itertools.repeat(1, ends[-1])
+    prefix = list(itertools.accumulate(terms, initial=0))
+    at_ends = [0, *map(prefix.__getitem__, ends)]
+    return list(map(operator.sub, at_ends[1:], at_ends))
 
 
 def diagonal_transform(perm: Perm, k: int) -> TupleMap:

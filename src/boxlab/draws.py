@@ -9,10 +9,16 @@ weight zero to exercise the null-set conventions.  With at most 6 points
 the weight denominators never exceed 12.
 
 Observable values are drawn from module-level tables of ``Fraction``s, so
-a draw builds no Fraction per value: each value is
-``rng.choice(rng.choice(rows))``, a row and then an entry of it.  One
-``rng.choice(seq)`` consumes the stream as ``rng.randint`` over a range of
-``len(seq)`` integers does, one ``_randbelow(len(seq))``, so the tables
+a draw builds no Fraction per value: each value is a row of a table and
+then an entry of that row.  On ``random.Random``, ``rng.choice(seq)`` is
+``seq[r]`` with r the first ``rng.getrandbits(k)`` result below
+``len(seq)``, k = ``len(seq).bit_length()``.  Each table is kept padded
+with ``None`` to 2^k entries per level (:func:`_padded`), and
+:func:`_picks` reads ``table[rng.getrandbits(k)]``, drawing again on
+``None``: the values and the rng state after them are those of
+``rng.choice(rng.choice(rows))``, with no ``choice`` or ``_randbelow``
+frame per value.  One ``rng.choice(seq)`` consumes the stream as
+``rng.randint`` over a range of ``len(seq)`` integers does, so the tables
 give the values, and leave the rng in the state, of drawing the numerator
 and the denominator with ``randint`` and building the Fraction.
 
@@ -42,31 +48,55 @@ def require_draws(draws: int) -> int:
     return draws
 
 
+def _padded(seq) -> tuple[int, tuple]:
+    """``(k, entries)`` for picking from ``seq`` as ``rng.choice`` does:
+    k = ``len(seq).bit_length()`` and ``seq`` padded with ``None`` to 2^k
+    entries."""
+    k = len(seq).bit_length()
+    return k, (*seq, *(None,) * ((1 << k) - len(seq)))
+
+
+def _picks(rng: random.Random, table, count: int) -> list:
+    """``count`` values of a two-level table of :func:`_padded` rows, each
+    picked as ``rng.choice(rng.choice(rows))`` picks it, row first.
+
+    ``rng.getrandbits(k)`` is read until it lands below the row's (or the
+    table's) length, which is where the padding holds ``None``."""
+    bits = rng.getrandbits
+    k, rows = table
+    out = []
+    for _ in range(count):
+        row = rows[bits(k)]
+        while row is None:
+            row = rows[bits(k)]
+        j, entries = row
+        value = entries[bits(j)]
+        while value is None:
+            value = entries[bits(j)]
+        out.append(value)
+    return out
+
+
 # random_observable's values a / b, a in [-3, 3] and b in [1, 4]: row a, entry b
-_OBSERVABLE_ROWS = tuple(
-    tuple(Fraction(a, b) for b in range(1, 5)) for a in range(-3, 4)
-)
+_OBSERVABLE_TABLE = _padded([_padded([Fraction(a, b) for b in range(1, 5)]) for a in range(-3, 4)])
 # rational_in_unit's values a / b, b in [1, 4] and a in [-b, b]: row b, entry a
-_UNIT_ROWS = tuple(
-    tuple(Fraction(a, b) for a in range(-b, b + 1)) for b in range(1, 5)
-)
+_UNIT_TABLE = _padded([_padded([Fraction(a, b) for a in range(-b, b + 1)]) for b in range(1, 5)])
 
 
 def rational_in_unit(rng: random.Random) -> Fraction:
     """A rational in [-1, 1] with denominator at most 4: the denominator is
     drawn first, then the numerator."""
-    return rng.choice(rng.choice(_UNIT_ROWS))
+    return _picks(rng, _UNIT_TABLE, 1)[0]
 
 
 def random_observable(rng: random.Random, n: int) -> Observable:
     """Values a / b with a in [-3, 3] and b in [1, 4], the numerator drawn first."""
-    choice = rng.choice
-    return Observable(tuple(choice(choice(_OBSERVABLE_ROWS)) for _ in range(n)))
+    return Observable(_picks(rng, _OBSERVABLE_TABLE, n))
 
 
 def random_bounded_observable(rng: random.Random, n: int) -> Observable:
     """Values of :func:`rational_in_unit`, in [-1, 1], declared via sup_bound."""
-    return Observable(tuple(rational_in_unit(rng) for _ in range(n)), sup_bound=Fraction(1))
+    return Observable(_picks(rng, _UNIT_TABLE, n), sup_bound=Fraction(1))
 
 
 def _block_transforms(rng: random.Random, size: int, d: int) -> list[list[int]]:
@@ -147,9 +177,9 @@ def random_zero_expectation_observable(
     return g - conditional_expectation(g, partition, sys.weights)
 
 
-_COORD_NUMERATORS = (-2, -1, 0, 1, 2)
-# 6 / b for the coordinate denominators b = 1, 2, 3: a / b is (a * 6 / b) / 6
-_SIXTHS_PER_UNIT = (6, 3, 2)
+# a unit-vector coordinate a / b, a in [-2, 2] and b in [1, 3], as its
+# numerator over 6, a * (6 / b): row a, entry b
+_SIXTHS_TABLE = _padded([_padded([a * 6 // b for b in (1, 2, 3)]) for a in range(-2, 3)])
 
 
 def _unit_vector_draws(
@@ -159,16 +189,14 @@ def _unit_vector_draws(
     its scale exponent k: the least k >= 0 with weighted norm at most 4^k.
 
     Each coordinate is drawn as a / b with a in [-2, 2] and b in [1, 3],
-    each picked by ``rng.choice``.  The norm is computed in integers, the
-    coordinates over 6 and the weights over theirs.
+    the numerator first, by :func:`_picks`.  The norm is computed in
+    integers, the coordinates over 6 and the weights over theirs.
     """
     w_int, wscale = weight_numerators(weights, dim)
     unit = 36 * wscale  # the integer norm of a vector of norm 1
-    choice = rng.choice
     out = []
     for _ in range(count):
-        # the numerator is drawn first, then the denominator
-        sixths = [choice(_COORD_NUMERATORS) * choice(_SIXTHS_PER_UNIT) for _ in range(dim)]
+        sixths = _picks(rng, _SIXTHS_TABLE, dim)
         norm = sum(map(operator.mul, map(operator.mul, sixths, sixths), w_int))
         # norm <= unit * 4^k iff ceil(norm / unit) <= 2^(2k)
         out.append((sixths, (max(-(-norm // unit) - 1, 0).bit_length() + 1) // 2))

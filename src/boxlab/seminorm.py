@@ -37,7 +37,6 @@ from sys import float_info
 from typing import Mapping, Sequence
 
 from .box_measure import (
-    _cube_integral,
     _cube_numerators,
     build_box_measure,
     normalize_order,
@@ -51,7 +50,6 @@ from .system import (
     Partition,
     Record,
     components,
-    conditional_expectation,
     group_orbit_partition,
 )
 
@@ -106,13 +104,17 @@ def seminorm_pow(sys: FiniteSystem, order: Sequence[int], f: Observable) -> Semi
     would validate them; the 2^d vertices then share the checked ``f``.
     """
     order = normalize_order(sys, order)
-    return _seminorm_pow(sys, order, vertex_functions({0: f}, len(order), sys.n)[0])
+    f = vertex_functions({0: f}, len(order), sys.n)[0]
+    return SeminormValue(len(order), Fraction(*_seminorm_numerators(sys, order, f)), order)
 
 
-def _seminorm_pow(sys: FiniteSystem, order: tuple[int, ...], f: Observable) -> SeminormValue:
-    """:func:`seminorm_pow` of a normalized order and a checked observable."""
-    value = _cube_integral(sys, order, _full_vertex_map(f, len(order)))
-    return SeminormValue(len(order), value, order)
+def _seminorm_numerators(
+    sys: FiniteSystem, order: tuple[int, ...], f: Observable
+) -> tuple[int, int]:
+    """The power of :func:`seminorm_pow`, for a normalized order and a
+    checked observable, as ``(numerator, den)``: straight from the cube
+    kernel with f's numerators at every vertex, not reduced."""
+    return _cube_numerators(sys, order, dict.fromkeys(range(1 << len(order)), f.numerators))
 
 
 def transform_power_tables(sys: FiniteSystem, order: Sequence[int]):
@@ -197,11 +199,19 @@ def integrand_table(
     its zero digits once per residue prefix, and the vertices that share
     their remaining zero digits share one product vector from then on.
     Each cell is one integer sum over the points.  ``fs`` is as for
-    :func:`vertex_functions`.
+    :func:`vertex_functions`.  The order and ``fs`` are validated here,
+    once; the table itself is :func:`_integrand_table`.
     """
     order = normalize_order(sys, order)
+    return _integrand_table(sys, order, vertex_functions(fs, len(order), sys.n))
+
+
+def _integrand_table(
+    sys: FiniteSystem, order: tuple[int, ...], fmap: Mapping[int, Observable]
+) -> tuple[tuple[int, ...], dict[tuple[int, ...], int], int]:
+    """:func:`integrand_table` of an order read by :func:`normalize_order`
+    and a map read by :func:`vertex_functions`, checking neither again."""
     d = len(order)
-    fmap = vertex_functions(fs, d, sys.n)
     tables = transform_power_tables(sys, order)
     periods = tuple(len(t) for t in tables)
     terms, den = sys.weight_numerators()
@@ -280,7 +290,7 @@ def block_tables(sys: FiniteSystem, order: tuple[int, ...], fmap: Mapping[int, O
                 if id(obs) not in restricted:
                     restricted[id(obs)] = Observable(tuple(map(obs.values.__getitem__, points)))
                 local[bits] = restricted[id(obs)]
-        _, numerators, den = integrand_table(block, range(block.d), local)
+        _, numerators, den = _integrand_table(block, tuple(range(block.d)), local)
         out.append((periods, numerators, den))
     return out
 
@@ -350,16 +360,24 @@ def csg_check(sys: FiniteSystem, order: Sequence[int], fs: Mapping) -> CsgResult
 
     ``fs`` is as for :func:`vertex_functions`; an absent vertex, the
     constant 1, has seminorm power exactly 1 and is left out of the product.
+    The integral L / D_L and the product R / D_R of the seminorm powers
+    come from the cube kernel as integers, and the verdict is
+    |L|^(2^d) * D_R <= R * D_L^(2^d); the two Fractions of the result are
+    built after it.
     """
     order = normalize_order(sys, order)
-    d = len(order)
-    fmap = vertex_functions(fs, d, sys.n)
-    lhs = _cube_integral(sys, order, fmap)
-    lhs_pow = abs(lhs) ** (1 << d)
-    rhs_pow = Fraction(1)
+    m = 1 << len(order)
+    fmap = vertex_functions(fs, len(order), sys.n)
+    lhs, lhs_den = _cube_numerators(
+        sys, order, {bits: obs.numerators for bits, obs in fmap.items()})
+    rhs = rhs_den = 1
     for obs in fmap.values():
-        rhs_pow *= _seminorm_pow(sys, order, obs).pow
-    return CsgResult(lhs_pow, rhs_pow, lhs_pow <= rhs_pow)
+        num, den = _seminorm_numerators(sys, order, obs)
+        rhs *= num
+        rhs_den *= den
+    lhs = abs(lhs)
+    holds = lhs**m * rhs_den <= rhs * lhs_den**m
+    return CsgResult(Fraction(lhs, lhs_den) ** m, Fraction(rhs, rhs_den), holds)
 
 
 def triangle_check(
@@ -410,10 +428,21 @@ def _zed(sys: FiniteSystem, order: tuple[int, ...]) -> Partition:
 
 def zed_equivalence_check(sys: FiniteSystem, order: Sequence[int], f: Observable) -> bool:
     """Whether vanishing seminorm and vanishing expectation onto the
-    component partition agree for ``f`` (both sides exact)."""
-    pow_zero = seminorm_pow(sys, order, f).pow == 0
-    expectation = conditional_expectation(f, zed_partition(sys, order), sys.weights)
-    return pow_zero == expectation.is_zero()
+    component partition agree for ``f`` (both sides exact).
+
+    Both sides are decided in integers.  The seminorm power is zero exactly
+    when its numerator from the cube kernel is.  E(f | Z) is zero exactly
+    when, for every cell C of :func:`zed_partition`, the sum over C of
+    w_x * f_x is zero in the numerators of the weights and of ``f``; a
+    cell of weight zero, whose expectation is 0 by convention, sums to 0.
+    """
+    order = normalize_order(sys, order)
+    f = vertex_functions({0: f}, len(order), sys.n)[0]
+    pow_zero = _seminorm_numerators(sys, order, f)[0] == 0
+    weighted = list(map(operator.mul, sys.weight_numerators()[0], f.numerators[0]))
+    expectation_zero = not any(
+        sum(map(weighted.__getitem__, cell)) for cell in zed_partition(sys, order).cells)
+    return pow_zero == expectation_zero
 
 
 def gowers_norm_pow(N: int, d: int, f: Observable) -> Fraction:

@@ -73,7 +73,7 @@ from boxlab.system import (
     join_partitions,
     orbit_partition,
 )
-from conftest import Z4_TWO, commuting_systems, count_calls, uniform
+from conftest import ROSTER, Z4_TWO, commuting_systems, count_calls, uniform
 
 
 def full_map(f: Observable, d: int) -> dict[int, Observable]:
@@ -407,6 +407,64 @@ def test_star_oracle_work_is_pinned():
     ):
         star = build_star_system(sys, order)
         assert oracle_work(star.as_finite_system(), range(star.d)) == needed
+
+
+# Disjoint cycles of different lengths under one shift: the last stage's
+# cells then have different sizes, which no roster system has.
+UNEQUAL_CELLS = [
+    ("cycles-2-3", blocks_system((2, 3), (1, 1)), (0, 1)),
+    ("blocks-1-2-3", blocks_system((1, 2, 3), (1, 1)), (0, 1)),
+    ("blocks-1-2-3-weighted", blocks_system((1, 2, 3), (1, 1), units=[3, 0, 1]), (0, 1)),
+    ("cycles-2-3-three", blocks_system((2, 3), (1, 1, 1)), (0, 1, 2)),
+    ("blocks-2-4-mixed", blocks_system((2, 4), (1, 2)), (1, 0)),
+]
+KERNEL_CASES = [*UNEQUAL_CELLS, *ROSTER]
+
+
+def last_stage_sizes(sys, order) -> set[int]:
+    return {len(cell) for _, cell in coupled_cells(sys, order)[1]}
+
+
+def test_kernel_cases_have_cells_of_equal_and_of_unequal_size():
+    sizes = {name: last_stage_sizes(sys, order) for name, sys, order in KERNEL_CASES}
+    assert all(len(sizes[name]) > 1 for name, _, _ in UNEQUAL_CELLS), sizes
+    assert any(len(s) == 1 for s in sizes.values()), sizes
+    assert sizes["blocks-1-2-3"] == {1, 2, 3}
+
+
+def assert_kernel_equals_built(sys, order, rng) -> None:
+    """cube_integral against the built measure on every vertex map shape:
+    all vertices, each half alone, a random subset, none, and one shared
+    observable (a seminorm, whose two halves are one sum)."""
+    d = len(order)
+    half = 1 << (d - 1)
+    fs = {bits: mixed_observable(rng, sys.n) for bits in range(1 << d)}
+    shapes = [
+        fs,
+        {bits: f for bits, f in fs.items() if bits < half},
+        {bits: f for bits, f in fs.items() if bits >= half},
+        {bits: f for bits, f in fs.items() if rng.random() < 0.5},
+        {},
+        full_map(fs[0], d),
+    ]
+    for shape in shapes:
+        assert cube_integral(sys, order, shape) == built_integral(sys, order, shape), shape
+    assert seminorm_pow(sys, order, fs[1]).pow == built_integral(sys, order, full_map(fs[1], d))
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=[name for name, _, _ in KERNEL_CASES])
+def test_flat_kernel_equals_built_integral(case):
+    _, sys, order = case
+    rng = random.Random(139)
+    for _ in range(3):
+        assert_kernel_equals_built(sys, order, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(commuting_systems(), st.integers(0, 2**32 - 1))
+def test_hypothesis_flat_kernel_equals_built_integral(case, seed):
+    sys, order = case
+    assert_kernel_equals_built(sys, order, random.Random(seed))
 
 
 def assert_oracle_is_the_table_mean(sys: FiniteSystem, order, f: Observable) -> None:

@@ -7,8 +7,11 @@ outcome, only ``system.integer_numerators`` takes an lcm of denominators, only
 ``relative_self_product`` and ``coupled_cells`` walk the orbit cells of a
 stage, the oracle route reaches none of the cube-measure kernels and the
 recursion route none of the oracle's table code, the orbit-cell walk
-reaches none of the per-point maps that check its output, and the value
-draws read the rng only by ``rng.choice`` and build no Fraction per value.
+reaches none of the per-point maps that check its output, the value
+draws read the rng only by ``rng.getrandbits`` in one pick helper and
+build no Fraction per value, and the per-draw checks ``csg_check``,
+``characteristic_bound_check`` and ``zed_equivalence_check`` build no
+Fraction before their verdict.
 
 A stdlib ``ast`` check standing in for a linter: a module-level import
 binds a name, and that name must be read somewhere else in the module.
@@ -25,7 +28,9 @@ stage walk finds its cells in index space and never calls the tuple maps
 that ``check_box_measure_laws`` pushes a built measure through.
 A property suite draws thousands of values per run; a ``randint`` pair and
 a Fraction built per value were most of its time on small systems, so the
-draws read whole tables of Fractions with ``rng.choice`` instead.
+draws read whole tables of Fractions instead, picked by ``rng.getrandbits``
+in one helper as ``rng.choice`` would pick them, and the checks run on
+every draw decide in integers, building Fractions only for their results.
 Every CLI run pays for its imports: ``dataclasses`` loads ``inspect`` and
 its helpers and generates and compiles the methods of each class at start,
 so value classes derive from ``system.Record`` instead.
@@ -425,7 +430,10 @@ def test_check_flags_a_kernel_reached_through_a_helper():
 # The recursion route checks the oracle route as the measure route does: it
 # runs on the cube kernel and must reach none of the oracle's table code.
 RECURSION_ROUTE = ["seminorm_recursion_pow"]
-ORACLE_KERNELS = {"integrand_table", "_digit_walk", "transform_power_tables", "oracle_blocks"}
+ORACLE_KERNELS = {
+    "integrand_table", "_integrand_table", "_digit_walk", "transform_power_tables",
+    "oracle_blocks",
+}
 
 
 def test_the_recursion_route_reaches_no_oracle_kernel():
@@ -487,20 +495,21 @@ def test_check_flags_a_point_map_reached_by_the_stage_walk():
     }
 
 
-# The value draws of draws.py: each reads the rng only by ``rng.choice`` (or
-# hands it to another of them) and takes its values from tables, so a draw
-# builds no Fraction per value.
+# The value draws of draws.py: each hands the rng only to the pick helper
+# (or to another of them), which reads it only by ``rng.getrandbits``, and
+# takes its values from tables, so a draw builds no Fraction per value.
+PICK_HELPER = "_picks"
 VALUE_DRAWS = [
-    "rational_in_unit", "random_observable", "random_bounded_observable",
+    PICK_HELPER, "rational_in_unit", "random_observable", "random_bounded_observable",
     "_unit_vector_draws", "random_unit_vectors", "random_unit_vector_numerators",
 ]
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-def draw_faults(tree: ast.Module, names: list[str]) -> list[str]:
-    """``function:line what`` for each read of ``rng`` other than
-    ``rng.choice`` or an argument to one of ``names``, and each Fraction
-    built inside a loop or comprehension, in the functions ``names``."""
+def rng_reads(tree: ast.Module, names: list[str]) -> list[str]:
+    """``function:line what`` for each read of ``rng`` in the functions
+    ``names`` other than as an argument to one of them: ``rng.<attr>`` for
+    an attribute, ``rng passed on`` for anything else."""
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     out = []
     for name in names:
@@ -512,28 +521,45 @@ def draw_faults(tree: ast.Module, names: list[str]) -> list[str]:
                 continue
             up = parents[node]
             if isinstance(up, ast.Attribute):
-                if up.attr != "choice":
-                    out.append(f"{name}:{node.lineno} rng.{up.attr}")
+                out.append(f"{name}:{node.lineno} rng.{up.attr}")
             elif not (isinstance(up, ast.Call) and node in up.args
                       and getattr(up.func, "id", None) in names):
                 out.append(f"{name}:{node.lineno} rng passed on")
-        out.extend(
-            f"{name}:{node.lineno} Fraction per value"
-            for loop in ast.walk(func) if isinstance(loop, LOOPS)
-            for node in ast.walk(loop)
-            if isinstance(node, ast.Call)
-            and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-        )
+    return out
+
+
+def draw_faults(tree: ast.Module, names: list[str]) -> list[str]:
+    """Each read of :func:`rng_reads` but the one allowed reader,
+    ``rng.getrandbits`` in the pick helper, and each Fraction built inside
+    a loop or comprehension, in the functions ``names``."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    out = [
+        read for read in rng_reads(tree, names)
+        if not (read.startswith(f"{PICK_HELPER}:") and read.endswith(" rng.getrandbits"))
+    ]
+    out.extend(
+        f"{name}:{node.lineno} Fraction per value"
+        for name in names
+        for loop in ast.walk(defs[name]) if isinstance(loop, LOOPS)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
     return sorted(set(out), key=lambda fault: (int(fault.split(":")[1].split()[0]), fault))
 
 
-def test_value_draws_read_only_rng_choice_and_build_no_fraction():
+def test_value_draws_read_only_getrandbits_in_the_pick_helper_and_build_no_fraction():
     tree = ast.parse((SRC / "draws.py").read_text(encoding="utf-8"))
     assert draw_faults(tree, VALUE_DRAWS) == []
+    # the one reader is there: the draws do read the rng, through the helper
+    assert {read.split()[-1] for read in rng_reads(tree, VALUE_DRAWS)} == {"rng.getrandbits"}
 
 
-def test_check_flags_a_randint_draw_and_a_fraction_per_value():
+def test_check_flags_every_rng_read_but_getrandbits_in_the_pick_helper():
     tree = ast.parse(
+        "def _picks(rng, table, count):\n"
+        "    bits = rng.getrandbits\n"
+        "    return [table[bits(3)] for _ in range(count)] + [rng.random()]\n"
         "def rational_in_unit(rng, max_den=6):\n"
         "    den = rng.randint(1, max_den)\n"
         "    return Fraction(rng.randint(-den, den), den)\n"
@@ -547,14 +573,88 @@ def test_check_flags_a_randint_draw_and_a_fraction_per_value():
         "        out.append([fractions.Fraction(a, 2) for a in draw(rng, dim)])\n"
         "    return out\n"
         "def _unit_vector_draws(rng, count, dim, weights):\n"
-        "    return [[rng.choice(A) * rng.choice(B) for _ in range(dim)] for _ in range(count)]\n"
+        "    return [_picks(rng, TABLE, dim) + [rng.getrandbits(2)] for _ in range(count)]\n"
         "def random_unit_vector_numerators(rng, count, dim, weights=None):\n"
         "    rows = _unit_vector_draws(rng, count, dim, weights)\n"
         "    return rows + [tuple(rng.randrange(5) for _ in range(dim))], 6\n"
     )
     assert draw_faults(tree, VALUE_DRAWS) == [
-        "rational_in_unit:2 rng.randint", "rational_in_unit:3 rng.randint",
-        "random_unit_vectors:11 Fraction per value",
-        "random_unit_vectors:11 rng passed on",
-        "random_unit_vector_numerators:17 rng.randrange",
+        "_picks:3 rng.random",
+        "rational_in_unit:5 rng.randint", "rational_in_unit:6 rng.randint",
+        "random_observable:8 rng.choice",
+        "random_unit_vectors:14 Fraction per value",
+        "random_unit_vectors:14 rng passed on",
+        "_unit_vector_draws:17 rng.getrandbits",
+        "random_unit_vector_numerators:20 rng.randrange",
+    ]
+
+
+# The integer verdicts: each of these checks decides from integers and
+# builds its Fractions only for the fields of the result it returns, in the
+# returned constructor's arguments before the verdict, and calls none of
+# the library functions that return Fractions.
+INTEGER_VERDICTS = {
+    "seminorm.py": ["csg_check", "zed_equivalence_check"],
+    "averages.py": ["characteristic_bound_check"],
+}
+FRACTION_RESULTS = {
+    "Fraction", "cube_integral", "_cube_integral", "integrate_product", "seminorm_pow",
+    "_seminorm_pow", "multi_average", "multi_average_limit", "conditional_expectation",
+    "max_abs", "l2_norm_sq", "integral",
+}
+
+
+def verdict_faults(tree: ast.Module, names: list[str]) -> list[str]:
+    """``function:line callee`` for each call in the functions ``names`` of
+    a name in FRACTION_RESULTS, except a ``Fraction`` built in a result
+    field: an argument, other than the last (the verdict), of the call
+    that the function's last statement returns."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    out: list[tuple[int, str]] = []
+    for name in names:
+        func = defs[name]
+        fields: set[ast.AST] = set()
+        last = func.body[-1]
+        if isinstance(last, ast.Return) and isinstance(last.value, ast.Call):
+            fields = {node for arg in last.value.args[:-1] for node in ast.walk(arg)}
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if callee in FRACTION_RESULTS and not (callee == "Fraction" and node in fields):
+                out.append((node.lineno, f"{name}:{node.lineno} {callee}"))
+    return [fault for _, fault in sorted(out)]
+
+
+@pytest.mark.parametrize("module", sorted(INTEGER_VERDICTS))
+def test_integer_verdicts_build_no_fraction_before_the_verdict(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert verdict_faults(tree, INTEGER_VERDICTS[module]) == []
+
+
+def test_check_flags_a_fraction_before_the_verdict():
+    tree = ast.parse(
+        "def csg_check(sys, order, fs):\n"
+        "    lhs, den = _cube_numerators(sys, order, fs)\n"
+        "    rhs = math.prod(_seminorm_pow(sys, order, f).pow for f in fs.values())\n"
+        "    holds = lhs * rhs.denominator <= rhs.numerator * den\n"
+        "    return CsgResult(Fraction(lhs, den), rhs, holds)\n"
+        "def zed_equivalence_check(sys, order, f):\n"
+        "    e = conditional_expectation(f, zed_partition(sys, order), sys.weights)\n"
+        "    return e.is_zero() == (Fraction(*_seminorm_numerators(sys, order, f)) == 0)\n"
+        "def characteristic_bound_check(sys, f_list):\n"
+        "    if any(f.max_abs() > 1 for f in f_list[1:]):\n"
+        "        raise PreconditionError('sup')\n"
+        "    lhs = fractions.Fraction(*_norm(sys, f_list))\n"
+        "    return CharacteristicBound(lhs, rhs, Fraction(lhs) <= rhs.pow)\n"
+    )
+    assert verdict_faults(
+        tree, ["csg_check", "zed_equivalence_check", "characteristic_bound_check"]
+    ) == [
+        "csg_check:3 _seminorm_pow",
+        "zed_equivalence_check:7 conditional_expectation",
+        "zed_equivalence_check:8 Fraction",
+        "characteristic_bound_check:10 max_abs",
+        "characteristic_bound_check:12 Fraction",
+        "characteristic_bound_check:13 Fraction",
     ]
