@@ -28,6 +28,13 @@ returns those cells and pair masses, and feeds both the writer of
 coordinate column per vertex over the points in cell order, and takes the
 integrand's sum per cell from prefix sums in integer numerators.
 :func:`integrate_product` stays the plain reference over a built measure.
+
+The symmetries above are given here as per-point maps
+(:func:`side_transform`, :func:`diagonal_transform`, the digit flip and
+re-indexing) with :func:`push_forward` and :func:`marginal`.  These are the
+references: the measure laws of ``verify`` and the magic extension map a
+built measure's coordinate columns instead, and tests pin the two against
+each other.
 """
 
 from __future__ import annotations

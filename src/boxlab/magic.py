@@ -12,23 +12,34 @@ property and the two lemmas feeding it (orthogonality of zero-expectation
 vertex products, and vanishing of the extended seminorm when the origin
 factor has seminorm zero).  Seminorms on the extension take the oracle
 route, under the base system's cap like the build itself.
+
+The extension is built in index space: the carrier's coordinate columns
+are mapped once per base transform and looked up together, as a stage
+walk finds its cells, and no map runs per carrier tuple.  Its invariants
+are checked on integer weight numerators.  The three checks run per draw,
+:func:`magic_failures`, :func:`span0_orthogonality_check` and
+:func:`normstar_check`, decide in integers: observables on the carrier are
+numerator tuples over one denominator, a seminorm is zero when the oracle
+kernel's exact total is, and a conditional expectation vanishes when its
+weighted sum does on every cell.  Fractions are built only for what they
+return or report.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from .box_measure import (
     CubePoint,
     SparseCubeMeasure,
     build_box_measure,
-    diagonal_transform,
     normalize_order,
-    side_transform,
     vertex_functions,
 )
 from .draws import random_observable, require_draws
@@ -36,9 +47,10 @@ from .errors import InvariantViolationError, PreconditionError, StructuralError
 from .perms import Perm, compose
 from .seminorm import (
     SeminormValue,
+    _cell_sums_vanish,
+    _oracle_numerators,
+    _seminorm_numerators,
     require_oracle_work,
-    seminorm_oracle_pow,
-    seminorm_pow,
     zed_partition,
 )
 from .serialize import format_rational
@@ -63,6 +75,7 @@ class StarSystem:
     star_transforms permutations of the carrier applying transform i on
                     coordinates whose digit i is 0
     diag_transforms permutations applying transform i on all coordinates
+    columns         the carrier's coordinate columns, one per vertex
 
     All transformations permute the carrier, preserve the weights, and
     commute; the origin-coordinate projection is a factor map onto the
@@ -98,6 +111,12 @@ class StarSystem:
         """Base point at the origin coordinate of carrier tuple i."""
         return self.carrier[i][0]
 
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The carrier's coordinate columns: entry i of column e is the
+        coordinate of carrier tuple i at vertex e."""
+        return tuple(zip(*self.carrier))
+
     def as_finite_system(self) -> FiniteSystem:
         """The carrier weights with the side transforms, under the base's cap,
         built once and shared by every seminorm evaluated on it."""
@@ -111,17 +130,20 @@ class StarSystem:
         return f"StarSystem(base_n={self.base.n}, d={self.d}, carrier={self.size})"
 
 
-def _carrier_permutation(star_carrier, index, tuple_map) -> Perm:
-    out = []
-    for t in star_carrier:
-        image = tuple_map(t)
-        pos = index.get(image)
-        if pos is None:
-            raise InvariantViolationError(
-                f"transformation leaves the support: {t} -> {image}"
-            )
-        out.append(pos)
-    return tuple(out)
+def _column_step(points, index, columns) -> Perm:
+    """The map sending point i of ``points`` to the position, in ``index``,
+    of the point whose coordinate at vertex e is ``columns[e][i]``.
+
+    The image columns are read together, one image point per position, so
+    no map runs per point.  Raises naming the first point, in the order of
+    ``points``, whose image is not among them.
+    """
+    step = tuple(map(index.get, zip(*columns)))
+    if None in step:
+        i = step.index(None)
+        image = tuple(column[i] for column in columns)
+        raise InvariantViolationError(f"transformation leaves the support: {points[i]} -> {image}")
+    return step
 
 
 def build_star_system(sys: FiniteSystem, order: Sequence[int]) -> StarSystem:
@@ -129,18 +151,24 @@ def build_star_system(sys: FiniteSystem, order: Sequence[int]) -> StarSystem:
 
     That measure is built under ``sys.cap``, and the extension, viewed as a
     finite system, carries the same cap (see :func:`star_seminorm_pow`).
+    Each base transform maps the carrier's coordinate columns once; its side
+    transformation takes the mapped columns where the digit is 0 and the
+    diagonal one takes them all.
     """
     order = normalize_order(sys, order)
-    d = len(order)
     m = build_box_measure(sys, order)
     carrier = tuple(sorted(m.entries))
-    weights = tuple(m.entries[t] for t in carrier)
-    index = {t: i for i, t in enumerate(carrier)}
+    weights = tuple(map(m.entries.__getitem__, carrier))
+    index = dict(zip(carrier, range(len(carrier))))
+    columns = tuple(zip(*carrier))
     star, diag = [], []
-    for pos in range(1, d + 1):
-        perm = sys.transforms[order[pos - 1]]
-        star.append(_carrier_permutation(carrier, index, side_transform(perm, d, pos)))
-        diag.append(_carrier_permutation(carrier, index, diagonal_transform(perm, d)))
+    for pos, idx in enumerate(order):
+        perm = sys.transforms[idx]
+        moved = [tuple(map(perm.__getitem__, column)) for column in columns]
+        star.append(_column_step(carrier, index, [
+            column if e >> pos & 1 else image
+            for e, (column, image) in enumerate(zip(columns, moved))]))
+        diag.append(_column_step(carrier, index, moved))
     out = StarSystem(sys, order, carrier, weights, tuple(star), tuple(diag))
     _check_star_invariants(out)
     return out
@@ -148,22 +176,28 @@ def build_star_system(sys: FiniteSystem, order: Sequence[int]) -> StarSystem:
 
 def _check_star_invariants(star: StarSystem) -> None:
     # the side transforms (indices 0..d-1) and the diagonal ones (d..2d-1)
-    # together form a valid system on the carrier
-    require_valid(FiniteSystem(star.weights, star.star_transforms + star.diag_transforms))
+    # together form a valid system on the carrier: weights non-negative and
+    # summing to 1, every map a bijection that preserves them, every pair
+    # commuting; validate_system decides all of it on weight numerators
+    checked = require_valid(
+        FiniteSystem(star.weights, star.star_transforms + star.diag_transforms))
     # factor map: origin projection pushes weights to the base and
-    # intertwines each side transformation with its base transform
-    pushed = [Fraction(0)] * star.base.n
-    for c in range(star.size):
-        pushed[star.origin_of(c)] += star.weights[c]
-    if tuple(pushed) != star.base.weights:
+    # intertwines each side transformation with its base transform, in the
+    # integers num / den of the carrier and b / base_den of the base
+    nums, den = checked.weight_numerators()
+    base_nums, base_den = star.base.weight_numerators()
+    origins = star.columns[0]
+    pushed = [0] * star.base.n
+    for x, w in zip(origins, nums):
+        pushed[x] += w
+    if list(map(base_den.__mul__, pushed)) != list(map(den.__mul__, base_nums)):
         raise InvariantViolationError("origin projection does not push onto the base")
     for pos, st in enumerate(star.star_transforms):
         perm = star.base.transforms[star.order[pos]]
-        for c in range(star.size):
-            if star.origin_of(st[c]) != perm[star.origin_of(c)]:
-                raise InvariantViolationError(
-                    f"side transformation {pos + 1} does not project onto its base transform"
-                )
+        if list(map(origins.__getitem__, st)) != list(map(perm.__getitem__, origins)):
+            raise InvariantViolationError(
+                f"side transformation {pos + 1} does not project onto its base transform"
+            )
 
 
 def derive_S_star(star: StarSystem) -> tuple[Perm, ...]:
@@ -210,29 +244,31 @@ class SharpSpace:
 
 
 def sharp_space(star: StarSystem) -> SharpSpace:
-    d = star.d
-    masses: dict[CubePoint, Fraction] = {}
-    for t, w in zip(star.carrier, star.weights):
-        sharp = t[1:]
-        if sharp in masses:
-            masses[sharp] += w
-        else:
-            masses[sharp] = w
-    tuples = tuple(sorted(masses))
-    index = {t: i for i, t in enumerate(tuples)}
+    """The off-origin blocks of the carrier (:func:`_sharp_steps`) with
+    their masses, summed as the carrier's weight numerators."""
+    tuples, index, transforms = _sharp_steps(star)
+    nums, den = star.as_finite_system().weight_numerators()
+    masses = [0] * len(tuples)
+    for block, w in zip(zip(*star.columns[1:]), nums):
+        masses[index[block]] += w
+    return SharpSpace(tuples, tuple(Fraction(w, den) for w in masses), transforms)
+
+
+def _sharp_steps(star: StarSystem):
+    """``(tuples, index, transforms)`` of :class:`SharpSpace`: the sorted
+    off-origin blocks, each one's position, and per digit the permutation
+    of the blocks, found by mapping their coordinate columns once."""
+    tuples = tuple(sorted(set(zip(*star.columns[1:]))))
+    index = dict(zip(tuples, range(len(tuples))))
+    columns = tuple(zip(*tuples))
     transforms = []
-    for pos in range(1, d + 1):
-        perm = star.base.transforms[star.order[pos - 1]]
-        mask = 1 << (pos - 1)
-
-        def act(sharp, perm=perm, mask=mask):
-            # off-origin slot j holds the coordinate at vertex mask j+1
-            return tuple(
-                perm[c] if ((j + 1) & mask) else c for j, c in enumerate(sharp)
-            )
-
-        transforms.append(_carrier_permutation(tuples, index, act))
-    return SharpSpace(tuples, tuple(masses[t] for t in tuples), tuple(transforms))
+    for pos, idx in enumerate(star.order):
+        perm = star.base.transforms[idx]
+        # off-origin slot j holds the coordinate at vertex j + 1
+        transforms.append(_column_step(tuples, index, [
+            tuple(map(perm.__getitem__, column)) if (j + 1) >> pos & 1 else column
+            for j, column in enumerate(columns)]))
+    return tuples, index, tuple(transforms)
 
 
 def sharp_invariant_partition(star: StarSystem) -> Partition:
@@ -241,8 +277,8 @@ def sharp_invariant_partition(star: StarSystem) -> Partition:
     Cells are the jointly invariant subsets of the projected support, which
     is the algebra that pulls back to functions of the origin coordinate.
     """
-    sharp = sharp_space(star)
-    return group_orbit_partition(sharp.transforms, sharp.size)
+    tuples, _, transforms = _sharp_steps(star)
+    return group_orbit_partition(transforms, len(tuples))
 
 
 def zed_from_sharp(star: StarSystem) -> Partition:
@@ -253,12 +289,11 @@ def zed_from_sharp(star: StarSystem) -> Partition:
     :func:`boxlab.seminorm.zed_partition`.  Zero-weight points become
     singletons.
     """
-    sharp = sharp_space(star)
-    part = group_orbit_partition(sharp.transforms, sharp.size)
+    tuples, index, transforms = _sharp_steps(star)
+    cell_of = group_orbit_partition(transforms, len(tuples)).cell_of
     touched: dict[int, set[int]] = {}
-    for t in star.carrier:
-        cell = part.cell_of[sharp.index[t[1:]]]
-        touched.setdefault(t[0], set()).add(cell)
+    for x, block in zip(star.columns[0], zip(*star.columns[1:])):
+        touched.setdefault(x, set()).add(cell_of[index[block]])
     groups: dict[frozenset, list[int]] = {}
     for p, cells in touched.items():
         groups.setdefault(frozenset(cells), []).append(p)
@@ -286,9 +321,19 @@ def star_seminorm_pow(star: StarSystem, F: Observable) -> SeminormValue:
     """
     if F.n != star.size:
         raise StructuralError(f"observable has {F.n} values, carrier has {star.size}")
+    return SeminormValue(star.d, Fraction(*_star_numerators(star, F.numerators)),
+                         tuple(range(star.d)))
+
+
+def _star_numerators(star: StarSystem, factor: tuple[Sequence[int], int]) -> tuple[int, int]:
+    """The power of :func:`star_seminorm_pow` as ``(numerator, den)``, not
+    reduced, for a carrier observable given as ``factor``, its integer
+    numerators and their denominator: the oracle kernel's exact total with
+    the factor at every vertex, under the same cap check."""
     X = star.as_finite_system()
-    require_oracle_work(X, range(star.d))
-    return seminorm_oracle_pow(X, range(star.d), F)
+    order = tuple(range(star.d))
+    require_oracle_work(X, order)
+    return _oracle_numerators(X, order, dict.fromkeys(range(1 << star.d), factor))
 
 
 class MagicCheck(Record):
@@ -324,14 +369,28 @@ def magic_failures(star: StarSystem, rng: random.Random, draws: int) -> Iterator
 
 
 def _magic_failures(star: StarSystem, rng: random.Random, draws: int) -> Iterator[dict]:
+    # On a cell C of wstar whose weight numerators sum to W, with G's
+    # numerators g over g_den and S the sum of w g over C,
+    # F = G - E(G | wstar) is (g W - S) / (W g_den); on a cell of weight 0
+    # it is G.  Over the one denominator g_den * L, L the lcm of the cell
+    # weights, F's numerators are the integers g L - S (L / W), with
+    # S (L / W) read as 0 on a cell of weight 0.
+    weights, _ = star.as_finite_system().weight_numerators()
     wstar = wstar_partition(star)
+    masses = [sum(map(weights.__getitem__, cell)) for cell in wstar.cells]
+    scale = math.lcm(*filter(None, masses))
+    shares = [scale // mass if mass else 0 for mass in masses]
     for i in range(draws):
         G = random_observable(rng, star.size)
-        F = G - star_conditional_expectation(star, G, wstar)
-        star_pow = star_seminorm_pow(star, F).pow
-        if star_pow != 0:
+        g, g_den = G.numerators
+        weighted = list(map(operator.mul, weights, g))
+        shifts = [sum(map(weighted.__getitem__, cell)) * share
+                  for cell, share in zip(wstar.cells, shares)]
+        F = list(map(operator.sub, map(scale.__mul__, g), map(shifts.__getitem__, wstar.cell_of)))
+        total, den = _star_numerators(star, (F, g_den * scale))
+        if total != 0:
             yield {"draw": i, "G": [format_rational(v) for v in G.values],
-                   "star_pow": format_rational(star_pow)}
+                   "star_pow": format_rational(Fraction(total, den))}
 
 
 def vertex_product_observable(star: StarSystem, fs: Mapping) -> Observable:
@@ -340,17 +399,27 @@ def vertex_product_observable(star: StarSystem, fs: Mapping) -> Observable:
 
     A carrier point's value is one Fraction: the product of the vertex
     observables' integer numerators there over the product of their
-    denominators.
+    denominators (:func:`_vertex_product_numerators`).
     """
-    fmap = vertex_functions(fs, star.d, star.base.n)
+    terms, den = _vertex_product_numerators(
+        star, vertex_functions(fs, star.d, star.base.n))
+    return Observable(tuple(Fraction(t, den) for t in terms))
+
+
+def _vertex_product_numerators(
+    star: StarSystem, fmap: Mapping[int, Observable]
+) -> tuple[list[int], int]:
+    """The vertex product of a map read by :func:`vertex_functions` as
+    integer numerators over one denominator: per carrier point, the product
+    of the vertex observables' numerators at its coordinates, read down the
+    carrier's columns, over the product of their denominators."""
     terms = itertools.repeat(1, star.size)  # the empty product at no vertex
     den = 1
     for bits, obs in fmap.items():
         nums, scale = obs.numerators
-        terms = map(operator.mul, terms,
-                    map(nums.__getitem__, map(operator.itemgetter(bits), star.carrier)))
+        terms = map(operator.mul, terms, map(nums.__getitem__, star.columns[bits]))
         den *= scale
-    return Observable(tuple(Fraction(t, den) for t in terms))
+    return list(terms), den
 
 
 def span0_orthogonality_check(star: StarSystem, fs: Mapping) -> bool:
@@ -359,33 +428,39 @@ def span0_orthogonality_check(star: StarSystem, fs: Mapping) -> bool:
     partition of the carrier by the off-origin block.
 
     The precondition (vanishing expectation of the origin observable) is
-    checked exactly and raises when violated.  ``fs`` is as for
-    :func:`vertex_functions`.
+    checked exactly and raises when violated; an absent origin is the
+    constant 1, whose expectation is 1.  ``fs`` is as for
+    :func:`vertex_functions`.  Both sides are decided in integers, as
+    :func:`~boxlab.seminorm.zed_equivalence_check` decides E(f | Z) = 0: an
+    expectation onto a partition is zero exactly when, on every cell, the
+    sum of weight times value is zero in the numerators of both.
     """
     fmap = vertex_functions(fs, star.d, star.base.n)
-    f_origin = fmap.get(0, Observable.constant(1, star.base.n))
     zed = zed_partition(star.base, star.order)
-    if not conditional_expectation(f_origin, zed, star.base.weights).is_zero():
+    origin = fmap.get(0)
+    if origin is None or not _cell_sums_vanish(
+        star.base.weight_numerators()[0], origin.numerators[0], zed.cells
+    ):
         raise PreconditionError(
             "origin observable has nonzero expectation onto the component partition"
         )
-    F = vertex_product_observable(star, fmap)
     blocks: dict[CubePoint, list[int]] = {}
-    for i, t in enumerate(star.carrier):
-        blocks.setdefault(t[1:], []).append(i)
-    sharp_partition = Partition.from_cells(blocks.values(), star.size)
-    return star_conditional_expectation(star, F, sharp_partition).is_zero()
+    for i, block in enumerate(zip(*star.columns[1:])):
+        blocks.setdefault(block, []).append(i)
+    return _cell_sums_vanish(star.as_finite_system().weight_numerators()[0],
+                             _vertex_product_numerators(star, fmap)[0], blocks.values())
 
 
 def normstar_check(star: StarSystem, fs: Mapping) -> bool:
     """Zero box seminorm of the origin factor forces zero extended seminorm
     of the vertex product.  The precondition is checked exactly on the
-    base first, raising :class:`PreconditionError` when violated; the
-    extended seminorm then runs as :func:`star_seminorm_pow`, under the
-    same cap.  ``fs`` is as for :func:`vertex_functions`."""
+    base first, raising :class:`PreconditionError` when violated; an absent
+    origin is the constant 1, whose seminorm is 1.  The extended seminorm
+    then runs as :func:`star_seminorm_pow`, under the same cap.  Both are
+    decided on the numerators of the kernels' exact totals.  ``fs`` is as
+    for :func:`vertex_functions`."""
     fmap = vertex_functions(fs, star.d, star.base.n)
-    f_origin = fmap.get(0, Observable.constant(1, star.base.n))
-    if seminorm_pow(star.base, star.order, f_origin).pow != 0:
+    origin = fmap.get(0)
+    if origin is None or _seminorm_numerators(star.base, star.order, origin)[0] != 0:
         raise PreconditionError("origin observable has nonzero box seminorm")
-    F = vertex_product_observable(star, fmap)
-    return star_seminorm_pow(star, F).pow == 0
+    return _star_numerators(star, _vertex_product_numerators(star, fmap))[0] == 0

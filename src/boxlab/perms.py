@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Callable, Iterable, TypeVar
 
 from .errors import InvariantViolationError
@@ -20,13 +21,8 @@ def is_permutation(values: Iterable[int], n: int | None = None) -> bool:
     seq = list(values)
     if n is not None and len(seq) != n:
         return False
-    m = len(seq)
-    seen = [False] * m
-    for v in seq:
-        if not isinstance(v, int) or not 0 <= v < m or seen[v]:
-            return False
-        seen[v] = True
-    return True
+    # ints, as many distinct ones as entries, each below their count
+    return all(map(isinstance, seq, repeat(int))) and set(seq) == set(range(len(seq)))
 
 
 def compose(p: Perm, q: Perm) -> Perm:

@@ -92,10 +92,6 @@ def approx_root(pow_value: Fraction, d: int, digits: int = 17) -> float | Decima
     return ctx.plus(r).normalize(ctx)
 
 
-def _full_vertex_map(f: Observable, d: int) -> dict[int, Observable]:
-    return dict.fromkeys(range(1 << d), f)
-
-
 def seminorm_pow(sys: FiniteSystem, order: Sequence[int], f: Observable) -> SeminormValue:
     """Cube-measure route: integrate f at every vertex against the cube
     measure, with its last stage folded into a per-cell sum.
@@ -203,21 +199,24 @@ def integrand_table(
     once; the table itself is :func:`_integrand_table`.
     """
     order = normalize_order(sys, order)
-    return _integrand_table(sys, order, vertex_functions(fs, len(order), sys.n))
+    fmap = vertex_functions(fs, len(order), sys.n)
+    return _integrand_table(sys, order, {bits: obs.numerators for bits, obs in fmap.items()})
 
 
 def _integrand_table(
-    sys: FiniteSystem, order: tuple[int, ...], fmap: Mapping[int, Observable]
+    sys: FiniteSystem, order: tuple[int, ...], factors: Mapping[int, tuple[Sequence[int], int]]
 ) -> tuple[tuple[int, ...], dict[tuple[int, ...], int], int]:
-    """:func:`integrand_table` of an order read by :func:`normalize_order`
-    and a map read by :func:`vertex_functions`, checking neither again."""
+    """:func:`integrand_table` of an order read by :func:`normalize_order`,
+    checking it no more, with per vertex the values' integer numerators and
+    their denominator in ``factors``.  Vertices given one numerator
+    sequence share it through the walk."""
     d = len(order)
     tables = transform_power_tables(sys, order)
     periods = tuple(len(t) for t in tables)
     terms, den = sys.weight_numerators()
     pending = {}
-    for bits, obs in fmap.items():
-        pending[bits], scale = obs.numerators
+    for bits, (numerators, scale) in factors.items():
+        pending[bits] = numerators
         den *= scale
     numerators: dict[tuple[int, ...], int] = {}
     _digit_walk(tables, d, terms, pending, (), numerators)
@@ -276,23 +275,48 @@ def block_tables(sys: FiniteSystem, order: tuple[int, ...], fmap: Mapping[int, O
 
     ``order`` is read by ``normalize_order`` and ``fmap`` by
     ``vertex_functions``.  The integrand is the sum of the blocks' parts,
-    each periodic with its block's periods.  A vertex function shared by
-    several vertices is restricted once, so the table's walk shares it too.
+    each periodic with its block's periods.  The tables are those of
+    :func:`_block_tables` on the observables' numerators.
     """
+    return _block_tables(sys, order, {bits: obs.numerators for bits, obs in fmap.items()})
+
+
+def _block_tables(
+    sys: FiniteSystem, order: tuple[int, ...], factors: Mapping[int, tuple[Sequence[int], int]]
+):
+    """:func:`block_tables` with per vertex the values' integer numerators
+    and their denominator in ``factors``.  A block's factors are the
+    numerator tuples restricted to its points, over the same denominators;
+    a numerator tuple shared by several vertices is restricted once, so the
+    table's walk shares it too."""
     out = []
     for periods, points in oracle_blocks(sys, order):
         block = _block_system(sys, order, periods, points)
-        local = fmap
+        local = factors
         if len(points) < sys.n:  # a block of every point keeps them in order
-            restricted: dict[int, Observable] = {}
+            restricted: dict[int, tuple[int, ...]] = {}
             local = {}
-            for bits, obs in fmap.items():
-                if id(obs) not in restricted:
-                    restricted[id(obs)] = Observable(tuple(map(obs.values.__getitem__, points)))
-                local[bits] = restricted[id(obs)]
+            for bits, (numerators, scale) in factors.items():
+                if id(numerators) not in restricted:
+                    restricted[id(numerators)] = tuple(map(numerators.__getitem__, points))
+                local[bits] = restricted[id(numerators)], scale
         _, numerators, den = _integrand_table(block, tuple(range(block.d)), local)
         out.append((periods, numerators, den))
     return out
+
+
+def _oracle_numerators(
+    sys: FiniteSystem, order: tuple[int, ...], factors: Mapping[int, tuple[Sequence[int], int]]
+) -> tuple[int, int]:
+    """The integral of the vertex product by the oracle route, for a
+    normalized order and ``factors`` as for :func:`_block_tables`, as
+    ``(total, den)``, not reduced: each block's table mean,
+    sum(numerators) / (den * prod(periods)), added in integers."""
+    total, den = 0, 1
+    for periods, numerators, table_den in _block_tables(sys, order, factors):
+        part_den = table_den * math.prod(periods)
+        total, den = total * part_den + sum(numerators.values()) * den, den * part_den
+    return total, den
 
 
 def seminorm_oracle_pow(
@@ -304,14 +328,13 @@ def seminorm_oracle_pow(
     period boxes, because on a finite system the integrand is periodic in
     every index separately.  The integrand splits over
     :func:`oracle_blocks`, and each block's part is the mean of its
-    :func:`integrand_table` over the box of the block's own periods.
+    :func:`integrand_table` over the box of the block's own periods; the
+    parts are summed exactly in integers (:func:`_oracle_numerators`).
     """
     order = normalize_order(sys, order)
     f = vertex_functions({0: f}, len(order), sys.n)[0]
-    total = Fraction(0)
-    for periods, numerators, den in block_tables(sys, order, _full_vertex_map(f, len(order))):
-        total += Fraction(sum(numerators.values()), den * math.prod(periods))
-    return SeminormValue(len(order), total, order)
+    total, den = _oracle_numerators(sys, order, dict.fromkeys(range(1 << len(order)), f.numerators))
+    return SeminormValue(len(order), Fraction(total, den), order)
 
 
 def seminorm_recursion_pow(
@@ -439,10 +462,17 @@ def zed_equivalence_check(sys: FiniteSystem, order: Sequence[int], f: Observable
     order = normalize_order(sys, order)
     f = vertex_functions({0: f}, len(order), sys.n)[0]
     pow_zero = _seminorm_numerators(sys, order, f)[0] == 0
-    weighted = list(map(operator.mul, sys.weight_numerators()[0], f.numerators[0]))
-    expectation_zero = not any(
-        sum(map(weighted.__getitem__, cell)) for cell in zed_partition(sys, order).cells)
+    expectation_zero = _cell_sums_vanish(
+        sys.weight_numerators()[0], f.numerators[0], zed_partition(sys, order).cells)
     return pow_zero == expectation_zero
+
+
+def _cell_sums_vanish(weights: Sequence[int], values: Sequence[int], cells) -> bool:
+    """Whether, on every cell, the sum of weight times value is zero: the
+    conditional expectation onto the cells, zero on a cell of weight zero,
+    vanishes, for weights and values given as integer numerators."""
+    weighted = list(map(operator.mul, weights, values))
+    return not any(sum(map(weighted.__getitem__, cell)) for cell in cells)
 
 
 def gowers_norm_pow(N: int, d: int, f: Observable) -> Fraction:

@@ -98,9 +98,12 @@ def as_fraction(value) -> Fraction:
 
 def integer_numerators(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """``values`` as integer numerators over the lcm of their denominators:
-    ``(numerators, denominator)``, with ``((), 1)`` for no values."""
-    den = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+    ``(numerators, denominator)``, with ``((), 1)`` for no values.  Each
+    value's numerator and denominator are read once, as its
+    ``as_integer_ratio()``."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[q for _, q in ratios])
+    return tuple([p * (den // q) for p, q in ratios]), den
 
 
 def index_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -140,7 +143,7 @@ class FiniteSystem(Record):
         labels: Sequence[str] | None = None,
         cap: int = SUPPORT_CAP_DEFAULT,
     ):
-        weights = tuple(as_fraction(w) for w in weights)
+        weights = tuple(map(as_fraction, weights))
         if not weights:
             raise StructuralError("a system needs at least one point")
         n = len(weights)
@@ -148,13 +151,13 @@ class FiniteSystem(Record):
         for idx, t in enumerate(transforms):
             arr = tuple(t)
             # exact type: a bool (JSON true/false) is an int subclass
-            if not all(type(v) is int for v in arr):
+            if not set(map(type, arr)) <= {int}:
                 raise StructuralError(f"transform {idx} holds non-integer entries")
             if len(arr) != n:
                 raise StructuralError(
                     f"transform {idx} has length {len(arr)}, expected {n}"
                 )
-            if any(not 0 <= v < n for v in arr):
+            if min(arr) < 0 or max(arr) >= n:
                 raise StructuralError(f"transform {idx} maps outside 0..{n - 1}")
             arrays.append(arr)
         if labels is not None:
@@ -211,15 +214,21 @@ class FiniteSystem(Record):
 
 
 def validate_system(sys: FiniteSystem) -> list[str]:
-    """Report every violated system invariant; an empty list means valid."""
+    """Report every violated system invariant; an empty list means valid.
+
+    The weights are compared as their :meth:`FiniteSystem.weight_numerators`
+    over one denominator, in integers; a report names a weight or the total
+    as a Fraction.
+    """
     report: list[str] = []
     n = sys.n
-    for x, w in enumerate(sys.weights):
+    nums, den = sys.weight_numerators()
+    for x, w in enumerate(nums):
         if w < 0:
-            report.append(f"weight {x} is negative ({w})")
-    total = sum(sys.weights, Fraction(0))
-    if total != 1:
-        report.append(f"weights sum to {total}, expected 1")
+            report.append(f"weight {x} is negative ({sys.weights[x]})")
+    total = sum(nums)
+    if total != den:
+        report.append(f"weights sum to {Fraction(total, den)}, expected 1")
     bijective = []
     for i, t in enumerate(sys.transforms):
         if is_permutation(t, n):
@@ -227,13 +236,10 @@ def validate_system(sys: FiniteSystem) -> list[str]:
         else:
             report.append(f"transform {i} not a bijection")
     for i in bijective:
-        t = sys.transforms[i]
-        for x in range(n):
-            if sys.weights[t[x]] != sys.weights[x]:
-                report.append(
-                    f"transform {i} breaks measure preservation at point {x}"
-                )
-                break
+        moved = tuple(map(nums.__getitem__, sys.transforms[i]))
+        if moved != nums:
+            x = next(x for x, (a, b) in enumerate(zip(moved, nums)) if a != b)
+            report.append(f"transform {i} breaks measure preservation at point {x}")
     for a in range(len(bijective)):
         for b in range(a + 1, len(bijective)):
             i, j = bijective[a], bijective[b]

@@ -27,15 +27,10 @@ from .averages import (
     uniformity_scan,
 )
 from .box_measure import (
-    apply_digit_flip,
-    apply_index_permutation,
+    SparseCubeMeasure,
     build_box_measure,
-    diagonal_transform,
-    marginal,
     normalize_order,
     permute_order,
-    push_forward,
-    side_transform,
 )
 from .draws import (
     random_bounded_observable,
@@ -54,6 +49,7 @@ from .magic import (
     span0_orthogonality_check,
     zed_from_sharp,
 )
+from .perms import inverse
 from .seminorm import (
     csg_check,
     seminorm_oracle_pow,
@@ -63,7 +59,7 @@ from .seminorm import (
     zed_partition,
 )
 from .serialize import format_rational
-from .system import FiniteSystem, Observable, Record, validate_system
+from .system import FiniteSystem, Observable, Record, integer_numerators, validate_system
 
 
 class PropertyOutcome(Record):
@@ -90,6 +86,67 @@ def _obs_json(f: Observable) -> list[str]:
 
 def _fs_json(fs: dict[int, Observable]) -> dict[str, list[str]]:
     return {str(bits): _obs_json(f) for bits, f in sorted(fs.items())}
+
+
+# The measure laws in index space.  A law is a bijection T of cube points
+# that maps coordinate columns: image vertex e reads one source vertex,
+# through one base permutation or none.  T pushes m onto m' exactly when
+# the images of m's support are as many distinct points of the support of
+# m' as it has, and each carries the mass of its source point.  The
+# public push_forward, marginal, apply_digit_flip and
+# apply_index_permutation stay the per-point references for these.
+
+def _indexed(m: SparseCubeMeasure):
+    """``(columns, index, masses, den)`` of a built measure: its points in
+    one order as one coordinate column per vertex, each point's position,
+    and the masses as integer numerators over ``den``."""
+    points = list(m.entries)
+    masses, den = integer_numerators(list(m.entries.values()))
+    return tuple(zip(*points)), dict(zip(points, range(len(points)))), masses, den
+
+
+def _pushes_onto(source, image, target) -> bool:
+    """Whether the map taking point i of ``source`` to the point with
+    coordinate ``image[e][i]`` at each vertex e pushes the measure of
+    ``source`` onto that of ``target``, both read by :func:`_indexed`."""
+    _, _, masses, den = source
+    _, index, target_masses, target_den = target
+    at = list(map(index.get, zip(*image)))
+    if len(at) != len(index) or None in at or len(set(at)) != len(at):
+        return False
+    moved = tuple(map(target_masses.__getitem__, at))
+    if den == target_den:
+        return moved == masses
+    return tuple(map(den.__mul__, moved)) == tuple(map(target_den.__mul__, masses))
+
+
+def _marginal(column, masses, n: int) -> list[int]:
+    """Per base point, the sum of ``masses`` over the entries of
+    ``column`` holding it."""
+    out = [0] * n
+    for x, w in zip(column, masses):
+        out[x] += w
+    return out
+
+
+def _moved_columns(columns, table, mask: int):
+    """``table`` applied on the coordinates whose vertex has no bit of
+    ``mask``: the side transformation at the digit of a one-bit mask, the
+    diagonal one at mask 0."""
+    return [column if e & mask else tuple(map(table.__getitem__, column))
+            for e, column in enumerate(columns)]
+
+
+def _flipped_columns(columns, mask: int):
+    """The digit flip at the one-bit ``mask``: vertex e reads vertex e ^ mask."""
+    return [columns[e ^ mask] for e in range(len(columns))]
+
+
+def _reindexed_columns(columns, sigma):
+    """The re-indexing by the digit permutation ``sigma``: image vertex e
+    reads the vertex whose digit i is digit sigma[i] of e."""
+    return [columns[sum(1 << i for i, si in enumerate(sigma) if e >> si & 1)]
+            for e in range(len(columns))]
 
 
 class _Suite:
@@ -148,28 +205,32 @@ class _Suite:
 
     def check_box_measure_laws(self) -> str:
         m = build_box_measure(self.sys, self.order)
-        if m.total_mass() != 1:
+        law = columns, _, masses, den = _indexed(m)
+        if sum(masses) != den:
             raise _Fail("total mass differs from 1")
+        # a marginal m / den equals the weights w / w_den when m * w_den = w * den
+        weights, weight_den = self.sys.weight_numerators()
+        expected = [w * den for w in weights]
+        scaled = [w * weight_den for w in masses]
         for bits in range(1 << self.d):
-            if marginal(m, bits) != self.sys.weights:
+            if _marginal(columns[bits], scaled, self.sys.n) != expected:
                 raise _Fail(f"marginal at vertex {bits} differs", {"vertex": bits})
         for pos in range(1, self.d + 1):
             perm = self.sys.transforms[self.order[pos - 1]]
-            for name, tmap in (
-                ("side", side_transform(perm, self.d, pos)),
-                ("side-inverse", side_transform(perm, self.d, pos, invert=True)),
-            ):
-                if push_forward(m, tmap) != m:
+            mask = 1 << (pos - 1)
+            for name, table in (("side", perm), ("side-inverse", inverse(perm))):
+                if not _pushes_onto(law, _moved_columns(columns, table, mask), law):
                     raise _Fail(f"not invariant under {name} transformation at digit {pos}")
-            if apply_digit_flip(m, pos) != m:
+            if not _pushes_onto(law, _flipped_columns(columns, mask), law):
                 raise _Fail(f"digit flip {pos} changes the measure")
         for i in range(self.sys.d):
-            if push_forward(m, diagonal_transform(self.sys.transforms[i], self.d)) != m:
+            if not _pushes_onto(law, _moved_columns(columns, self.sys.transforms[i], 0), law):
                 raise _Fail(f"not invariant under diagonal transformation {i}")
         return f"support={m.support_size()} marginals+symmetries exact"
 
     def check_index_permutation(self) -> str:
         m = build_box_measure(self.sys, self.order)
+        law = _indexed(m)
         sigmas = list(itertools.permutations(range(self.d)))
         if self.d > 3:
             sigmas = [tuple(self.rng.sample(range(self.d), self.d)) for _ in range(6)]
@@ -177,7 +238,8 @@ class _Suite:
         base_pow = seminorm_pow(self.sys, self.order, f).pow
         for sigma in sigmas:
             target = permute_order(self.order, sigma)
-            if apply_index_permutation(m, sigma) != build_box_measure(self.sys, target):
+            image = _reindexed_columns(law[0], sigma)
+            if not _pushes_onto(law, image, _indexed(build_box_measure(self.sys, target))):
                 raise _Fail(f"measure equality fails for digit permutation {sigma}",
                             {"sigma": list(sigma)})
             if seminorm_pow(self.sys, target, f).pow != base_pow:

@@ -375,10 +375,8 @@ def test_magic_check_passes(z4_file):
 
 
 def test_magic_check_injected_fault_exits_5(z4_file, monkeypatch):
-    monkeypatch.setattr(
-        "boxlab.magic.star_seminorm_pow",
-        lambda star, F: SeminormValue(star.d, Fraction(1), tuple(range(star.d))),
-    )
+    # every draw's extended seminorm reads 1, as the oracle kernel's total
+    monkeypatch.setattr("boxlab.magic._star_numerators", lambda star, factor: (1, 1))
     code, out, _ = run_cli(["magic-check", z4_file, "--draws", "2"])
     assert code == 5
     assert json.loads(out)["failures"]

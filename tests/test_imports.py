@@ -6,12 +6,13 @@ takes a support cap, only ``verify._Suite.run`` builds a property
 outcome, only ``system.integer_numerators`` takes an lcm of denominators, only
 ``relative_self_product`` and ``coupled_cells`` walk the orbit cells of a
 stage, the oracle route reaches none of the cube-measure kernels and the
-recursion route none of the oracle's table code, the orbit-cell walk
-reaches none of the per-point maps that check its output, the value
-draws read the rng only by ``rng.getrandbits`` in one pick helper and
-build no Fraction per value, and the per-draw checks ``csg_check``,
-``characteristic_bound_check`` and ``zed_equivalence_check`` build no
-Fraction before their verdict.
+recursion route none of the oracle's table code, the orbit-cell walk,
+the magic extension's build and the measure laws reach none of the
+per-point maps that check their output, the value draws read the rng only
+by ``rng.getrandbits`` in one pick helper and build no Fraction per value,
+and the per-draw checks ``csg_check``, ``characteristic_bound_check``,
+``zed_equivalence_check``, ``span0_orthogonality_check`` and
+``normstar_check`` build no Fraction before their verdict.
 
 A stdlib ``ast`` check standing in for a linter: a module-level import
 binds a name, and that name must be read somewhere else in the module.
@@ -21,11 +22,14 @@ module naming ``vertex_bits`` would be a second reader of the format.
 The last stage of a cube measure has one statement, ``coupled_cells``: a
 third caller of ``_orbit_cells`` or ``_coupled`` would be a second one.
 Exact values are scaled to integer numerators in one function; a second
-lcm over ``.denominator`` values would be a second copy of that format.
+lcm over denominators, read as ``.denominator`` or ``as_integer_ratio()``,
+would be a second copy of that format.
 The oracle seminorm route checks the cube-measure route and the recursion
 route, so a helper shared with either would let one fault pass both.  For the same reason the
-stage walk finds its cells in index space and never calls the tuple maps
-that ``check_box_measure_laws`` pushes a built measure through.
+stage walk finds its cells in index space and never calls the per-point
+maps (``push_forward`` and the side, diagonal and re-indexing maps).  The
+magic extension and the measure laws map coordinate columns as well, so
+those maps stay the independent references that tests pin them against.
 A property suite draws thousands of values per run; a ``randint`` pair and
 a Fraction built per value were most of its time on small systems, so the
 draws read whole tables of Fractions instead, picked by ``rng.getrandbits``
@@ -305,11 +309,49 @@ def test_check_flags_an_outcome_built_outside_run():
     ]
 
 
+# A denominator is read as ``.denominator`` or, with the numerator in one
+# call, as ``as_integer_ratio()``.
+DENOMINATOR_READS = {"denominator", "as_integer_ratio"}
+
+
+def scope_references(tree: ast.Module) -> dict[str, set[str]]:
+    """Per function, lambda or ``<module>``, named as by :func:`callers`,
+    the names and attributes its own body references (not those of the
+    functions nested in it)."""
+    out: dict[str, set[str]] = {"<module>": set()}
+
+    def visit(node: ast.AST, scope: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{prefix}{getattr(child, 'name', '<lambda>')}"
+                out.setdefault(name, set())
+                visit(child, name, f"{name}.")
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope, f"{prefix}{child.name}.")
+                continue
+            ref = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if ref is not None:
+                out[scope].add(ref)
+            visit(child, scope, prefix)
+
+    visit(tree, "<module>", "")
+    return out
+
+
+def lcm_of_denominators(tree: ast.Module) -> list[str]:
+    """The scopes of :func:`callers` that call ``lcm`` and read a
+    denominator anywhere in their own body."""
+    refs = scope_references(tree)
+    return list(dict.fromkeys(
+        scope for scope in callers(tree, "lcm") if refs[scope] & DENOMINATOR_READS))
+
+
 def test_only_integer_numerators_takes_an_lcm_of_denominators():
     found = [
         f"{path.stem}.{name}"
         for path in ALL_MODULES
-        for name in callers(ast.parse(path.read_text(encoding="utf-8")), "lcm", "denominator")
+        for name in lcm_of_denominators(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == ["system.integer_numerators"]
 
@@ -327,12 +369,23 @@ def test_check_flags_an_lcm_of_denominators():
         "        return lcm(*[w.denominator for w in f.values])\n"
         "    def mixed(self, a, b):\n"
         "        return lambda: math.lcm(b, a.denominator)\n"
+        "    def ratios(self, values):\n"
+        "        pairs = [v.as_integer_ratio() for v in values]\n"
+        "        return math.lcm(*[q for _, q in pairs])\n"
+        "    def read_first(self, values):\n"
+        "        dens = [v.denominator for v in values]\n"
+        "        return lcm(*dens), lcm(*dens)\n"
+        "def outer(values):\n"
+        "    def inner():\n"
+        "        return [v.denominator for v in values]\n"
+        "    return math.lcm(*inner())\n"
         "DEN = math.lcm(*(x.denominator for x in W))\n"
     )
-    assert callers(tree, "lcm", "denominator") == [
-        "integer_numerators", "C.scale", "C.mixed.<lambda>", "<module>",
+    assert lcm_of_denominators(tree) == [
+        "integer_numerators", "C.scale", "C.mixed.<lambda>", "C.ratios", "C.read_first",
+        "<module>",
     ]
-    assert "period" in callers(tree, "lcm")
+    assert "period" in callers(tree, "lcm") and "outer" in callers(tree, "lcm")
 
 
 STAGE_WALKERS = ["relative_self_product", "coupled_cells"]
@@ -377,12 +430,16 @@ MEASURE_KERNELS = {
 
 def reached_names(tree: ast.Module, roots: list[str]) -> set[str]:
     """Names and attributes that the top-level functions ``roots`` read,
-    together with the module's own functions and classes they reach."""
-    defs = {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
+    together with the module's own functions and classes they reach.  A
+    root may also be a method of a top-level class, as ``Class.method``."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs[f"{node.name}.{item.name}"] = item
     names: set[str] = set()
     todo, seen = list(roots), set()
     while todo:
@@ -462,8 +519,8 @@ def test_check_flags_an_oracle_kernel_reached_by_the_recursion():
     }
 
 
-# The per-point maps that check_box_measure_laws pushes a built measure
-# through: a stage walk reaching one would share it with its own check.
+# The per-point maps that tests push a built measure through: a stage walk
+# reaching one would share it with its own check.
 POINT_MAPS = {
     "diagonal_transform", "side_transform", "push_forward", "apply_digit_flip",
     "apply_index_permutation",
@@ -492,6 +549,70 @@ def test_check_flags_a_point_map_reached_by_the_stage_walk():
     )
     assert reached_names(tree, ["_orbit_cells"]) & POINT_MAPS == {
         "diagonal_transform", "apply_digit_flip",
+    }
+
+
+# The magic extension maps the carrier's coordinate columns, and the
+# measure laws decide on the columns of a built measure: neither reaches a
+# map applied per cube point, nor the per-point references (push_forward,
+# marginal and the digit re-indexings) that the tests pin them against.
+EXTENSION_BUILD = ["build_star_system", "sharp_space", "sharp_invariant_partition",
+                   "zed_from_sharp"]
+MEASURE_LAWS = ["_Suite.check_box_measure_laws", "_Suite.check_index_permutation"]
+PER_POINT = POINT_MAPS | {"marginal"}
+
+
+def test_the_extension_build_reaches_no_point_map():
+    tree = ast.parse((SRC / "magic.py").read_text(encoding="utf-8"))
+    shared = reached_names(tree, EXTENSION_BUILD) & PER_POINT
+    assert not shared, f"the extension build references {sorted(shared)}"
+
+
+def test_the_measure_laws_reach_no_point_map():
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    shared = reached_names(tree, MEASURE_LAWS) & PER_POINT
+    assert not shared, f"the measure laws reference {sorted(shared)}"
+
+
+def test_check_flags_the_per_tuple_extension_and_laws():
+    # the per-tuple versions that these replaced
+    magic = ast.parse(
+        "def _carrier_permutation(star_carrier, index, tuple_map):\n"
+        "    return tuple(index[tuple_map(t)] for t in star_carrier)\n"
+        "def build_star_system(sys, order):\n"
+        "    perm = sys.transforms[order[0]]\n"
+        "    star = _carrier_permutation(carrier, index, side_transform(perm, d, 1))\n"
+        "    diag = _carrier_permutation(carrier, index, diagonal_transform(perm, d))\n"
+        "def sharp_space(star):\n"
+        "    return _carrier_permutation(tuples, index, act)\n"
+        "def sharp_invariant_partition(star):\n"
+        "    return group_orbit_partition(sharp_space(star).transforms, n)\n"
+        "def zed_from_sharp(star):\n"
+        "    return sharp_space(star)\n"
+    )
+    assert reached_names(magic, EXTENSION_BUILD) & PER_POINT == {
+        "side_transform", "diagonal_transform",
+    }
+    verify = ast.parse(
+        "class _Suite:\n"
+        "    def check_box_measure_laws(self):\n"
+        "        m = build_box_measure(self.sys, self.order)\n"
+        "        if marginal(m, 0) != self.sys.weights:\n"
+        "            raise _Fail('marginal')\n"
+        "        if push_forward(m, side_transform(perm, self.d, 1)) != m:\n"
+        "            raise _Fail('side')\n"
+        "        if apply_digit_flip(m, 1) != m:\n"
+        "            raise _Fail('flip')\n"
+        "    def check_index_permutation(self):\n"
+        "        return _reindexed(m, sigma)\n"
+        "    def check_csg(self):\n"
+        "        return push_forward(m, lambda p: p)\n"
+        "def _reindexed(m, sigma):\n"
+        "    return apply_index_permutation(m, sigma)\n"
+    )
+    assert reached_names(verify, MEASURE_LAWS) & PER_POINT == {
+        "marginal", "push_forward", "side_transform", "apply_digit_flip",
+        "apply_index_permutation",
     }
 
 
@@ -596,11 +717,13 @@ def test_check_flags_every_rng_read_but_getrandbits_in_the_pick_helper():
 INTEGER_VERDICTS = {
     "seminorm.py": ["csg_check", "zed_equivalence_check"],
     "averages.py": ["characteristic_bound_check"],
+    "magic.py": ["span0_orthogonality_check", "normstar_check"],
 }
 FRACTION_RESULTS = {
     "Fraction", "cube_integral", "_cube_integral", "integrate_product", "seminorm_pow",
     "_seminorm_pow", "multi_average", "multi_average_limit", "conditional_expectation",
-    "max_abs", "l2_norm_sq", "integral",
+    "max_abs", "l2_norm_sq", "integral", "seminorm_oracle_pow", "star_seminorm_pow",
+    "star_conditional_expectation", "vertex_product_observable", "constant",
 }
 
 
@@ -657,4 +780,37 @@ def test_check_flags_a_fraction_before_the_verdict():
         "characteristic_bound_check:10 max_abs",
         "characteristic_bound_check:12 Fraction",
         "characteristic_bound_check:13 Fraction",
+    ]
+
+
+def test_check_flags_the_fraction_extension_checks():
+    # span0_orthogonality_check and normstar_check before their verdicts
+    # were integers
+    tree = ast.parse(
+        "def span0_orthogonality_check(star, fs):\n"
+        "    fmap = vertex_functions(fs, star.d, star.base.n)\n"
+        "    f_origin = fmap.get(0, Observable.constant(1, star.base.n))\n"
+        "    zed = zed_partition(star.base, star.order)\n"
+        "    if not conditional_expectation(f_origin, zed, star.base.weights).is_zero():\n"
+        "        raise PreconditionError('origin')\n"
+        "    F = vertex_product_observable(star, fmap)\n"
+        "    sharp_partition = Partition.from_cells(blocks.values(), star.size)\n"
+        "    return star_conditional_expectation(star, F, sharp_partition).is_zero()\n"
+        "def normstar_check(star, fs):\n"
+        "    fmap = vertex_functions(fs, star.d, star.base.n)\n"
+        "    f_origin = fmap.get(0, Observable.constant(1, star.base.n))\n"
+        "    if seminorm_pow(star.base, star.order, f_origin).pow != 0:\n"
+        "        raise PreconditionError('origin')\n"
+        "    F = vertex_product_observable(star, fmap)\n"
+        "    return star_seminorm_pow(star, F).pow == 0\n"
+    )
+    assert verdict_faults(tree, ["span0_orthogonality_check", "normstar_check"]) == [
+        "span0_orthogonality_check:3 constant",
+        "span0_orthogonality_check:5 conditional_expectation",
+        "span0_orthogonality_check:7 vertex_product_observable",
+        "span0_orthogonality_check:9 star_conditional_expectation",
+        "normstar_check:12 constant",
+        "normstar_check:13 seminorm_pow",
+        "normstar_check:15 vertex_product_observable",
+        "normstar_check:16 star_seminorm_pow",
     ]

@@ -181,16 +181,22 @@ def precondition_error(_):
     raise PreconditionError("origin observable has nonzero box seminorm")
 
 
+def collapsed(columns):
+    """Every vertex reading the origin's column: a map of cube points that
+    is not injective on any support with two points of one origin."""
+    return [columns[0]] * len(columns)
+
+
 # (name in boxlab.verify, change to its real result, property, status,
 #  detail, counterexample keys)
 FAULTS = [
-    ("marginal", nothing, "box-measure-laws", "FAIL",
+    ("_marginal", nothing, "box-measure-laws", "FAIL",
      "marginal at vertex 0 differs", ["vertex"]),
-    ("push_forward", nothing, "box-measure-laws", "FAIL",
+    ("_moved_columns", collapsed, "box-measure-laws", "FAIL",
      "not invariant under side transformation at digit 1", None),
-    ("apply_digit_flip", nothing, "box-measure-laws", "FAIL",
+    ("_flipped_columns", collapsed, "box-measure-laws", "FAIL",
      "digit flip 1 changes the measure", None),
-    ("apply_index_permutation", nothing, "index-permutation", "FAIL",
+    ("_reindexed_columns", collapsed, "index-permutation", "FAIL",
      "measure equality fails for digit permutation (0, 1)", ["sigma"]),
     ("seminorm_oracle_pow", lambda v: v.replace(pow=v.pow + 1), "seminorm-routes", "FAIL",
      "measure/oracle/recursion disagree", ["draw", "f", "measure", "oracle", "recursion"]),
