@@ -32,9 +32,9 @@ from .errors import PreconditionError, StructuralError
 from .perms import Perm, compose, inverse
 from .seminorm import (
     SeminormValue,
+    _block_tables,
     _seminorm_numerators,
     approx_root,
-    block_tables,
     seminorm_pow,
 )
 from .system import (
@@ -177,10 +177,10 @@ def _weighted_table_sum(numerators: Mapping, counts: Sequence[Sequence[int]]) ->
 
 
 def _box_tables(sys: FiniteSystem, order: tuple[int, ...], fmap: Mapping[int, Observable]):
-    """The integrand's :func:`~boxlab.seminorm.block_tables` over one common
+    """The integrand's :func:`~boxlab.seminorm._block_tables` over one common
     denominator: ``([(periods, numerators, multiplier)], den)``, a block's
     numerators times its multiplier being over ``den``."""
-    tables = block_tables(sys, order, fmap)
+    tables = _block_tables(sys, order, {bits: obs.numerators for bits, obs in fmap.items()})
     den = math.lcm(*(block_den for _, _, block_den in tables))
     return [(periods, nums, den // block_den) for periods, nums, block_den in tables], den
 

@@ -32,9 +32,10 @@ integrand's sum per cell from prefix sums in integer numerators.
 The symmetries above are given here as per-point maps
 (:func:`side_transform`, :func:`diagonal_transform`, the digit flip and
 re-indexing) with :func:`push_forward` and :func:`marginal`.  These are the
-references: the measure laws of ``verify`` and the magic extension map a
-built measure's coordinate columns instead, and tests pin the two against
-each other.
+references: the measure laws of ``verify`` and the magic extension map the
+coordinate columns of the index view that a built measure keeps,
+:attr:`SparseCubeMeasure.indexed`, and tests pin the two against each
+other.  A stage walk indexes its stage itself: it builds what the laws check.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -159,6 +161,15 @@ class SparseCubeMeasure(Record):
 
     def total_mass(self) -> Fraction:
         return sum(self.entries.values(), Fraction(0))
+
+    @cached_property
+    def indexed(self):
+        """``(points, index, columns, masses, den)``: the sorted support,
+        each point's position, one coordinate column per vertex, and the
+        masses as :func:`integer_numerators`; kept, not in ==, hash or repr."""
+        points = tuple(sorted(self.entries))
+        masses, den = integer_numerators(list(map(self.entries.__getitem__, points)))
+        return points, dict(zip(points, range(len(points)))), tuple(zip(*points)), masses, den
 
     def items_sorted(self) -> list[tuple[CubePoint, Fraction]]:
         entries = self.entries

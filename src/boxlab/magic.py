@@ -13,16 +13,18 @@ vertex products, and vanishing of the extended seminorm when the origin
 factor has seminorm zero).  Seminorms on the extension take the oracle
 route, under the base system's cap like the build itself.
 
-The extension is built in index space: the carrier's coordinate columns
-are mapped once per base transform and looked up together, as a stage
-walk finds its cells, and no map runs per carrier tuple.  Its invariants
-are checked on integer weight numerators.  The three checks run per draw,
-:func:`magic_failures`, :func:`span0_orthogonality_check` and
-:func:`normstar_check`, decide in integers: observables on the carrier are
-numerator tuples over one denominator, a seminorm is zero when the oracle
-kernel's exact total is, and a conditional expectation vanishes when its
-weighted sum does on every cell.  Fractions are built only for what they
-return or report.
+The extension is built on the cube measure's kept index view
+(``SparseCubeMeasure.indexed``): its coordinate columns are mapped once
+per base transform and looked up together, and no map runs per carrier
+tuple.  Its invariants are checked on integer weight numerators.  The
+extension keeps its own off-origin view, ``StarSystem.off_origin``, read
+by :func:`sharp_space`, the two partitions from it and span0.  The three
+checks run per draw, :func:`magic_failures`,
+:func:`span0_orthogonality_check` and :func:`normstar_check`, decide in
+integers: observables on the carrier are numerator tuples over one
+denominator, a seminorm is zero when the oracle kernel's exact total is,
+and a conditional expectation vanishes when its weighted sum does on every
+cell.  Fractions are built only for what they return or report.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ class StarSystem:
                     coordinates whose digit i is 0
     diag_transforms permutations applying transform i on all coordinates
     columns         the carrier's coordinate columns, one per vertex
+    off_origin      the carrier's blocks off the origin coordinate (kept)
 
     All transformations permute the carrier, preserve the weights, and
     commute; the origin-coordinate projection is a factor map onto the
@@ -117,6 +120,27 @@ class StarSystem:
         coordinate of carrier tuple i at vertex e."""
         return tuple(zip(*self.carrier))
 
+    @cached_property
+    def off_origin(self):
+        """``(tuples, index, cells, transforms)``: the sorted distinct
+        blocks of carrier coordinates off the origin vertex, each one's
+        position, per block its carrier points, and per digit the block
+        permutation applying the base transform where the digit is 1."""
+        blocks = list(zip(*self.columns[1:]))
+        runs = itertools.groupby(sorted(range(self.size), key=blocks.__getitem__),
+                                 blocks.__getitem__)
+        tuples, cells = zip(*((block, tuple(points)) for block, points in runs))
+        index = dict(zip(tuples, range(len(tuples))))
+        columns = tuple(zip(*tuples))
+        transforms = []
+        for pos, idx in enumerate(self.order):
+            perm = self.base.transforms[idx]
+            # block slot j holds the coordinate at vertex j + 1
+            transforms.append(_column_step(tuples, index, [
+                tuple(map(perm.__getitem__, column)) if (j + 1) >> pos & 1 else column
+                for j, column in enumerate(columns)]))
+        return tuples, index, cells, tuple(transforms)
+
     def as_finite_system(self) -> FiniteSystem:
         """The carrier weights with the side transforms, under the base's cap,
         built once and shared by every seminorm evaluated on it."""
@@ -157,10 +181,8 @@ def build_star_system(sys: FiniteSystem, order: Sequence[int]) -> StarSystem:
     """
     order = normalize_order(sys, order)
     m = build_box_measure(sys, order)
-    carrier = tuple(sorted(m.entries))
+    carrier, index, columns, _, _ = m.indexed
     weights = tuple(map(m.entries.__getitem__, carrier))
-    index = dict(zip(carrier, range(len(carrier))))
-    columns = tuple(zip(*carrier))
     star, diag = [], []
     for pos, idx in enumerate(order):
         perm = sys.transforms[idx]
@@ -244,31 +266,12 @@ class SharpSpace:
 
 
 def sharp_space(star: StarSystem) -> SharpSpace:
-    """The off-origin blocks of the carrier (:func:`_sharp_steps`) with
-    their masses, summed as the carrier's weight numerators."""
-    tuples, index, transforms = _sharp_steps(star)
+    """``star.off_origin`` with each block's mass, summed over its points
+    as the carrier's weight numerators."""
+    tuples, _, cells, transforms = star.off_origin
     nums, den = star.as_finite_system().weight_numerators()
-    masses = [0] * len(tuples)
-    for block, w in zip(zip(*star.columns[1:]), nums):
-        masses[index[block]] += w
-    return SharpSpace(tuples, tuple(Fraction(w, den) for w in masses), transforms)
-
-
-def _sharp_steps(star: StarSystem):
-    """``(tuples, index, transforms)`` of :class:`SharpSpace`: the sorted
-    off-origin blocks, each one's position, and per digit the permutation
-    of the blocks, found by mapping their coordinate columns once."""
-    tuples = tuple(sorted(set(zip(*star.columns[1:]))))
-    index = dict(zip(tuples, range(len(tuples))))
-    columns = tuple(zip(*tuples))
-    transforms = []
-    for pos, idx in enumerate(star.order):
-        perm = star.base.transforms[idx]
-        # off-origin slot j holds the coordinate at vertex j + 1
-        transforms.append(_column_step(tuples, index, [
-            tuple(map(perm.__getitem__, column)) if (j + 1) >> pos & 1 else column
-            for j, column in enumerate(columns)]))
-    return tuples, index, tuple(transforms)
+    masses = (Fraction(sum(map(nums.__getitem__, cell)), den) for cell in cells)
+    return SharpSpace(tuples, tuple(masses), transforms)
 
 
 def sharp_invariant_partition(star: StarSystem) -> Partition:
@@ -277,7 +280,7 @@ def sharp_invariant_partition(star: StarSystem) -> Partition:
     Cells are the jointly invariant subsets of the projected support, which
     is the algebra that pulls back to functions of the origin coordinate.
     """
-    tuples, _, transforms = _sharp_steps(star)
+    tuples, _, _, transforms = star.off_origin
     return group_orbit_partition(transforms, len(tuples))
 
 
@@ -289,11 +292,12 @@ def zed_from_sharp(star: StarSystem) -> Partition:
     :func:`boxlab.seminorm.zed_partition`.  Zero-weight points become
     singletons.
     """
-    tuples, index, transforms = _sharp_steps(star)
-    cell_of = group_orbit_partition(transforms, len(tuples)).cell_of
+    cell_of = sharp_invariant_partition(star).cell_of
+    origins = star.columns[0]
     touched: dict[int, set[int]] = {}
-    for x, block in zip(star.columns[0], zip(*star.columns[1:])):
-        touched.setdefault(x, set()).add(cell_of[index[block]])
+    for invariant, points in zip(cell_of, star.off_origin[2]):
+        for i in points:
+            touched.setdefault(origins[i], set()).add(invariant)
     groups: dict[frozenset, list[int]] = {}
     for p, cells in touched.items():
         groups.setdefault(frozenset(cells), []).append(p)
@@ -444,11 +448,8 @@ def span0_orthogonality_check(star: StarSystem, fs: Mapping) -> bool:
         raise PreconditionError(
             "origin observable has nonzero expectation onto the component partition"
         )
-    blocks: dict[CubePoint, list[int]] = {}
-    for i, block in enumerate(zip(*star.columns[1:])):
-        blocks.setdefault(block, []).append(i)
     return _cell_sums_vanish(star.as_finite_system().weight_numerators()[0],
-                             _vertex_product_numerators(star, fmap)[0], blocks.values())
+                             _vertex_product_numerators(star, fmap)[0], star.off_origin[2])
 
 
 def normstar_check(star: StarSystem, fs: Mapping) -> bool:

@@ -268,27 +268,18 @@ def _digit_walk(tables, j: int, terms, pending: dict, suffix: tuple, out: dict) 
         _digit_walk(tables, j, terms, below, (r,) + suffix, out)
 
 
-def block_tables(sys: FiniteSystem, order: tuple[int, ...], fmap: Mapping[int, Observable]):
+def _block_tables(
+    sys: FiniteSystem, order: tuple[int, ...], factors: Mapping[int, tuple[Sequence[int], int]]
+):
     """Per block of :func:`oracle_blocks`, its periods and the
     :func:`integrand_table` of the vertex functions restricted to its
     points: ``(periods, numerators, den)``.
 
-    ``order`` is read by ``normalize_order`` and ``fmap`` by
-    ``vertex_functions``.  The integrand is the sum of the blocks' parts,
-    each periodic with its block's periods.  The tables are those of
-    :func:`_block_tables` on the observables' numerators.
-    """
-    return _block_tables(sys, order, {bits: obs.numerators for bits, obs in fmap.items()})
-
-
-def _block_tables(
-    sys: FiniteSystem, order: tuple[int, ...], factors: Mapping[int, tuple[Sequence[int], int]]
-):
-    """:func:`block_tables` with per vertex the values' integer numerators
-    and their denominator in ``factors``.  A block's factors are the
-    numerator tuples restricted to its points, over the same denominators;
-    a numerator tuple shared by several vertices is restricted once, so the
-    table's walk shares it too."""
+    ``factors`` holds per vertex the values' integer numerators and their
+    denominator.  The integrand is the sum of the blocks' parts, each
+    periodic with its block's periods.  A block's factors are the numerator
+    tuples restricted to its points; a tuple shared by several vertices is
+    restricted once, so the table's walk shares it too."""
     out = []
     for periods, points in oracle_blocks(sys, order):
         block = _block_system(sys, order, periods, points)

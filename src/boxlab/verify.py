@@ -8,8 +8,10 @@ seeded by the seed, so equal inputs give byte-identical outcomes.
 A property is one ``_Suite.check_<name>`` method, and its name is the
 method's with dashes for underscores.  The method returns its PASS detail
 or raises: ``_Fail`` with the detail and counterexample, or
-:class:`SupportCapError` for a SKIP.  ``_Suite.run`` alone turns those
-results into :class:`PropertyOutcome`s.
+:class:`SupportCapError` for a SKIP; any other library error is a FAIL
+with the detail ``"<ErrorClass>: <message>"``.  ``_Suite.run`` alone
+turns those results into :class:`PropertyOutcome`s.  The measure laws
+read the views that measures keep (``SparseCubeMeasure.indexed``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .averages import (
     uniformity_scan,
 )
 from .box_measure import (
-    SparseCubeMeasure,
     build_box_measure,
     normalize_order,
     permute_order,
@@ -40,7 +41,7 @@ from .draws import (
     random_zero_expectation_observable,
     require_draws,
 )
-from .errors import PreconditionError, SupportCapError
+from .errors import BoxlabError, PreconditionError, SupportCapError
 from .magic import (
     StarSystem,
     build_star_system,
@@ -59,7 +60,7 @@ from .seminorm import (
     zed_partition,
 )
 from .serialize import format_rational
-from .system import FiniteSystem, Observable, Record, integer_numerators, validate_system
+from .system import FiniteSystem, Observable, Record, validate_system
 
 
 class PropertyOutcome(Record):
@@ -88,29 +89,21 @@ def _fs_json(fs: dict[int, Observable]) -> dict[str, list[str]]:
     return {str(bits): _obs_json(f) for bits, f in sorted(fs.items())}
 
 
-# The measure laws in index space.  A law is a bijection T of cube points
+# The measure laws in index space, on SparseCubeMeasure.indexed views.  A
+# law is a bijection T of cube points
 # that maps coordinate columns: image vertex e reads one source vertex,
 # through one base permutation or none.  T pushes m onto m' exactly when
 # the images of m's support are as many distinct points of the support of
 # m' as it has, and each carries the mass of its source point.  The
 # public push_forward, marginal, apply_digit_flip and
-# apply_index_permutation stay the per-point references for these.
-
-def _indexed(m: SparseCubeMeasure):
-    """``(columns, index, masses, den)`` of a built measure: its points in
-    one order as one coordinate column per vertex, each point's position,
-    and the masses as integer numerators over ``den``."""
-    points = list(m.entries)
-    masses, den = integer_numerators(list(m.entries.values()))
-    return tuple(zip(*points)), dict(zip(points, range(len(points)))), masses, den
-
+# apply_index_permutation are the per-point references for these.
 
 def _pushes_onto(source, image, target) -> bool:
     """Whether the map taking point i of ``source`` to the point with
     coordinate ``image[e][i]`` at each vertex e pushes the measure of
-    ``source`` onto that of ``target``, both read by :func:`_indexed`."""
-    _, _, masses, den = source
-    _, index, target_masses, target_den = target
+    ``source`` onto that of ``target``, both ``SparseCubeMeasure.indexed``."""
+    *_, masses, den = source
+    _, index, _, target_masses, target_den = target
     at = list(map(index.get, zip(*image)))
     if len(at) != len(index) or None in at or len(set(at)) != len(at):
         return False
@@ -159,8 +152,8 @@ class _Suite:
         self.star_draws = max(1, draws // 10)
 
     # Built on first use and shared by the properties after it.  A build
-    # that raises SupportCapError stores nothing, so every property that
-    # needs it SKIPs with the same detail.
+    # that raises stores nothing, so every property that needs it SKIPs or
+    # FAILs with the same detail.
 
     @functools.cached_property
     def star(self) -> StarSystem:
@@ -193,6 +186,8 @@ class _Suite:
                 results.append(PropertyOutcome(name, "FAIL", *fail.args))
             except SupportCapError as exc:
                 results.append(PropertyOutcome(name, "SKIP", str(exc)))
+            except BoxlabError as exc:  # a library error fails this property only
+                results.append(PropertyOutcome(name, "FAIL", f"{type(exc).__name__}: {exc}"))
         return results
 
     # -- individual properties -------------------------------------------
@@ -205,7 +200,7 @@ class _Suite:
 
     def check_box_measure_laws(self) -> str:
         m = build_box_measure(self.sys, self.order)
-        law = columns, _, masses, den = _indexed(m)
+        law = _, _, columns, masses, den = m.indexed
         if sum(masses) != den:
             raise _Fail("total mass differs from 1")
         # a marginal m / den equals the weights w / w_den when m * w_den = w * den
@@ -229,8 +224,7 @@ class _Suite:
         return f"support={m.support_size()} marginals+symmetries exact"
 
     def check_index_permutation(self) -> str:
-        m = build_box_measure(self.sys, self.order)
-        law = _indexed(m)
+        law = build_box_measure(self.sys, self.order).indexed
         sigmas = list(itertools.permutations(range(self.d)))
         if self.d > 3:
             sigmas = [tuple(self.rng.sample(range(self.d), self.d)) for _ in range(6)]
@@ -238,8 +232,8 @@ class _Suite:
         base_pow = seminorm_pow(self.sys, self.order, f).pow
         for sigma in sigmas:
             target = permute_order(self.order, sigma)
-            image = _reindexed_columns(law[0], sigma)
-            if not _pushes_onto(law, image, _indexed(build_box_measure(self.sys, target))):
+            image = _reindexed_columns(law[2], sigma)
+            if not _pushes_onto(law, image, build_box_measure(self.sys, target).indexed):
                 raise _Fail(f"measure equality fails for digit permutation {sigma}",
                             {"sigma": list(sigma)})
             if seminorm_pow(self.sys, target, f).pow != base_pow:

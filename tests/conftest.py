@@ -1,5 +1,6 @@
 """Shared fixtures: a roster of small systems covering the size range."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,14 @@ def uniform(n: int) -> tuple[Fraction, ...]:
 
 def shift(n: int, by: int = 1) -> tuple[int, ...]:
     return tuple((x + by) % n for x in range(n))
+
+
+def blocks_system(sizes, shifts) -> FiniteSystem:
+    """Shift k on each cyclic block, one transform per k, uniform weights."""
+    starts = list(itertools.accumulate(sizes, initial=0))
+    return FiniteSystem([Fraction(1, starts[-1])] * starts[-1], [
+        tuple(s + (x + k) % c for s, c in zip(starts, sizes) for x in range(c))
+        for k in shifts])
 
 
 Z4_TWO = FiniteSystem(uniform(4), (shift(4, 1), shift(4, 2)))

@@ -12,7 +12,7 @@ from boxlab.box_measure import build_box_measure
 from boxlab.errors import SupportCapError
 from boxlab.seminorm import SeminormValue
 from boxlab.serialize import system_to_dict
-from boxlab.system import FiniteSystem
+from boxlab.system import FiniteSystem, Observable
 from conftest import NONUNIFORM, Z4_TWO, Z5_THREE, count_calls
 
 DATA = Path(__file__).parent / "data"
@@ -432,6 +432,24 @@ def test_verify_injected_failure_exits_5(z4_file, monkeypatch):
     lines = out.strip().splitlines()
     failing = json.loads(lines[1])
     assert failing["status"] == "FAIL" and failing["counterexample"] == {"draw": 3}
+
+
+def test_verify_reports_a_library_error_as_its_property_and_exits_5(z4_file, monkeypatch):
+    # the zero-expectation draws keep their expectation: span0's
+    # precondition raises, and that FAILs span0 alone
+    monkeypatch.setattr("boxlab.draws.conditional_expectation",
+                        lambda f, partition, weights: Observable.zero(f.n))
+    code, out, _ = run_cli(["verify", z4_file, "--draws", "8"])
+    assert code == 5
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == 13
+    assert lines[-1] == {"all_pass": False, "draws": 8, "seed": 0}
+    (span0,) = [line for line in lines if line.get("property") == "span0"]
+    assert span0 == {
+        "property": "span0", "status": "FAIL",
+        "detail": "PreconditionError: origin observable has nonzero expectation "
+                  "onto the component partition",
+    }
 
 
 def test_verify_exit_1_on_invalid_system(tmp_path):

@@ -7,12 +7,15 @@ outcome, only ``system.integer_numerators`` takes an lcm of denominators, only
 ``relative_self_product`` and ``coupled_cells`` walk the orbit cells of a
 stage, the oracle route reaches none of the cube-measure kernels and the
 recursion route none of the oracle's table code, the orbit-cell walk,
-the magic extension's build and the measure laws reach none of the
-per-point maps that check their output, the value draws read the rng only
-by ``rng.getrandbits`` in one pick helper and build no Fraction per value,
-and the per-draw checks ``csg_check``, ``characteristic_bound_check``,
-``zed_equivalence_check``, ``span0_orthogonality_check`` and
-``normstar_check`` build no Fraction before their verdict.
+the magic extension's build, its off-origin view, a measure's kept view and
+the measure laws reach none of the per-point maps that check their output,
+the stage walk reads no kept measure view, ``verify`` derives neither
+index-space view and ``magic`` only the one its extension keeps, the value
+draws read the rng only by ``rng.getrandbits`` in one pick helper and
+build no Fraction per value, and the per-draw checks ``csg_check``,
+``characteristic_bound_check``, ``zed_equivalence_check``,
+``span0_orthogonality_check`` and ``normstar_check`` build no Fraction
+before their verdict.
 
 A stdlib ``ast`` check standing in for a linter: a module-level import
 binds a name, and that name must be read somewhere else in the module.
@@ -29,7 +32,9 @@ route, so a helper shared with either would let one fault pass both.  For the sa
 stage walk finds its cells in index space and never calls the per-point
 maps (``push_forward`` and the side, diagonal and re-indexing maps).  The
 magic extension and the measure laws map coordinate columns as well, so
-those maps stay the independent references that tests pin them against.
+those maps are the independent references that tests pin them against.
+Each index-space view is derived once, by the object that keeps it: a
+reader that derived its own copy would be a second copy of that view.
 A property suite draws thousands of values per run; a ``randint`` pair and
 a Fraction built per value were most of its time on small systems, so the
 draws read whole tables of Fractions instead, picked by ``rng.getrandbits``
@@ -261,10 +266,10 @@ def read_attributes(call: ast.Call) -> set[str]:
     }
 
 
-def callers(tree: ast.Module, callee: str, reads: str | None = None) -> list[str]:
-    """Qualified names of the functions and lambdas that call ``callee``,
-    by name or as an attribute; ``<module>`` for a call at top level.  With
-    ``reads``, only the calls whose arguments look up that attribute."""
+def scopes_where(tree: ast.Module, hit) -> list[str]:
+    """Qualified names of the functions and lambdas holding a node for
+    which ``hit`` is true, once per such node; ``<module>`` for one at top
+    level."""
     out = []
 
     def visit(node: ast.AST, scope: str, prefix: str) -> None:
@@ -276,14 +281,25 @@ def callers(tree: ast.Module, callee: str, reads: str | None = None) -> list[str
             if isinstance(child, ast.ClassDef):
                 visit(child, scope, f"{prefix}{child.name}.")
                 continue
-            if isinstance(child, ast.Call) and callee in (
-                getattr(child.func, "id", None), getattr(child.func, "attr", None)
-            ) and (reads is None or reads in read_attributes(child)):
+            if hit(child):
                 out.append(scope)
             visit(child, scope, prefix)
 
     visit(tree, "<module>", "")
     return out
+
+
+def called_name(call: ast.Call) -> str | None:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def callers(tree: ast.Module, callee: str, reads: str | None = None) -> list[str]:
+    """The scopes of :func:`scopes_where` that call ``callee``, by name or
+    as an attribute.  With ``reads``, only the calls whose arguments look
+    up that attribute."""
+    return scopes_where(tree, lambda node: isinstance(node, ast.Call)
+                        and called_name(node) == callee
+                        and (reads is None or reads in read_attributes(node)))
 
 
 def test_only_suite_run_builds_property_outcomes():
@@ -557,7 +573,7 @@ def test_check_flags_a_point_map_reached_by_the_stage_walk():
 # map applied per cube point, nor the per-point references (push_forward,
 # marginal and the digit re-indexings) that the tests pin them against.
 EXTENSION_BUILD = ["build_star_system", "sharp_space", "sharp_invariant_partition",
-                   "zed_from_sharp"]
+                   "zed_from_sharp", "StarSystem.off_origin"]
 MEASURE_LAWS = ["_Suite.check_box_measure_laws", "_Suite.check_index_permutation"]
 PER_POINT = POINT_MAPS | {"marginal"}
 
@@ -589,6 +605,9 @@ def test_check_flags_the_per_tuple_extension_and_laws():
         "    return group_orbit_partition(sharp_space(star).transforms, n)\n"
         "def zed_from_sharp(star):\n"
         "    return sharp_space(star)\n"
+        "class StarSystem:\n"
+        "    def off_origin(self):\n"
+        "        return self.columns\n"
     )
     assert reached_names(magic, EXTENSION_BUILD) & PER_POINT == {
         "side_transform", "diagonal_transform",
@@ -614,6 +633,130 @@ def test_check_flags_the_per_tuple_extension_and_laws():
         "marginal", "push_forward", "side_transform", "apply_digit_flip",
         "apply_index_permutation",
     }
+
+
+def test_check_follows_the_off_origin_view_only_as_a_root():
+    # the functions read the view as ``star.off_origin``, an attribute that
+    # reached_names does not follow to the method computing it
+    magic = ast.parse(
+        "class StarSystem:\n"
+        "    def off_origin(self):\n"
+        "        return _blocks(self)\n"
+        "def _blocks(star):\n"
+        "    return [side_transform(p, star.d, 1) for p in star.base.transforms]\n"
+        "def sharp_space(star):\n"
+        "    return star.off_origin\n"
+    )
+    assert reached_names(magic, ["sharp_space"]) & PER_POINT == set()
+    assert reached_names(magic, ["sharp_space", "StarSystem.off_origin"]) & PER_POINT == {
+        "side_transform"}
+
+
+# A built measure's kept view, read by the laws and the extension build, is
+# derived in index space like them: it reaches no per-point map either.
+MEASURE_VIEW = "SparseCubeMeasure.indexed"
+
+
+def test_the_measure_view_reaches_no_point_map():
+    tree = ast.parse((SRC / "box_measure.py").read_text(encoding="utf-8"))
+    shared = reached_names(tree, [MEASURE_VIEW]) & PER_POINT
+    assert not shared, f"the measure view references {sorted(shared)}"
+
+
+def test_check_flags_a_point_map_reached_by_the_measure_view():
+    tree = ast.parse(
+        "class SparseCubeMeasure:\n"
+        "    def indexed(self):\n"
+        "        return _columns(self), marginal(self, 0)\n"
+        "def _columns(m):\n"
+        "    return push_forward(m, diagonal_transform(perm, m.k)).entries\n"
+    )
+    assert reached_names(tree, [MEASURE_VIEW]) & PER_POINT == {
+        "marginal", "push_forward", "diagonal_transform"}
+
+
+# The stage walk builds the measures whose view the laws check: it indexes
+# its stage itself and never reads a measure's kept view, and neither do
+# the two statements of a stage that call it.
+STAGE_WALK = ["_orbit_cells", *STAGE_WALKERS]
+
+
+def test_the_stage_walk_reads_no_measure_view():
+    tree = ast.parse((SRC / "box_measure.py").read_text(encoding="utf-8"))
+    assert "indexed" not in reached_names(tree, STAGE_WALK)
+
+
+def test_check_flags_a_measure_view_read_by_the_stage_walk():
+    tree = ast.parse(
+        "class SparseCubeMeasure:\n"
+        "    def indexed(self):\n"
+        "        return sorted(self.entries)\n"
+        "def _orbit_cells(m, perm, cap):\n"
+        "    return cycles(_step(m, perm))\n"
+        "def _step(m, perm):\n"
+        "    points, index, columns, _, _ = m.indexed\n"
+        "    return [index[p] for p in zip(*columns)]\n"
+    )
+    assert "indexed" in reached_names(tree, STAGE_WALK[:1])
+
+
+# The views are derived where they are kept.  A scope derives one when it
+# builds a position index, as dict(zip(points, range(...))) or
+# {p: i for i, p in enumerate(points)}, or takes the carrier's off-origin
+# blocks as the slice columns[1:].  verify derives none, and magic only the
+# extension's off-origin view and the public SharpSpace's own index.
+VIEW_DERIVATIONS = {"verify.py": [], "magic.py": ["SharpSpace.__init__", "StarSystem.off_origin"]}
+
+
+def derives_a_view(node: ast.AST) -> bool:
+    if isinstance(node, ast.Call) and called_name(node) == "dict" and node.args:
+        pairs = node.args[0]
+        return (isinstance(pairs, ast.Call) and called_name(pairs) == "zip"
+                and any(isinstance(arg, ast.Call) and called_name(arg) == "range"
+                        for arg in pairs.args))
+    if isinstance(node, ast.DictComp):
+        return any(isinstance(g.iter, ast.Call) and called_name(g.iter) == "enumerate"
+                   for g in node.generators)
+    return (isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "columns"
+            and isinstance(node.slice, ast.Slice) and node.slice.upper is None
+            and isinstance(node.slice.lower, ast.Constant) and node.slice.lower.value == 1)
+
+
+@pytest.mark.parametrize("module", sorted(VIEW_DERIVATIONS))
+def test_views_are_derived_only_where_they_are_kept(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert sorted(set(scopes_where(tree, derives_a_view))) == VIEW_DERIVATIONS[module]
+
+
+def test_check_flags_the_views_derived_by_their_readers():
+    # the per-call derivations that the kept views replaced
+    verify = ast.parse(
+        "def _indexed(m):\n"
+        "    points = list(m.entries)\n"
+        "    masses, den = integer_numerators(list(m.entries.values()))\n"
+        "    return tuple(zip(*points)), dict(zip(points, range(len(points)))), masses, den\n"
+    )
+    assert scopes_where(verify, derives_a_view) == ["_indexed"]
+    magic = ast.parse(
+        "def build_star_system(sys, order):\n"
+        "    carrier = tuple(sorted(m.entries))\n"
+        "    index = dict(zip(carrier, range(len(carrier))))\n"
+        "def _sharp_steps(star):\n"
+        "    tuples = tuple(sorted(set(zip(*star.columns[1:]))))\n"
+        "    index = dict(zip(tuples, range(len(tuples))))\n"
+        "def sharp_space(star):\n"
+        "    return zip(zip(*star.columns[1:]), nums)\n"
+        "def span0_orthogonality_check(star, fs):\n"
+        "    return enumerate(zip(*star.columns[1:]))\n"
+        "class SharpSpace:\n"
+        "    def __init__(self, tuples):\n"
+        "        self.index = {t: i for i, t in enumerate(tuples)}\n"
+        "        self.blocks = star.columns[1:3]\n"
+    )
+    assert scopes_where(magic, derives_a_view) == [
+        "build_star_system", "_sharp_steps", "_sharp_steps", "sharp_space",
+        "span0_orthogonality_check", "SharpSpace.__init__",
+    ]
 
 
 # The value draws of draws.py: each hands the rng only to the pick helper

@@ -74,21 +74,12 @@ from boxlab.system import (
 )
 from boxlab.verify import (
     _flipped_columns,
-    _indexed,
     _marginal,
     _moved_columns,
     _pushes_onto,
     _reindexed_columns,
 )
-from conftest import BLOCKS4, ROSTER, Z4_TWO, commuting_systems
-
-
-def blocks_system(sizes, shifts) -> FiniteSystem:
-    """Shift k on each cyclic block, one transform per k, uniform weights."""
-    starts = list(itertools.accumulate(sizes, initial=0))
-    return FiniteSystem([Fraction(1, starts[-1])] * starts[-1], [
-        tuple(s + (x + k) % c for s, c in zip(starts, sizes) for x in range(c))
-        for k in shifts])
+from conftest import BLOCKS4, ROSTER, Z4_TWO, blocks_system, commuting_systems
 
 
 CASES = [*ROSTER,
@@ -557,10 +548,9 @@ def test_box_measure_laws_equal_the_push_forward_version(case):
     suite = boxlab.verify._Suite(sys, order, 0, 1)
     assert fraction_laws(sys, order) is None
     assert suite.check_box_measure_laws().startswith("support=")
-    law = _indexed(build_box_measure(sys, order))
     m = build_box_measure(sys, order)
+    _, _, columns, masses, den = m.indexed
     for bits in range(1 << len(order)):
-        columns, _, masses, den = law
         assert [Fraction(v, den) for v in _marginal(columns[bits], masses, sys.n)] == list(
             marginal(m, bits)), (name, bits)
 
@@ -639,8 +629,9 @@ def perturbed_masses(m, point=None):
 
 
 def assert_pushes_as_push_forward(m, target, images_by_kind, seen):
-    source, goal = _indexed(m), _indexed(target)
-    points = list(m.entries)
+    """``images_by_kind`` lists images in the order of ``m.indexed``."""
+    source, goal = m.indexed, target.indexed
+    points = source[0]
     for kind, images in images_by_kind.items():
         decided = _pushes_onto(source, list(zip(*images)), goal)
         assert decided == (push_forward(m, dict(zip(points, images)).__getitem__) == target), kind
@@ -650,7 +641,7 @@ def assert_pushes_as_push_forward(m, target, images_by_kind, seen):
 def test_law_decisions_equal_push_forward_on_broken_maps_and_masses(case):
     name, sys, order = case
     m = build_box_measure(sys, order)
-    points = list(m.entries)
+    points = m.indexed[0]
     masses = [m.entries[p] for p in points]
     seen = set()
     for law, tmap, builder in law_maps(sys, order):
@@ -670,7 +661,7 @@ def test_law_decisions_equal_push_forward_on_broken_maps_and_masses(case):
 def test_index_permutation_decisions_equal_push_forward(case):
     name, sys, order = case
     m = build_box_measure(sys, order)
-    points = list(m.entries)
+    points = m.indexed[0]
     masses = [m.entries[p] for p in points]
     seen = set()
     for sigma in itertools.permutations(range(len(order))):
@@ -692,13 +683,11 @@ def test_a_merged_image_is_refused_by_its_count_of_distinct_points():
     images refuses the map; a perturbed target mass is refused by the mass."""
     sys, order = Z4_TWO, (0, 1)
     m = build_box_measure(sys, order)
-    points = list(m.entries)
+    source = points, index, _, masses, _ = m.indexed
     _, tmap, _ = law_maps(sys, order)[0]
     images = [tmap(p) for p in points]
     merged = perturbed_images(points, images, [m.entries[p] for p in points])["non-injective"]
-    source = _indexed(m)
-    _, index, masses, _ = source
     at = [index[p] for p in merged]
     assert [masses[i] for i in at] == list(masses) and len(set(at)) < len(at)
     assert not _pushes_onto(source, list(zip(*merged)), source)
-    assert not _pushes_onto(source, list(zip(*images)), _indexed(perturbed_masses(m)))
+    assert not _pushes_onto(source, list(zip(*images)), perturbed_masses(m).indexed)

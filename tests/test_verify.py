@@ -13,7 +13,12 @@ import boxlab.seminorm
 import boxlab.verify
 from boxlab import cli
 from boxlab.box_measure import build_box_measure
-from boxlab.errors import PreconditionError, StructuralError, SupportCapError
+from boxlab.errors import (
+    InvariantViolationError,
+    PreconditionError,
+    StructuralError,
+    SupportCapError,
+)
 from boxlab.seminorm import seminorm_pow
 from boxlab.serialize import system_to_dict
 from boxlab.system import FiniteSystem, Observable
@@ -181,6 +186,19 @@ def precondition_error(_):
     raise PreconditionError("origin observable has nonzero box seminorm")
 
 
+def invariant_error(_):
+    raise InvariantViolationError("transformation leaves the support")
+
+
+def structural_error(_):
+    raise StructuralError("transformation order repeats an index")
+
+
+def span0_precondition(_):
+    raise PreconditionError(
+        "origin observable has nonzero expectation onto the component partition")
+
+
 def collapsed(columns):
     """Every vertex reading the origin's column: a map of cube points that
     is not injective on any support with two points of one origin."""
@@ -227,6 +245,14 @@ FAULTS = [
      "zero origin seminorm does not force zero extended seminorm", ["draw", "fs"]),
     ("normstar_check", precondition_error, "normstar", "FAIL",
      "zero-expectation origin draw has nonzero seminorm", ["draw", "fs"]),
+    # any other library error is its property's FAIL, named by its class
+    ("zed_from_sharp", invariant_error, "lemma-z", "FAIL",
+     "InvariantViolationError: transformation leaves the support", None),
+    ("permute_order", structural_error, "index-permutation", "FAIL",
+     "StructuralError: transformation order repeats an index", None),
+    ("span0_orthogonality_check", span0_precondition, "span0", "FAIL",
+     "PreconditionError: origin observable has nonzero expectation onto the "
+     "component partition", None),
 ]
 
 
@@ -246,6 +272,29 @@ def test_an_injected_fault_reaches_only_its_property(
     assert (None if hit.counterexample is None else sorted(hit.counterexample)) == keys
     if keys and "draw" in keys:
         assert hit.counterexample["draw"] == 0
+
+
+def test_a_broken_stage_walk_fails_properties_instead_of_the_run(monkeypatch):
+    """Every orbit cell split into single points: the measure laws and the
+    seminorm routes FAIL by their own checks, and the extension's build
+    raises, which FAILs each property that reads the extension with the
+    error's class and message; every property still reports."""
+    real = boxlab.box_measure._orbit_cells
+    monkeypatch.setattr(boxlab.box_measure, "_orbit_cells", lambda m, perm, cap: [
+        (point,) for cell in real(m, perm, cap) for point in cell])
+    reading_the_extension = {"lemma-z", "magic", "span0", "normstar"}
+    raised = []
+    for name, sys, order in ROSTER:
+        outcomes = run_suite(sys.replace(), order, seed=0, draws=4)
+        assert [o.name for o in outcomes] == EXPECTED_PROPERTIES, name
+        errors = {o.name: o for o in outcomes
+                  if o.detail.startswith("InvariantViolationError: ")}
+        if errors:
+            raised.append(name)
+            assert set(errors) == reading_the_extension, name
+            assert {(o.status, o.counterexample) for o in errors.values()} == {("FAIL", None)}
+    # the identity systems have one-point cells already
+    assert len(raised) == 9
 
 
 def test_outcome_serialization():
