@@ -13,8 +13,11 @@ multiple average, and the finite van der Corput inequality.  Multilinear
 averages and uniformity scans sum the integrand per block of
 :func:`~boxlab.seminorm.oracle_blocks`, each block's table over its own
 periods, so their cost is the sum of the block tables, not one table over
-the lcm of all periods.  The van der Corput sums run in an integer kernel
-that ``verify`` calls directly with vectors drawn as integer numerators.
+the lcm of all periods.  The block tables of one call share one
+denominator, the system's weight denominator times the vertex functions',
+so their sums add as integers.  The van der Corput sums run in an integer
+kernel that ``verify`` calls directly with vectors drawn as integer
+numerators.
 """
 
 from __future__ import annotations
@@ -176,21 +179,12 @@ def _weighted_table_sum(numerators: Mapping, counts: Sequence[Sequence[int]]) ->
     return total
 
 
-def _box_tables(sys: FiniteSystem, order: tuple[int, ...], fmap: Mapping[int, Observable]):
-    """The integrand's :func:`~boxlab.seminorm._block_tables` over one common
-    denominator: ``([(periods, numerators, multiplier)], den)``, a block's
-    numerators times its multiplier being over ``den``."""
-    tables = _block_tables(sys, order, {bits: obs.numerators for bits, obs in fmap.items()})
-    den = math.lcm(*(block_den for _, _, block_den in tables))
-    return [(periods, nums, den // block_den) for periods, nums, block_den in tables], den
-
-
 def _period_counts(interval: Interval, tables) -> dict[int, list[int]]:
     """:func:`_residue_counts` of ``interval`` for each period that a block
     of ``tables`` has at some order position, keyed by the period."""
     return {
         L: _residue_counts(interval.start, interval.length, L)
-        for L in {L for periods, _, _ in tables for L in periods}
+        for L in {L for periods, _ in tables for L in periods}
     }
 
 
@@ -199,9 +193,8 @@ def _box_sum(tables, counts: Sequence[Mapping[int, Sequence[int]]]) -> int:
     their :func:`_period_counts` per order position: each block's table
     weighted by the residue counts for its own periods."""
     return sum(
-        multiplier * _weighted_table_sum(
-            numerators, [by_period[L] for by_period, L in zip(counts, periods)])
-        for periods, numerators, multiplier in tables
+        _weighted_table_sum(numerators, [by_period[L] for by_period, L in zip(counts, periods)])
+        for periods, numerators in tables
     )
 
 
@@ -258,7 +251,8 @@ def multilinear_average_J(
     order = normalize_order(sys, order)
     if len(intervals) != len(order):
         raise StructuralError(f"{len(intervals)} intervals for {len(order)} transforms")
-    tables, den = _box_tables(sys, order, vertex_functions(fs, len(order), sys.n))
+    fmap = vertex_functions(fs, len(order), sys.n)
+    tables, den = _block_tables(sys, order, {bits: obs.numerators for bits, obs in fmap.items()})
     total = _box_sum(tables, [_period_counts(iv, tables) for iv in intervals])
     return Fraction(total, den * math.prod(iv.length for iv in intervals))
 
@@ -324,7 +318,7 @@ def uniformity_scan(
     for bits in sorted(fmap):
         if bits and fmap[bits].max_abs() > 1:
             raise PreconditionError(f"vertex {bits} observable has sup norm above 1")
-    tables, den = _box_tables(sys, order, fmap)
+    tables, den = _block_tables(sys, order, {bits: obs.numerators for bits, obs in fmap.items()})
     counts = [_period_counts(iv, tables) for iv in intervals]
     worst = 0
     scanned = 0

@@ -17,9 +17,10 @@ The extension is built on the cube measure's kept index view
 (``SparseCubeMeasure.indexed``): its coordinate columns are mapped once
 per base transform and looked up together, and no map runs per carrier
 tuple.  Its invariants are checked on integer weight numerators.  The
-extension keeps its own off-origin view, ``StarSystem.off_origin``, read
-by :func:`sharp_space`, the two partitions from it and span0.  The three
-checks run per draw, :func:`magic_failures`,
+extension holds that view's columns, and keeps its own off-origin view,
+``StarSystem.off_origin``, whose index :func:`sharp_space` hands on and
+which the two partitions from it and span0 read.  The three checks run
+per draw, :func:`magic_failures`,
 :func:`span0_orthogonality_check` and :func:`normstar_check`, decide in
 integers: observables on the carrier are numerator tuples over one
 denominator, a seminorm is zero when the oracle kernel's exact total is,
@@ -73,11 +74,11 @@ class StarSystem:
     """The cube-measure support as a finite system over the base.
 
     carrier         sorted support tuples of the cube measure
+    columns         the carrier's coordinate columns, one per vertex
     weights         their masses
     star_transforms permutations of the carrier applying transform i on
                     coordinates whose digit i is 0
     diag_transforms permutations applying transform i on all coordinates
-    columns         the carrier's coordinate columns, one per vertex
     off_origin      the carrier's blocks off the origin coordinate (kept)
 
     All transformations permute the carrier, preserve the weights, and
@@ -90,6 +91,7 @@ class StarSystem:
         base: FiniteSystem,
         order: tuple[int, ...],
         carrier: tuple[CubePoint, ...],
+        columns: tuple[tuple[int, ...], ...],
         weights: tuple[Fraction, ...],
         star_transforms: tuple[Perm, ...],
         diag_transforms: tuple[Perm, ...],
@@ -97,6 +99,7 @@ class StarSystem:
         self.base = base
         self.order = order
         self.carrier = carrier
+        self.columns = columns
         self.weights = weights
         self.star_transforms = star_transforms
         self.diag_transforms = diag_transforms
@@ -113,12 +116,6 @@ class StarSystem:
     def origin_of(self, i: int) -> int:
         """Base point at the origin coordinate of carrier tuple i."""
         return self.carrier[i][0]
-
-    @cached_property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """The carrier's coordinate columns: entry i of column e is the
-        coordinate of carrier tuple i at vertex e."""
-        return tuple(zip(*self.carrier))
 
     @cached_property
     def off_origin(self):
@@ -191,7 +188,7 @@ def build_star_system(sys: FiniteSystem, order: Sequence[int]) -> StarSystem:
             column if e >> pos & 1 else image
             for e, (column, image) in enumerate(zip(columns, moved))]))
         diag.append(_column_step(carrier, index, moved))
-    out = StarSystem(sys, order, carrier, weights, tuple(star), tuple(diag))
+    out = StarSystem(sys, order, carrier, columns, weights, tuple(star), tuple(diag))
     _check_star_invariants(out)
     return out
 
@@ -248,17 +245,18 @@ class SharpSpace:
     """Projection of the carrier away from the origin coordinate.
 
     tuples      sorted distinct off-origin blocks
+    index       each block's position in ``tuples``
     weights     projected masses
     transforms  per digit: the permutation applying the base transform on
                 coordinates whose digit is 1 (the origin coordinate drops
                 out, so these act entirely within the projection)
     """
 
-    def __init__(self, tuples, weights, transforms):
+    def __init__(self, tuples, index, weights, transforms):
         self.tuples = tuples
+        self.index = index
         self.weights = weights
         self.transforms = transforms
-        self.index = {t: i for i, t in enumerate(tuples)}
 
     @property
     def size(self) -> int:
@@ -268,10 +266,10 @@ class SharpSpace:
 def sharp_space(star: StarSystem) -> SharpSpace:
     """``star.off_origin`` with each block's mass, summed over its points
     as the carrier's weight numerators."""
-    tuples, _, cells, transforms = star.off_origin
+    tuples, index, cells, transforms = star.off_origin
     nums, den = star.as_finite_system().weight_numerators()
     masses = (Fraction(sum(map(nums.__getitem__, cell)), den) for cell in cells)
-    return SharpSpace(tuples, tuple(masses), transforms)
+    return SharpSpace(tuples, index, tuple(masses), transforms)
 
 
 def sharp_invariant_partition(star: StarSystem) -> Partition:

@@ -18,7 +18,10 @@ Three routes compute the same power:
   that multi-sum's table in integer numerators over one denominator, by a
   walk over the residue digits that translates each vertex function once
   per residue prefix and shares products between vertices; it reads none
-  of the cube-measure kernels;
+  of the cube-measure kernels.  Each block's table walks a layout kept on
+  the system per order (local power tables, and weight numerators over the
+  system's own denominator), so one evaluation's block tables share one
+  denominator and their means add in integers;
 * ``seminorm_recursion_pow`` averages the (d-1)-transform power of the
   shifted products over one full period of the last transform.  It
   translates f's integer numerators itself, hands each product to the
@@ -137,7 +140,8 @@ def oracle_blocks(sys: FiniteSystem, order: Sequence[int]):
     and each cell's part is periodic with the periods of the transforms on
     that cell.  A block joins the cells with equal periods that hold a
     point of nonzero weight; it comes as those periods and its sorted
-    points.
+    points.  :func:`oracle_work` reads only these; the block layouts that
+    :func:`_block_tables` walks are built from them on its first call.
     """
     order = normalize_order(sys, order)
     return sys.memo(("oracle blocks", order), lambda: _oracle_blocks(sys, order))
@@ -151,16 +155,6 @@ def _oracle_blocks(sys: FiniteSystem, order: tuple[int, ...]):
             periods = tuple(math.lcm(*map(len, orbits(cell, t.__getitem__))) for t in perms)
             blocks.setdefault(periods, []).extend(cell)
     return tuple((periods, tuple(sorted(points))) for periods, points in blocks.items())
-
-
-def _block_system(sys: FiniteSystem, order: tuple[int, ...], periods, points) -> FiniteSystem:
-    """The weights on a block and the transforms at ``order`` restricted to
-    it, in indices local to the block, kept on ``sys``."""
-    def build() -> FiniteSystem:
-        local = {x: k for k, x in enumerate(points)}
-        steps = [tuple(local[sys.transforms[idx][x]] for x in points) for idx in order]
-        return FiniteSystem(tuple(map(sys.weights.__getitem__, points)), steps, cap=sys.cap)
-    return sys.memo(("oracle block", order, periods), build)
 
 
 def oracle_work(sys: FiniteSystem, order: Sequence[int]) -> int:
@@ -200,27 +194,26 @@ def integrand_table(
     """
     order = normalize_order(sys, order)
     fmap = vertex_functions(fs, len(order), sys.n)
-    return _integrand_table(sys, order, {bits: obs.numerators for bits, obs in fmap.items()})
+    tables = transform_power_tables(sys, order)
+    factors = {bits: obs.numerators for bits, obs in fmap.items()}
+    return (tuple(map(len, tables)), *_integrand_table(tables, sys.weight_numerators(), factors))
 
 
 def _integrand_table(
-    sys: FiniteSystem, order: tuple[int, ...], factors: Mapping[int, tuple[Sequence[int], int]]
-) -> tuple[tuple[int, ...], dict[tuple[int, ...], int], int]:
-    """:func:`integrand_table` of an order read by :func:`normalize_order`,
-    checking it no more, with per vertex the values' integer numerators and
-    their denominator in ``factors``.  Vertices given one numerator
-    sequence share it through the walk."""
-    d = len(order)
-    tables = transform_power_tables(sys, order)
-    periods = tuple(len(t) for t in tables)
-    terms, den = sys.weight_numerators()
+    tables, weights: tuple[Sequence[int], int], factors: Mapping[int, tuple[Sequence[int], int]]
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """:func:`integrand_table`'s ``(numerators, den)``, unchecked, from the
+    power ``tables`` per order position, the weights as integer numerators
+    and their denominator, and per vertex its values the same way in
+    ``factors``.  Vertices given one numerator sequence share it."""
+    terms, den = weights
     pending = {}
     for bits, (numerators, scale) in factors.items():
         pending[bits] = numerators
         den *= scale
     numerators: dict[tuple[int, ...], int] = {}
-    _digit_walk(tables, d, terms, pending, (), numerators)
-    return periods, numerators, den
+    _digit_walk(tables, len(tables), terms, pending, (), numerators)
+    return numerators, den
 
 
 def _digit_walk(tables, j: int, terms, pending: dict, suffix: tuple, out: dict) -> None:
@@ -270,29 +263,42 @@ def _digit_walk(tables, j: int, terms, pending: dict, suffix: tuple, out: dict) 
 
 def _block_tables(
     sys: FiniteSystem, order: tuple[int, ...], factors: Mapping[int, tuple[Sequence[int], int]]
-):
-    """Per block of :func:`oracle_blocks`, its periods and the
-    :func:`integrand_table` of the vertex functions restricted to its
-    points: ``(periods, numerators, den)``.
+) -> tuple[list[tuple[tuple[int, ...], dict[tuple[int, ...], int]]], int]:
+    """Per block of :func:`oracle_blocks`, its periods and the numerators of
+    the :func:`integrand_table` of the vertex functions restricted to its
+    points: ``([(periods, numerators)], den)``, every block over ``den``.
 
     ``factors`` holds per vertex the values' integer numerators and their
-    denominator.  The integrand is the sum of the blocks' parts, each
-    periodic with its block's periods.  A block's factors are the numerator
-    tuples restricted to its points; a tuple shared by several vertices is
-    restricted once, so the table's walk shares it too."""
-    out = []
-    for periods, points in oracle_blocks(sys, order):
-        block = _block_system(sys, order, periods, points)
+    denominator.  The tables walk the :func:`_block_layouts` kept on
+    ``sys`` per order, whose weights share the system's denominator.  A
+    numerator tuple shared by several vertices is restricted to a block
+    once, so the table's walk shares it too."""
+    w_den = sys.weight_numerators()[1]
+    out, den = [], w_den
+    for periods, points, tables, terms in sys.memo(
+            ("oracle layouts", order), lambda: _block_layouts(sys, order)):
         local = factors
         if len(points) < sys.n:  # a block of every point keeps them in order
-            restricted: dict[int, tuple[int, ...]] = {}
-            local = {}
-            for bits, (numerators, scale) in factors.items():
-                if id(numerators) not in restricted:
-                    restricted[id(numerators)] = tuple(map(numerators.__getitem__, points))
-                local[bits] = restricted[id(numerators)], scale
-        _, numerators, den = _integrand_table(block, tuple(range(block.d)), local)
-        out.append((periods, numerators, den))
+            shared = {id(nums): nums for nums, _ in factors.values()}
+            rows = {key: tuple(map(nums.__getitem__, points)) for key, nums in shared.items()}
+            local = {bits: (rows[id(nums)], scale) for bits, (nums, scale) in factors.items()}
+        numerators, den = _integrand_table(tables, (terms, w_den), local)
+        out.append((periods, numerators))
+    return out, den
+
+
+def _block_layouts(sys: FiniteSystem, order: tuple[int, ...]):
+    """Per block of :func:`oracle_blocks`: its periods, its points, the
+    power tables of its transforms in indices local to it, and the weight
+    numerators of ``sys.weight_numerators()`` at its points."""
+    terms = sys.weight_numerators()[0]
+    out = []
+    for periods, points in oracle_blocks(sys, order):
+        local = {x: k for k, x in enumerate(points)}
+        tables = tuple(
+            _powers(tuple(local[sys.transforms[idx][x]] for x in points), period)
+            for idx, period in zip(order, periods))
+        out.append((periods, points, tables, tuple(map(terms.__getitem__, points))))
     return out
 
 
@@ -301,13 +307,12 @@ def _oracle_numerators(
 ) -> tuple[int, int]:
     """The integral of the vertex product by the oracle route, for a
     normalized order and ``factors`` as for :func:`_block_tables`, as
-    ``(total, den)``, not reduced: each block's table mean,
-    sum(numerators) / (den * prod(periods)), added in integers."""
-    total, den = 0, 1
-    for periods, numerators, table_den in _block_tables(sys, order, factors):
-        part_den = table_den * math.prod(periods)
-        total, den = total * part_den + sum(numerators.values()) * den, den * part_den
-    return total, den
+    ``(total, den)``, not reduced: the blocks' table means,
+    sum(numerators) / (den * prod(periods)), added in integers over den
+    times the lcm L of the blocks' period products."""
+    tables, den = _block_tables(sys, order, factors)
+    L = math.lcm(*(math.prod(periods) for periods, _ in tables))
+    return sum(sum(nums.values()) * (L // math.prod(periods)) for periods, nums in tables), den * L
 
 
 def seminorm_oracle_pow(

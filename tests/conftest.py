@@ -62,6 +62,15 @@ ROSTER = [
 ]
 
 
+def fractions_in(low: int, high: int, max_denominator: int):
+    """The values of ``st.fractions(low, high, max_denominator=...)``: a
+    denominator q from 1 to ``max_denominator`` and a numerator from
+    low * q to high * q, each drawn as an integer, which generates several
+    times faster."""
+    return st.integers(1, max_denominator).flatmap(
+        lambda q: st.integers(low * q, high * q).map(lambda p: Fraction(p, q)))
+
+
 def count_calls(monkeypatch, module, name):
     """Wrap ``module.<name>`` and record the first argument of every call."""
     real = getattr(module, name)

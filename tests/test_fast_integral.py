@@ -28,6 +28,7 @@ from boxlab.averages import (
     _van_der_corput,
     common_period,
     multi_average,
+    multilinear_average_J,
     van_der_corput_bound,
 )
 from boxlab.box_measure import (
@@ -56,8 +57,10 @@ from boxlab.magic import (
 )
 from boxlab.perms import compose, orbits
 from boxlab.seminorm import (
+    _block_tables,
     csg_check,
     integrand_table,
+    oracle_blocks,
     oracle_work,
     seminorm_oracle_pow,
     seminorm_pow,
@@ -73,7 +76,9 @@ from boxlab.system import (
     join_partitions,
     orbit_partition,
 )
-from conftest import ROSTER, Z4_TWO, commuting_systems, count_calls, uniform
+from conftest import (
+    ROSTER, Z4_TWO, Z5_THREE, commuting_systems, count_calls, fractions_in, uniform,
+)
 
 
 def full_map(f: Observable, d: int) -> dict[int, Observable]:
@@ -340,8 +345,8 @@ def assert_star_seminorm_is_the_bounded_oracle(star: StarSystem, F: Observable) 
     needed = oracle_work(X, range(star.d))
 
     def under(cap: int) -> StarSystem:
-        return StarSystem(star.base.replace(cap=cap), star.order, star.carrier, star.weights,
-                          star.star_transforms, star.diag_transforms)
+        return StarSystem(star.base.replace(cap=cap), star.order, star.carrier, star.columns,
+                          star.weights, star.star_transforms, star.diag_transforms)
 
     assert star_seminorm_pow(under(needed), F) == star_seminorm_pow(star, F)
     if needed > 1:  # a cap is at least 1
@@ -407,6 +412,85 @@ def test_star_oracle_work_is_pinned():
     ):
         star = build_star_system(sys, order)
         assert oracle_work(star.as_finite_system(), range(star.d)) == needed
+
+
+def parent_block_tables(sys, order, factors):
+    """Per block of ``oracle_blocks``, its periods and its integrand table
+    as Fractions, by the route the kept block layouts replaced: a
+    FiniteSystem per block, of the block's weights and its transforms in
+    local indices, with the table of that system."""
+    out = []
+    for periods, points in oracle_blocks(sys, order):
+        local = {x: k for k, x in enumerate(points)}
+        steps = [tuple(local[sys.transforms[idx][x]] for x in points) for idx in order]
+        block = FiniteSystem(tuple(map(sys.weights.__getitem__, points)), steps)
+        fs = {bits: Observable(tuple(Fraction(nums[x], scale) for x in points))
+              for bits, (nums, scale) in factors.items()}
+        block_periods, numerators, den = integrand_table(block, range(block.d), fs)
+        assert block_periods == periods
+        out.append((periods, {r: Fraction(v, den) for r, v in numerators.items()}))
+    return out
+
+
+def assert_block_tables_equal_the_parent_route(sys, order, rng) -> None:
+    """``_block_tables`` as Fractions against :func:`parent_block_tables`,
+    for vertex functions of their own, one shared by every vertex, one at
+    the origin alone and none; each call gives every block one
+    denominator."""
+    order = tuple(order)
+    d = len(order)
+    shared = mixed_observable(rng, sys.n).numerators
+    for factors in (
+        {bits: mixed_observable(rng, sys.n).numerators for bits in range(1 << d)},
+        dict.fromkeys(range(1 << d), shared),
+        {0: shared},
+        {},
+    ):
+        tables, den = _block_tables(sys, order, factors)
+        got = [(periods, {r: Fraction(v, den) for r, v in numerators.items()})
+               for periods, numerators in tables]
+        assert got == parent_block_tables(sys, order, factors)
+
+
+DISJOINT_CYCLES = [blocks_system((2, 3), (1, 1)), blocks_system((3, 4, 5), (1, 1))]
+
+
+def test_block_tables_equal_the_parent_route():
+    rng = random.Random(149)
+    for name, sys, order in ROSTER:
+        assert_block_tables_equal_the_parent_route(sys, order, rng)
+    for sys in DISJOINT_CYCLES:
+        assert_block_tables_equal_the_parent_route(sys, (0, 1), rng)
+        star = build_star_system(sys, (0, 1))
+        assert_block_tables_equal_the_parent_route(star.as_finite_system(), range(star.d), rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(commuting_systems(), st.integers(0, 2**32 - 1))
+def test_hypothesis_block_tables_equal_the_parent_route(case, seed):
+    sys, order = case
+    assert_block_tables_equal_the_parent_route(sys, order, random.Random(seed))
+
+
+def test_block_layouts_are_built_once_after_the_work_bound(monkeypatch):
+    layouts = count_calls(monkeypatch, boxlab.seminorm, "_block_layouts")
+    # z5-three's extension is refused before any block layout is built
+    star = build_star_system(Z5_THREE, (0, 1, 2))
+    X = star.as_finite_system()
+    needed = oracle_work(X, range(star.d))
+    capped = StarSystem(Z5_THREE.replace(cap=needed - 1), star.order, star.carrier,
+                        star.columns, star.weights, star.star_transforms, star.diag_transforms)
+    F = mixed_observable(random.Random(151), star.size)
+    with pytest.raises(SupportCapError):
+        star_seminorm_pow(capped, F)
+    assert layouts == []
+    # a system keeps its layouts per order: evaluations build them once
+    sys = FiniteSystem(Z4_TWO.weights, Z4_TWO.transforms)
+    f = mixed_observable(random.Random(157), sys.n)
+    for _ in range(2):
+        seminorm_oracle_pow(sys, (0, 1), f)
+        multilinear_average_J(sys, (0, 1), {0: f}, [Interval(0, 3), Interval(1, 2)])
+    assert layouts == [sys]
 
 
 # Disjoint cycles of different lengths under one shift: the last stage's
@@ -830,7 +914,7 @@ def test_star_kernels_equal_fraction_loops(roster_case):
 
 # ------------------------------------------------------------- Hypothesis
 
-rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+rationals = fractions_in(-3, 3, 7)
 
 
 @st.composite
@@ -871,7 +955,7 @@ def test_hypothesis_integer_oracle_equals_reference(case):
     st.integers(1, 12).flatmap(
         lambda N: st.tuples(
             st.lists(
-                st.lists(st.fractions(-1, 1, max_denominator=5), min_size=2, max_size=2),
+                st.lists(fractions_in(-1, 1, 5), min_size=2, max_size=2),
                 min_size=N, max_size=N,
             ),
             st.integers(1, N),

@@ -535,6 +535,30 @@ def test_check_flags_an_oracle_kernel_reached_by_the_recursion():
     }
 
 
+# The oracle route keeps its per-block layouts as plain tables on the
+# system it runs on: seminorm.py builds no FiniteSystem, which would check
+# its inputs again and find periods and a denominator the caller has.
+def test_seminorm_builds_no_system():
+    tree = ast.parse((SRC / "seminorm.py").read_text(encoding="utf-8"))
+    assert callers(tree, "FiniteSystem") == []
+
+
+def test_check_flags_a_system_built_per_oracle_block():
+    tree = ast.parse(
+        "def _block_system(sys, order, periods, points):\n"
+        "    def build():\n"
+        "        local = {x: k for k, x in enumerate(points)}\n"
+        "        steps = [tuple(local[sys.transforms[idx][x]] for x in points) for idx in order]\n"
+        "        return FiniteSystem(tuple(map(sys.weights.__getitem__, points)), steps)\n"
+        "    return sys.memo(('oracle block', order, periods), build)\n"
+        "def _sub(sys):\n"
+        "    return system.FiniteSystem(sys.weights, sys.transforms[1:])\n"
+        "def _layout(sys, order):\n"
+        "    return sys.memo(('oracle layouts', order), lambda: FiniteSystem.__name__)\n"
+    )
+    assert callers(tree, "FiniteSystem") == ["_block_system.build", "_sub"]
+
+
 # The per-point maps that tests push a built measure through: a stage walk
 # reaching one would share it with its own check.
 POINT_MAPS = {
@@ -702,10 +726,12 @@ def test_check_flags_a_measure_view_read_by_the_stage_walk():
 
 # The views are derived where they are kept.  A scope derives one when it
 # builds a position index, as dict(zip(points, range(...))) or
-# {p: i for i, p in enumerate(points)}, or takes the carrier's off-origin
-# blocks as the slice columns[1:].  verify derives none, and magic only the
-# extension's off-origin view and the public SharpSpace's own index.
-VIEW_DERIVATIONS = {"verify.py": [], "magic.py": ["SharpSpace.__init__", "StarSystem.off_origin"]}
+# {p: i for i, p in enumerate(points)}, takes the carrier's off-origin
+# blocks as the slice columns[1:], or transposes a carrier into columns as
+# zip(*<x>.carrier).  verify derives none, and magic only the extension's
+# off-origin view: the extension keeps the measure view's columns, and
+# SharpSpace is handed the off-origin view's index.
+VIEW_DERIVATIONS = {"verify.py": [], "magic.py": ["StarSystem.off_origin"]}
 
 
 def derives_a_view(node: ast.AST) -> bool:
@@ -717,6 +743,9 @@ def derives_a_view(node: ast.AST) -> bool:
     if isinstance(node, ast.DictComp):
         return any(isinstance(g.iter, ast.Call) and called_name(g.iter) == "enumerate"
                    for g in node.generators)
+    if isinstance(node, ast.Call) and called_name(node) == "zip":
+        return any(isinstance(arg, ast.Starred) and getattr(arg.value, "attr", None) == "carrier"
+                   for arg in node.args)
     return (isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "columns"
             and isinstance(node.slice, ast.Slice) and node.slice.upper is None
             and isinstance(node.slice.lower, ast.Constant) and node.slice.lower.value == 1)
@@ -752,10 +781,15 @@ def test_check_flags_the_views_derived_by_their_readers():
         "    def __init__(self, tuples):\n"
         "        self.index = {t: i for i, t in enumerate(tuples)}\n"
         "        self.blocks = star.columns[1:3]\n"
+        "class StarSystem:\n"
+        "    def columns(self):\n"
+        "        return tuple(zip(*self.carrier))\n"
+        "    def pairs(self):\n"
+        "        return zip(self.carrier, self.weights), zip(*self.columns)\n"
     )
     assert scopes_where(magic, derives_a_view) == [
         "build_star_system", "_sharp_steps", "_sharp_steps", "sharp_space",
-        "span0_orthogonality_check", "SharpSpace.__init__",
+        "span0_orthogonality_check", "SharpSpace.__init__", "StarSystem.columns",
     ]
 
 

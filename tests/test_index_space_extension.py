@@ -79,7 +79,7 @@ from boxlab.verify import (
     _pushes_onto,
     _reindexed_columns,
 )
-from conftest import BLOCKS4, ROSTER, Z4_TWO, blocks_system, commuting_systems
+from conftest import BLOCKS4, ROSTER, Z4_TWO, blocks_system, commuting_systems, fractions_in
 
 
 CASES = [*ROSTER,
@@ -169,7 +169,8 @@ def per_tuple_star(sys, order):
         perm = sys.transforms[order[pos - 1]]
         star.append(per_tuple_permutation(carrier, index, side_transform(perm, d, pos)))
         diag.append(per_tuple_permutation(carrier, index, diagonal_transform(perm, d)))
-    out = StarSystem(sys, order, carrier, weights, tuple(star), tuple(diag))
+    out = StarSystem(sys, order, carrier, tuple(zip(*carrier)), weights, tuple(star),
+                     tuple(diag))
     fraction_star_invariants(out)
     return out
 
@@ -189,7 +190,7 @@ def per_tuple_sharp(star):
             return tuple(perm[c] if ((j + 1) & mask) else c for j, c in enumerate(sharp))
 
         transforms.append(per_tuple_permutation(tuples, index, act))
-    return SharpSpace(tuples, tuple(masses[t] for t in tuples), tuple(transforms))
+    return SharpSpace(tuples, index, tuple(masses[t] for t in tuples), tuple(transforms))
 
 
 def reference_star_pow(star, F):
@@ -297,6 +298,13 @@ def test_extension_equals_the_per_tuple_build(case):
     assert zed_from_sharp(star) == zed_partition(sys, order), name
 
 
+def test_the_extension_holds_the_kept_views_once(case):
+    name, sys, order = case
+    star = build_star_system(sys, order)
+    assert star.columns is build_box_measure(sys, order).indexed[2], name
+    assert sharp_space(star).index is star.off_origin[1], name
+
+
 @settings(max_examples=40, deadline=None)
 @given(commuting_systems())
 def test_hypothesis_extension_equals_the_per_tuple_build(drawn):
@@ -313,7 +321,8 @@ def broken_stars(star):
 
     def with_(**changes):
         fields = dict(base=star.base, order=star.order, carrier=star.carrier,
-                      weights=star.weights, star_transforms=star.star_transforms,
+                      columns=star.columns, weights=star.weights,
+                      star_transforms=star.star_transforms,
                       diag_transforms=star.diag_transforms)
         fields.update(changes)
         return StarSystem(**fields)
@@ -399,8 +408,7 @@ def test_validate_system_reports_as_the_fraction_version():
 @given(st.data())
 def test_hypothesis_validate_system_reports_as_the_fraction_version(data):
     n = data.draw(st.integers(1, 5))
-    weights = data.draw(st.lists(
-        st.fractions(min_value=-1, max_value=1, max_denominator=6), min_size=n, max_size=n))
+    weights = data.draw(st.lists(fractions_in(-1, 1, 6), min_size=n, max_size=n))
     if data.draw(st.booleans()):  # then most weights sum to 1
         weights[-1] = 1 - sum(weights[:-1], Fraction(0))
     transforms = data.draw(st.lists(
@@ -440,7 +448,7 @@ def test_magic_failures_equal_the_fraction_version(case):
     name, sys, order = case
     star = build_star_system(sys, order)
     # the diagonal maps read as side maps break the magic property
-    fake = StarSystem(sys, star.order, star.carrier, star.weights,
+    fake = StarSystem(sys, star.order, star.carrier, star.columns, star.weights,
                       star.diag_transforms, star.diag_transforms)
     for s in (star, fake):
         new_rng, ref_rng = random.Random(7), random.Random(7)
@@ -451,7 +459,7 @@ def test_magic_failures_equal_the_fraction_version(case):
 
 def test_magic_failures_report_on_a_broken_extension():
     star = build_star_system(Z4_TWO, (0, 1))
-    fake = StarSystem(Z4_TWO, star.order, star.carrier, star.weights,
+    fake = StarSystem(Z4_TWO, star.order, star.carrier, star.columns, star.weights,
                       star.diag_transforms, star.diag_transforms)
     new = list(magic_failures(fake, random.Random(3), 4))
     assert new and new == list(fraction_magic_failures(fake, random.Random(3), 4))
@@ -481,14 +489,14 @@ def mass_moved(star):
     delta = min(weights) / 2
     weights[0] += delta
     weights[-1] -= delta
-    return StarSystem(star.base, star.order, star.carrier, tuple(weights),
+    return StarSystem(star.base, star.order, star.carrier, star.columns, tuple(weights),
                       star.star_transforms, star.diag_transforms)
 
 
 def test_span0_and_normstar_equal_the_fraction_versions(case):
     name, sys, order = case
     star = build_star_system(sys, order)
-    fake_side = StarSystem(sys, star.order, star.carrier, star.weights,
+    fake_side = StarSystem(sys, star.order, star.carrier, star.columns, star.weights,
                            star.diag_transforms, star.diag_transforms)
     rng = random.Random(11)
     for fs in origin_draws(sys, order, rng, small_draws(order)):
@@ -508,7 +516,7 @@ def origin_moved(star):
     first = star.carrier[0]
     other = next((x for x in range(star.base.n) if cell_of[x] != cell_of[first[0]]), first[0])
     carrier = ((other, *first[1:]), *star.carrier[1:])
-    return StarSystem(star.base, star.order, carrier, star.weights,
+    return StarSystem(star.base, star.order, carrier, tuple(zip(*carrier)), star.weights,
                       star.star_transforms, star.diag_transforms)
 
 

@@ -45,10 +45,10 @@ from boxlab.seminorm import (
     zed_partition,
 )
 from boxlab.system import FiniteSystem, Observable, transform_period
-from conftest import ROSTER, ZERO_WEIGHT, commuting_systems
+from conftest import ROSTER, ZERO_WEIGHT, commuting_systems, fractions_in
 
-rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
-bounded = st.fractions(min_value=-1, max_value=1, max_denominator=7)
+rationals = fractions_in(-3, 3, 7)
+bounded = fractions_in(-1, 1, 7)
 
 
 def full_map(f, d):

@@ -134,8 +134,9 @@ def test_as_finite_system_is_built_once():
 
 def tampered(star: StarSystem, **changes) -> StarSystem:
     fields = dict(
-        base=star.base, order=star.order, carrier=star.carrier, weights=star.weights,
-        star_transforms=star.star_transforms, diag_transforms=star.diag_transforms,
+        base=star.base, order=star.order, carrier=star.carrier, columns=star.columns,
+        weights=star.weights, star_transforms=star.star_transforms,
+        diag_transforms=star.diag_transforms,
     )
     fields.update(changes)
     return StarSystem(**fields)

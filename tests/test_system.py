@@ -36,7 +36,7 @@ from boxlab.system import (
     validate_system,
 )
 from boxlab.verify import PropertyOutcome
-from conftest import Z4_TWO, count_calls, uniform
+from conftest import Z4_TWO, count_calls, fractions_in, uniform
 
 
 # ---------------------------------------------------------------- validate
@@ -460,7 +460,7 @@ def test_sup_bound_error_names_every_index_outside():
     assert str(info.value) == "values exceed the declared sup bound -1/2 at [0, 1]"
 
 
-rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+rationals = fractions_in(-3, 3, 6)
 
 
 @settings(max_examples=300, deadline=None)
