@@ -314,17 +314,21 @@ def coupled_cells(
 
 
 def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...]):
-    """The cells of :func:`coupled_cells` in integers, flat.
+    """The cells of :func:`coupled_cells` in integers, flat, kept on ``sys``
+    per order.
 
     Returns ``(columns, ends, masses, den)``.  The points of the stage
     before the last are listed cell after cell; ``columns`` holds, per
     vertex of that stage, the tuple of their coordinates there, and cell i
     is the slice ``ends[i - 1]:ends[i]`` of every column (from 0 for the
     first).  ``masses[i]`` is the numerator of cell i's pair mass
-    m(y) / |C| over the one common denominator ``den``.  Kept on ``sys``
-    by :func:`_cube_numerators`.
+    m(y) / |C| over the one common denominator ``den``.  Read by
+    :func:`_cube_numerators` and by the component partition.
     """
-    _, cells = coupled_cells(sys, order)
+    return sys.memo(("cells", order), lambda: _flat_cells(coupled_cells(sys, order)[1]))
+
+
+def _flat_cells(cells: list[tuple[Fraction, tuple[CubePoint, ...]]]):
     masses, den = integer_numerators([mass for mass, _ in cells])
     points = [point for _, cell in cells for point in cell]
     ends = tuple(itertools.accumulate(len(cell) for _, cell in cells))
@@ -371,8 +375,7 @@ def _cube_numerators(
     difference of that product's prefix sums at the cell ends, and the
     total is one sum of mass times the two halves' cell sums.
     """
-    columns, ends, masses, den = sys.memo(
-        ("cells", order), lambda: _last_stage_cells(sys, order))
+    columns, ends, masses, den = _last_stage_cells(sys, order)
     half = 1 << (len(order) - 1)
     low: list[tuple[int, Sequence[int]]] = []
     high: list[tuple[int, Sequence[int]]] = []

@@ -10,17 +10,25 @@ Identical configuration (including --seed) yields byte-identical output.
 --threads is accepted and ignored: evaluation is serial.  The loaded
 system's support cap (default 10^7 entries) is set by --cap or BOXLAB_CAP.
 Caps and draw counts must be positive.
+
+The process entry point is :func:`run`, behind ``python -m boxlab.cli`` and
+the ``boxlab`` console script.  When :func:`main` returns, it runs the
+``atexit`` handlers, flushes stdout and stderr and ends the process with
+``os._exit``, skipping the interpreter's teardown of every module and
+object it loaded; in-process callers use :func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import json
 import os
 import random
 import sys as _sys
 from fractions import Fraction
+from typing import NoReturn
 
 from .averages import Interval, multi_average, multi_average_limit
 from .errors import (
@@ -328,5 +336,28 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
 
+def run() -> NoReturn:
+    """Run :func:`main` on the command line and end the process with its code.
+
+    Only a return from :func:`main` ends here: argparse's ``SystemExit``
+    and any other exception propagate to the interpreter as they would
+    from :func:`main`.  The ``atexit`` handlers run and both streams are
+    flushed in the interpreter's own order, then ``os._exit`` skips the
+    module teardown, which costs more than the package's imports.  The
+    package registers no handler, starts no thread and writes no file but
+    the two streams, so nothing else waits on that teardown.  A flush that
+    fails leaves the exit to the interpreter, which reports the unflushed
+    stream as it would at the end of any run.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        _sys.stdout.flush()
+        _sys.stderr.flush()
+    except Exception:
+        raise SystemExit(code) from None
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -377,13 +377,21 @@ def _magic_failures(star: StarSystem, rng: random.Random, draws: int) -> Iterato
     # it is G.  Over the one denominator g_den * L, L the lcm of the cell
     # weights, F's numerators are the integers g L - S (L / W), with
     # S (L / W) read as 0 on a cell of weight 0.
-    weights, _ = star.as_finite_system().weight_numerators()
+    # The first G is drawn before the seminorm's work bound is checked, as
+    # when _star_numerators checked it on that draw, so the rng moves as it
+    # did; wstar is joined only after the bound, so a run over it raises
+    # without joining the side-orbit partitions.
+    X = star.as_finite_system()
+    G = random_observable(rng, star.size)
+    require_oracle_work(X, tuple(range(star.d)))
+    weights, _ = X.weight_numerators()
     wstar = wstar_partition(star)
     masses = [sum(map(weights.__getitem__, cell)) for cell in wstar.cells]
     scale = math.lcm(*filter(None, masses))
     shares = [scale // mass if mass else 0 for mass in masses]
     for i in range(draws):
-        G = random_observable(rng, star.size)
+        if i:
+            G = random_observable(rng, star.size)
         g, g_den = G.numerators
         weighted = list(map(operator.mul, weights, g))
         shifts = [sum(map(weighted.__getitem__, cell)) * share

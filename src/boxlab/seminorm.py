@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 
 from .box_measure import (
     _cube_numerators,
-    build_box_measure,
+    _last_stage_cells,
     normalize_order,
     vertex_functions,
 )
@@ -426,22 +426,31 @@ def zed_partition(sys: FiniteSystem, order: Sequence[int]) -> Partition:
     origin values and off-origin value tuples on the support of the cube
     measure.  A set is a union of these cells exactly when its indicator at
     the origin coordinate matches some indicator of the off-origin block on
-    the whole support.  Zero-weight points become singleton cells.  Kept
-    on ``sys`` per order; built under ``sys.cap`` and raising like
-    :func:`build_box_measure`.
+    the whole support.  Zero-weight points become singleton cells.  Read
+    from the orbit cells of the stage before the last, as the seminorm
+    kernel keeps them, so the last stage is never built.  Kept on ``sys``
+    per order; under ``sys.cap`` it raises SupportCapError with the
+    numbers of :func:`~boxlab.box_measure.build_box_measure`.
     """
     order = normalize_order(sys, order)
     return sys.memo(("zed", order), lambda: _zed(sys, order))
 
 
 def _zed(sys: FiniteSystem, order: tuple[int, ...]) -> Partition:
-    m = build_box_measure(sys, order)
-    # join each origin value to the first one seen with the same off-origin
-    # tuple; zero-weight points occur in no support point, so stay singletons
+    # A support point p + q of the cube measure pairs two points p, q of one
+    # orbit cell C of the stage before the last: its origin is p[0], its
+    # off-origin tuple p[1:] + q, and q fixes C.  So the origins sharing an
+    # off-origin tuple are those of the points of one cell with one p[1:],
+    # read from the flat cells without building the last stage.  Each joins
+    # the first seen; zero-weight points lie on no cell, so stay singletons.
+    columns, ends, _, _ = _last_stage_cells(sys, order)
+    sizes = map(operator.sub, ends, (0, *ends[:-1]))
+    cell_ids = itertools.chain.from_iterable(map(itertools.repeat, itertools.count(), sizes))
     first_origin: dict[tuple[int, ...], int] = {}
     return components(
         sys.n,
-        ((first_origin.setdefault(point[1:], point[0]), point[0]) for point in m.entries),
+        ((first_origin.setdefault(key, x), x)
+         for x, key in zip(columns[0], zip(cell_ids, *columns[1:]))),
     )
 
 

@@ -6,7 +6,8 @@ takes a support cap, only ``verify._Suite.run`` builds a property
 outcome, only ``system.integer_numerators`` takes an lcm of denominators, only
 ``relative_self_product`` and ``coupled_cells`` walk the orbit cells of a
 stage, the oracle route reaches none of the cube-measure kernels and the
-recursion route none of the oracle's table code, the orbit-cell walk,
+recursion route none of the oracle's table code, the component partition
+builds no cube measure, the orbit-cell walk,
 the magic extension's build, its off-origin view, a measure's kept view and
 the measure laws reach none of the per-point maps that check their output,
 the stage walk reads no kept measure view, ``verify`` derives neither
@@ -533,6 +534,29 @@ def test_check_flags_an_oracle_kernel_reached_by_the_recursion():
     assert reached_names(tree, RECURSION_ROUTE) & ORACLE_KERNELS == {
         "transform_power_tables", "oracle_blocks",
     }
+
+
+# The component partition reads the flat cells of the stage before the
+# last, which the seminorm kernel keeps: building the last stage for it
+# costs more than the rest of the partition.
+def test_the_component_partition_builds_no_cube_measure():
+    tree = ast.parse((SRC / "seminorm.py").read_text(encoding="utf-8"))
+    assert "build_box_measure" not in reached_names(tree, ["_zed"])
+
+
+def test_check_flags_a_component_partition_over_the_built_measure():
+    tree = ast.parse(
+        "from .box_measure import build_box_measure\n"
+        "def _zed(sys, order):\n"
+        "    m = build_box_measure(sys, order)\n"
+        "    first_origin = {}\n"
+        "    return components(\n"
+        "        sys.n,\n"
+        "        ((first_origin.setdefault(point[1:], point[0]), point[0])\n"
+        "         for point in m.entries),\n"
+        "    )\n"
+    )
+    assert "build_box_measure" in reached_names(tree, ["_zed"])
 
 
 # The oracle route keeps its per-block layouts as plain tables on the

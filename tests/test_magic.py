@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import boxlab.magic
 from boxlab.box_measure import build_box_measure
 from boxlab.draws import (
     random_bounded_observable,
@@ -34,7 +35,7 @@ from boxlab.magic import (
     zed_from_sharp,
 )
 from boxlab.perms import compose, inverse
-from boxlab.seminorm import seminorm_pow, zed_partition
+from boxlab.seminorm import oracle_work, seminorm_pow, zed_partition
 from boxlab.system import (
     FiniteSystem,
     Observable,
@@ -43,7 +44,17 @@ from boxlab.system import (
     group_orbit_partition,
     orbit_partition,
 )
-from conftest import BLOCKS4, NONUNIFORM, Z2_PAIR, Z4_TWO, shift, uniform
+from boxlab.verify import run_suite
+from conftest import (
+    BLOCKS4,
+    NONUNIFORM,
+    Z2_PAIR,
+    Z4_TWO,
+    Z5_THREE,
+    count_calls,
+    shift,
+    uniform,
+)
 
 
 def F(x):
@@ -452,6 +463,25 @@ def test_magic_failures_rejects_a_draw_count_before_drawing(draws):
     with pytest.raises(StructuralError):
         magic_failures(star, rng, draws)
     assert rng.getstate() == state
+
+
+def test_magic_over_the_work_bound_skips_before_joining_side_orbits(monkeypatch):
+    order = (0, 1, 2)
+    needed = oracle_work(build_star_system(Z5_THREE, order).as_finite_system(), order)
+    capped = Z5_THREE.replace(cap=needed - 1)
+    star = build_star_system(capped, order)
+    joined = count_calls(monkeypatch, boxlab.magic, "wstar_partition")
+    rng = random.Random(3)
+    with pytest.raises(SupportCapError) as exc:
+        next(magic_failures(star, rng, 4))
+    assert (exc.value.needed, exc.value.cap) == (needed, needed - 1)
+    # the first draw is made, as before the bound was checked first
+    drawn = random.Random(3)
+    random_observable(drawn, star.size)
+    assert rng.getstate() == drawn.getstate()
+    outcomes = {o.name: o for o in run_suite(capped, order, seed=0, draws=2)}
+    assert outcomes["magic"].status == "SKIP"
+    assert joined == []
 
 
 def test_normstar_null_supported_origin_at_d2():

@@ -11,7 +11,9 @@ from boxlab.draws import (
     random_observable,
     random_zero_expectation_observable,
 )
-from boxlab.errors import PreconditionError, StructuralError
+import boxlab.box_measure
+from boxlab.box_measure import build_box_measure
+from boxlab.errors import PreconditionError, StructuralError, SupportCapError
 from boxlab.seminorm import (
     SeminormValue,
     csg_check,
@@ -23,8 +25,24 @@ from boxlab.seminorm import (
     zed_equivalence_check,
     zed_partition,
 )
-from boxlab.system import FiniteSystem, Observable, Partition, conditional_expectation
-from conftest import BLOCKS4, Z2_PAIR, Z4_TWO, ROSTER, commuting_systems, shift, uniform
+from boxlab.system import (
+    FiniteSystem,
+    Observable,
+    Partition,
+    components,
+    conditional_expectation,
+)
+from conftest import (
+    BLOCKS4,
+    ROSTER,
+    Z2_PAIR,
+    Z4_TWO,
+    Z5_THREE,
+    commuting_systems,
+    count_calls,
+    shift,
+    uniform,
+)
 from test_fast_integral import rationals
 
 
@@ -259,6 +277,53 @@ def test_zed_zero_weight_points_are_singletons():
     sys = FiniteSystem((F("1/2"), F("1/2"), F(0)), ((1, 0, 2),))
     part = zed_partition(sys, (0,))
     assert (2,) in part.cells
+
+
+def built_measure_zed(sys: FiniteSystem, order) -> Partition:
+    """The component partition read off the built cube measure: each origin
+    joined to the first one seen with the same off-origin tuple."""
+    first_origin: dict[tuple[int, ...], int] = {}
+    return components(sys.n, (
+        (first_origin.setdefault(point[1:], point[0]), point[0])
+        for point in build_box_measure(sys, order).entries))
+
+
+def zed_or_cap(route, sys: FiniteSystem, order):
+    """The route's partition on a fresh copy of ``sys``, or the numbers of
+    the SupportCapError it raises."""
+    try:
+        return route(FiniteSystem(sys.weights, sys.transforms, cap=sys.cap), order)
+    except SupportCapError as exc:
+        return exc.needed, exc.cap
+
+
+def test_zed_equals_the_built_measure_route(roster_case):
+    name, sys, order = roster_case
+    for perm in itertools.permutations(order):
+        assert zed_or_cap(zed_partition, sys, perm) == built_measure_zed(sys, perm), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(commuting_systems())
+def test_hypothesis_zed_equals_the_built_measure_route(case):
+    sys, order = case
+    assert zed_or_cap(zed_partition, sys, order) == built_measure_zed(sys, order)
+
+
+def test_zed_raises_at_the_caps_of_the_built_measure():
+    # every stage's cap check, met exactly and missed by one
+    order = (0, 1, 2)
+    sizes = [build_box_measure(Z5_THREE, order[:j]).support_size() for j in (1, 2, 3)]
+    for cap in sorted({s + delta for s in sizes for delta in (-1, 0)}):
+        capped = Z5_THREE.replace(cap=cap)
+        assert zed_or_cap(zed_partition, capped, order) == zed_or_cap(
+            built_measure_zed, capped, order), cap
+
+
+def test_zed_builds_no_last_stage(monkeypatch):
+    stages = count_calls(monkeypatch, boxlab.box_measure, "relative_self_product")
+    zed_partition(FiniteSystem(Z5_THREE.weights, Z5_THREE.transforms), (0, 1, 2))
+    assert [m.k for m in stages] == [0, 1]
 
 
 def test_zed_equivalence_spec_cases():

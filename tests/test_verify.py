@@ -127,15 +127,17 @@ def test_suite_builds_the_extension_and_its_partition_once(monkeypatch):
 
 
 def test_suite_builds_every_base_measure_under_the_run_cap(monkeypatch):
+    # every stage of every cube measure, and every last stage read as
+    # cells, is walked by _orbit_cells under the cap it is given
     sys = FiniteSystem(Z4_TWO.weights, Z4_TWO.transforms)
-    real = boxlab.seminorm.build_box_measure
+    real = boxlab.box_measure._orbit_cells
     caps = []
 
-    def recording(sys, order):
-        caps.append(sys.cap)
-        return real(sys, order)
+    def recording(m, perm, cap):
+        caps.append(cap)
+        return real(m, perm, cap)
 
-    monkeypatch.setattr(boxlab.seminorm, "build_box_measure", recording)
+    monkeypatch.setattr(boxlab.box_measure, "_orbit_cells", recording)
     outcomes = run_suite(sys.replace(cap=1000), (0, 1), draws=20)
     assert all(o.status == "PASS" for o in outcomes)
     assert caps and set(caps) == {1000}
