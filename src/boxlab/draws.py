@@ -8,19 +8,14 @@ them automatically preserved by every transform; an occasional orbit gets
 weight zero to exercise the null-set conventions.  With at most 6 points
 the weight denominators never exceed 12.
 
-Observable values are drawn from module-level tables of ``Fraction``s, so
-a draw builds no Fraction per value: each value is a row of a table and
-then an entry of that row.  On ``random.Random``, ``rng.choice(seq)`` is
-``seq[r]`` with r the first ``rng.getrandbits(k)`` result below
-``len(seq)``, k = ``len(seq).bit_length()``.  Each table is kept padded
-with ``None`` to 2^k entries per level (:func:`_padded`), and
-:func:`_picks` reads ``table[rng.getrandbits(k)]``, drawing again on
-``None``: the values and the rng state after them are those of
-``rng.choice(rng.choice(rows))``, with no ``choice`` or ``_randbelow``
-frame per value.  One ``rng.choice(seq)`` consumes the stream as
-``rng.randint`` over a range of ``len(seq)`` integers does, so the tables
-give the values, and leave the rng in the state, of drawing the numerator
-and the denominator with ``randint`` and building the Fraction.
+Values are read from one flat module-level table per distribution, so a
+draw builds no Fraction per value.  A table holds each value as often as
+its probability needs, padded with ``None`` to a power of two, and
+:func:`_picks` reads it.  The three distributions are a / b with:
+
+- a uniform in [-3, 3] and b uniform in [1, 4] (:func:`random_observable`);
+- b uniform in [1, 4], then a uniform in [-b, b] (:func:`rational_in_unit`);
+- a uniform in [-2, 2] and b uniform in [1, 3] (unit-vector coordinates).
 
 Unit vectors for the van der Corput inequality come from one drawing loop
 in two forms: Fractions (:func:`random_unit_vectors`) and integer
@@ -49,48 +44,44 @@ def require_draws(draws: int) -> int:
 
 
 def _padded(seq) -> tuple[int, tuple]:
-    """``(k, entries)`` for picking from ``seq`` as ``rng.choice`` does:
-    k = ``len(seq).bit_length()`` and ``seq`` padded with ``None`` to 2^k
-    entries."""
-    k = len(seq).bit_length()
+    """``(k, entries)``: ``seq`` padded with ``None`` to 2^k entries, for
+    the least such k."""
+    k = (len(seq) - 1).bit_length()
     return k, (*seq, *(None,) * ((1 << k) - len(seq)))
 
 
 def _picks(rng: random.Random, table, count: int) -> list:
-    """``count`` values of a two-level table of :func:`_padded` rows, each
-    picked as ``rng.choice(rng.choice(rows))`` picks it, row first.
-
-    ``rng.getrandbits(k)`` is read until it lands below the row's (or the
-    table's) length, which is where the padding holds ``None``."""
+    """``count`` values of a :func:`_padded` table, each entry below its
+    length equally likely: ``rng.getrandbits(k)`` is read until it lands
+    below the length, which is where the padding holds ``None``."""
     bits = rng.getrandbits
-    k, rows = table
+    k, entries = table
     out = []
     for _ in range(count):
-        row = rows[bits(k)]
-        while row is None:
-            row = rows[bits(k)]
-        j, entries = row
-        value = entries[bits(j)]
+        value = entries[bits(k)]
         while value is None:
-            value = entries[bits(j)]
+            value = entries[bits(k)]
         out.append(value)
     return out
 
 
-# random_observable's values a / b, a in [-3, 3] and b in [1, 4]: row a, entry b
-_OBSERVABLE_TABLE = _padded([_padded([Fraction(a, b) for b in range(1, 5)]) for a in range(-3, 4)])
-# rational_in_unit's values a / b, b in [1, 4] and a in [-b, b]: row b, entry a
-_UNIT_TABLE = _padded([_padded([Fraction(a, b) for a in range(-b, b + 1)]) for b in range(1, 5)])
+# random_observable's values: the 28 pairs a / b, a in [-3, 3] and b in [1, 4]
+_OBSERVABLE_TABLE = _padded([Fraction(a, b) for a in range(-3, 4) for b in range(1, 5)])
+# rational_in_unit's values: b uniform in [1, 4], then a uniform in [-b, b],
+# so a / b appears 315 / (2b + 1) times, 315 = lcm(3, 5, 7, 9); each
+# Fraction is built once and repeated
+_UNIT_TABLE = _padded([value for b in range(1, 5) for a in range(-b, b + 1)
+                       for value in (Fraction(a, b),) * (315 // (2 * b + 1))])
 
 
 def rational_in_unit(rng: random.Random) -> Fraction:
-    """A rational in [-1, 1] with denominator at most 4: the denominator is
-    drawn first, then the numerator."""
+    """A rational a / b in [-1, 1]: b uniform in [1, 4], then a uniform in
+    [-b, b]."""
     return _picks(rng, _UNIT_TABLE, 1)[0]
 
 
 def random_observable(rng: random.Random, n: int) -> Observable:
-    """Values a / b with a in [-3, 3] and b in [1, 4], the numerator drawn first."""
+    """Independent values a / b, a uniform in [-3, 3] and b uniform in [1, 4]."""
     return Observable(_picks(rng, _OBSERVABLE_TABLE, n))
 
 
@@ -177,9 +168,9 @@ def random_zero_expectation_observable(
     return g - conditional_expectation(g, partition, sys.weights)
 
 
-# a unit-vector coordinate a / b, a in [-2, 2] and b in [1, 3], as its
-# numerator over 6, a * (6 / b): row a, entry b
-_SIXTHS_TABLE = _padded([_padded([a * 6 // b for b in (1, 2, 3)]) for a in range(-2, 3)])
+# a unit-vector coordinate: the 15 pairs a / b, a in [-2, 2] and b in
+# [1, 3], each as its numerator over 6, a * (6 / b)
+_SIXTHS_TABLE = _padded([a * 6 // b for a in range(-2, 3) for b in (1, 2, 3)])
 
 
 def _unit_vector_draws(
@@ -188,8 +179,8 @@ def _unit_vector_draws(
     """Per vector, its drawn coordinates as integer numerators over 6 and
     its scale exponent k: the least k >= 0 with weighted norm at most 4^k.
 
-    Each coordinate is drawn as a / b with a in [-2, 2] and b in [1, 3],
-    the numerator first, by :func:`_picks`.  The norm is computed in
+    Each coordinate is a / b with a uniform in [-2, 2] and b uniform in
+    [1, 3], read by :func:`_picks`.  The norm is computed in
     integers, the coordinates over 6 and the weights over theirs.
     """
     w_int, wscale = weight_numerators(weights, dim)
@@ -210,10 +201,10 @@ def random_unit_vectors(
 
     The draws of :func:`_unit_vector_draws`, each vector scaled by 2^-k, so
     a coordinate a / b reads ``Fraction(6a / b, 6 << k)``, each value built
-    once per call and then reused.  The vectors, and the rng state after
-    them, are those of halving the drawn vector until its norm is at most
-    1.  ``weights`` are read as by :func:`van_der_corput_bound`: one exact
-    non-negative weight per coordinate, ``None`` for all 1.
+    once per call and then reused: the vectors of halving the drawn vector
+    until its norm is at most 1.  ``weights`` are read as by
+    :func:`van_der_corput_bound`: one exact non-negative weight per
+    coordinate, ``None`` for all 1.
     """
     coordinate = functools.cache(Fraction)  # at most 5 * 3 values per k
     return [

@@ -377,12 +377,9 @@ def _magic_failures(star: StarSystem, rng: random.Random, draws: int) -> Iterato
     # it is G.  Over the one denominator g_den * L, L the lcm of the cell
     # weights, F's numerators are the integers g L - S (L / W), with
     # S (L / W) read as 0 on a cell of weight 0.
-    # The first G is drawn before the seminorm's work bound is checked, as
-    # when _star_numerators checked it on that draw, so the rng moves as it
-    # did; wstar is joined only after the bound, so a run over it raises
-    # without joining the side-orbit partitions.
+    # The seminorm's work bound is checked first, so a run over it raises
+    # before any draw and without joining the side-orbit partitions.
     X = star.as_finite_system()
-    G = random_observable(rng, star.size)
     require_oracle_work(X, tuple(range(star.d)))
     weights, _ = X.weight_numerators()
     wstar = wstar_partition(star)
@@ -390,8 +387,7 @@ def _magic_failures(star: StarSystem, rng: random.Random, draws: int) -> Iterato
     scale = math.lcm(*filter(None, masses))
     shares = [scale // mass if mass else 0 for mass in masses]
     for i in range(draws):
-        if i:
-            G = random_observable(rng, star.size)
+        G = random_observable(rng, star.size)
         g, g_den = G.numerators
         weighted = list(map(operator.mul, weights, g))
         shifts = [sum(map(weighted.__getitem__, cell)) * share

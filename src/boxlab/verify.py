@@ -2,8 +2,10 @@
 
 Each property evaluates a numbered batch of seeded draws (or an exhaustive
 family, for the symmetry laws) and reports PASS, FAIL with a serialized
-counterexample, or SKIP with the reason.  Draws come from one generator
-seeded by the seed, so equal inputs give byte-identical outcomes.
+counterexample, or SKIP with the reason.  Each property draws from its
+own generator, seeded by the seed and its name (``_Suite.stream``), so
+equal inputs give byte-identical outcomes and no property's draws depend
+on another's.
 
 A property is one ``_Suite.check_<name>`` method, and its name is the
 method's with dashes for underscores.  The method returns its PASS detail
@@ -147,7 +149,7 @@ class _Suite:
         self.sys = sys
         self.order = order
         self.draws = draws
-        self.rng = random.Random(seed)
+        self.seed = seed
         self.d = len(order)
         self.star_draws = max(1, draws // 10)
 
@@ -158,6 +160,11 @@ class _Suite:
     @functools.cached_property
     def star(self) -> StarSystem:
         return build_star_system(self.sys, self.order)
+
+    def stream(self, name: str) -> random.Random:
+        """The generator property ``name`` draws from.  A str seed goes
+        through sha512, so it does not depend on ``PYTHONHASHSEED``."""
+        return random.Random(f"{self.seed}:{name}")
 
     def run(self) -> list[PropertyOutcome]:
         results = []
@@ -180,6 +187,7 @@ class _Suite:
                 # nothing downstream is meaningful on an invalid system
                 results.append(PropertyOutcome(name, "SKIP", "system invalid"))
                 continue
+            self.rng = self.stream(name)
             try:
                 results.append(PropertyOutcome(name, "PASS", check()))
             except _Fail as fail:

@@ -1,10 +1,11 @@
-"""The value draws read their values from tables of Fractions, picked by
-``rng.getrandbits`` as ``rng.choice`` picks them; each is pinned here
-against a copy of the ``randint`` loop it replaced and against a copy of
-the ``rng.choice`` draw it replaced: the same values, every one of type
-exactly ``Fraction``, and the same rng state after the draw."""
+"""The value draws read their values from flat tables, picked by
+``rng.getrandbits``.  Each table is pinned to its stated distribution
+exactly, by a stub rng that returns every value of ``getrandbits(k)``
+once; the composed draws are pinned to their primitives on one stream,
+and every drawn observable value is of type exactly ``Fraction``."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,38 +36,67 @@ from boxlab.system import (
 CALLS = 600
 
 
-def loop_rational_in_unit(rng, max_den=4):
-    """rational_in_unit as a randint loop, at the one max_den it was called with."""
-    den = rng.randint(1, max_den)
-    return Fraction(rng.randint(-den, den), den)
+class EveryBits:
+    """An rng whose ``getrandbits(k)`` returns each of the 2^k values once,
+    the largest first, so a table's padding is read before its entries."""
+
+    def __init__(self, k):
+        self.k = k
+        self.left = list(range(1 << k))
+
+    def getrandbits(self, k):
+        assert k == self.k
+        return self.left.pop()
 
 
-def loop_random_observable(rng, n, max_num=3, max_den=4):
-    return Observable(
-        tuple(Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den)) for _ in range(n))
-    )
-
-
-def loop_random_bounded_observable(rng, n, max_den=4):
-    return Observable(
-        tuple(loop_rational_in_unit(rng, max_den) for _ in range(n)), sup_bound=Fraction(1)
-    )
-
-
-def loop_random_vertex_functions(rng, n, d, bounded_except_origin=True):
-    out = {0: loop_random_observable(rng, n)}
-    for bits in range(1, 1 << d):
-        out[bits] = (
-            loop_random_bounded_observable(rng, n)
-            if bounded_except_origin
-            else loop_random_observable(rng, n)
-        )
+def distribution(pairs):
+    """Per value, its probability, from ``(value, probability)`` pairs."""
+    out = Counter()
+    for value, p in pairs:
+        out[value] += p
     return out
 
 
-def loop_random_zero_expectation_observable(rng, sys, partition):
-    g = loop_random_observable(rng, sys.n)
-    return g - conditional_expectation(g, partition, sys.weights)
+# each stated as the draw of a / b it stands for
+OBSERVABLE_LAW = distribution(
+    (Fraction(a, b), Fraction(1, 7 * 4)) for a in range(-3, 4) for b in range(1, 5))
+UNIT_LAW = distribution(
+    (Fraction(a, b), Fraction(1, 4 * (2 * b + 1))) for b in range(1, 5) for a in range(-b, b + 1))
+SIXTHS_LAW = distribution(
+    (Fraction(a, b) * 6, Fraction(1, 5 * 3)) for a in range(-2, 3) for b in range(1, 4))
+
+TABLES = [
+    ("observable", _OBSERVABLE_TABLE, OBSERVABLE_LAW, 28, 5),
+    ("unit", _UNIT_TABLE, UNIT_LAW, 1260, 11),
+    ("sixths", _SIXTHS_TABLE, SIXTHS_LAW, 15, 4),
+]
+
+
+@pytest.mark.parametrize("name, table, law, size, k", TABLES, ids=[t[0] for t in TABLES])
+def test_every_bits_value_once_picks_the_stated_multiset(name, table, law, size, k):
+    assert table[0] == k
+    assert len(table[1]) == 1 << k
+    rng = EveryBits(k)
+    picked = _picks(rng, table, size)
+    assert rng.left == []  # every value read once, padding included
+    counts = Counter(picked)
+    assert {value: Fraction(c, size) for value, c in counts.items()} == law
+    # k is the least with 2^k entries
+    assert 1 << (k - 1) < size <= 1 << k
+
+
+@pytest.mark.parametrize("name, table, law, size, k", TABLES, ids=[t[0] for t in TABLES])
+def test_table_values_have_one_exact_type(name, table, law, size, k):
+    # unit-vector coordinates are integer numerators over 6
+    kind = int if name == "sixths" else Fraction
+    assert {type(v) for v in table[1][:size]} == {kind}
+    assert table[1][size:] == (None,) * ((1 << k) - size)
+
+
+def test_the_unit_table_repeats_one_fraction_per_pair():
+    _, entries = _UNIT_TABLE
+    # the 24 pairs a / b, b in [1, 4], each built once
+    assert len({id(v) for v in entries if v is not None}) == 24
 
 
 def exact_values(draw):
@@ -87,40 +117,54 @@ def assert_same_stream(seed, new, old):
     assert fast.getstate() == slow.getstate()
 
 
-@pytest.mark.parametrize("new, old", [
-    (random_observable, loop_random_observable),
-    (random_bounded_observable, loop_random_bounded_observable),
-], ids=["observable", "bounded"])
-def test_observable_draws_equal_the_randint_loop(new, old):
-    meta = random.Random(151)
-    for call in range(CALLS):
-        n = call % 13  # every n in 0..12
-        assert_same_stream(meta.getrandbits(32), lambda r: new(r, n), lambda r: old(r, n))
-
-
-def test_rational_in_unit_equals_the_randint_loop():
+def test_rational_in_unit_draws_every_value():
     meta = random.Random(157)
     seen = set()
     for _ in range(CALLS):
-        seed = meta.getrandbits(32)
-        assert_same_stream(seed, rational_in_unit, loop_rational_in_unit)
-        seen.add(rational_in_unit(random.Random(seed)))
+        value = rational_in_unit(random.Random(meta.getrandbits(32)))
+        assert type(value) is Fraction
+        seen.add(value)
     # every a / b with b <= 4 in [-1, 1] is drawn
     assert seen == {Fraction(a, b) for b in range(1, 5) for a in range(-b, b + 1)}
 
 
-def test_vertex_function_draws_equal_the_randint_loop():
+def composed_bounded_observable(rng, n):
+    return Observable([rational_in_unit(rng) for _ in range(n)], sup_bound=Fraction(1))
+
+
+def composed_vertex_functions(rng, n, d, bounded_except_origin):
+    out = {0: random_observable(rng, n)}
+    for bits in range(1, 1 << d):
+        out[bits] = (random_bounded_observable if bounded_except_origin
+                     else random_observable)(rng, n)
+    return out
+
+
+def composed_zero_expectation_observable(rng, sys, partition):
+    g = random_observable(rng, sys.n)
+    return g - conditional_expectation(g, partition, sys.weights)
+
+
+def test_bounded_draws_compose_rational_in_unit():
+    meta = random.Random(161)
+    for call in range(CALLS):
+        n = call % 13  # every n in 0..12
+        assert_same_stream(meta.getrandbits(32), lambda r: random_bounded_observable(r, n),
+                           lambda r: composed_bounded_observable(r, n))
+
+
+def test_vertex_function_draws_compose_the_primitives():
     meta = random.Random(163)
     for call in range(CALLS):
         n, d, bounded = call % 13, meta.randint(0, 3), meta.random() < 0.5
         assert_same_stream(
             meta.getrandbits(32),
             lambda r: random_vertex_functions(r, n, d, bounded),
-            lambda r: loop_random_vertex_functions(r, n, d, bounded),
+            lambda r: composed_vertex_functions(r, n, d, bounded),
         )
 
 
-def test_zero_expectation_draws_equal_the_randint_loop():
+def test_zero_expectation_draws_compose_the_primitives():
     meta = random.Random(167)
     for call in range(CALLS):
         sys = random_commuting_system(meta, n=call % 12 + 1)
@@ -132,82 +176,21 @@ def test_zero_expectation_draws_equal_the_randint_loop():
         assert_same_stream(
             meta.getrandbits(32),
             lambda r: random_zero_expectation_observable(r, sys, partition),
-            lambda r: loop_random_zero_expectation_observable(r, sys, partition),
+            lambda r: composed_zero_expectation_observable(r, sys, partition),
         )
-
-
-# The rng.choice draws that the padded tables replaced: one choice of a row,
-# then one of its entries.
-OBSERVABLE_ROWS = tuple(tuple(Fraction(a, b) for b in range(1, 5)) for a in range(-3, 4))
-UNIT_ROWS = tuple(tuple(Fraction(a, b) for a in range(-b, b + 1)) for b in range(1, 5))
-SIXTHS_ROWS = tuple(tuple(a * 6 // b for b in (1, 2, 3)) for a in range(-2, 3))
-
-
-def choice_random_observable(rng, n):
-    return Observable(tuple(rng.choice(rng.choice(OBSERVABLE_ROWS)) for _ in range(n)))
-
-
-def choice_rational_in_unit(rng):
-    return rng.choice(rng.choice(UNIT_ROWS))
-
-
-def choice_random_bounded_observable(rng, n):
-    return Observable(
-        tuple(choice_rational_in_unit(rng) for _ in range(n)), sup_bound=Fraction(1))
-
-
-def choice_sixths(rng, count, dim):
-    return [[rng.choice(rng.choice(SIXTHS_ROWS)) for _ in range(dim)] for _ in range(count)]
-
-
-TABLES = [
-    ("observable", _OBSERVABLE_TABLE, OBSERVABLE_ROWS),
-    ("unit", _UNIT_TABLE, UNIT_ROWS),
-    ("sixths", _SIXTHS_TABLE, SIXTHS_ROWS),
-]
-
-
-@pytest.mark.parametrize("name, table, rows", TABLES, ids=[name for name, _, _ in TABLES])
-def test_tables_are_the_choice_rows_padded_to_a_power_of_two(name, table, rows):
-    k, padded = table
-    assert k == len(rows).bit_length()
-    assert padded[len(rows):] == (None,) * ((1 << k) - len(rows))
-    for (j, entries), row in zip(padded[:len(rows)], rows, strict=True):
-        assert j == len(row).bit_length()
-        assert entries == (*row, *(None,) * ((1 << j) - len(row)))
-
-
-@pytest.mark.parametrize("name, table, rows", TABLES, ids=[name for name, _, _ in TABLES])
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), count=st.integers(0, 40))
-def test_hypothesis_picks_equal_rng_choice(name, table, rows, seed, count):
-    fast, slow = random.Random(seed), random.Random(seed)
-    assert _picks(fast, table, count) == [slow.choice(slow.choice(rows)) for _ in range(count)]
-    assert fast.getstate() == slow.getstate()
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 24))
-def test_hypothesis_value_draws_equal_rng_choice(seed, n):
-    for new, old in (
-        (lambda r: random_observable(r, n), lambda r: choice_random_observable(r, n)),
-        (lambda r: random_bounded_observable(r, n),
-         lambda r: choice_random_bounded_observable(r, n)),
-        (rational_in_unit, choice_rational_in_unit),
-    ):
-        assert_same_stream(seed, new, old)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), count=st.integers(1, 12), dim=st.integers(1, 4))
-def test_hypothesis_unit_vector_draws_equal_rng_choice(seed, count, dim):
-    """Both forms of the unit-vector draw against the choice draw of their
+def test_hypothesis_unit_vector_forms_agree_with_the_halved_table_draw(seed, count, dim):
+    """Both forms of the unit-vector draw against the table draw of their
     coordinates, halved until each vector's norm is at most 1."""
     fast, exact, slow = random.Random(seed), random.Random(seed), random.Random(seed)
     rows, den = random_unit_vector_numerators(fast, count, dim)
     vectors = random_unit_vectors(exact, count, dim)
     expected = []
-    for sixths in choice_sixths(slow, count, dim):
+    for _ in range(count):
+        sixths = _picks(slow, _SIXTHS_TABLE, dim)
         k = 0
         while sum(a * a for a in sixths) > 36 << (2 * k):
             k += 1

@@ -42,6 +42,8 @@ from boxlab.box_measure import (
     vertex_functions,
 )
 from boxlab.draws import (
+    _SIXTHS_TABLE,
+    _picks,
     random_unit_vector_numerators,
     random_unit_vectors,
     random_vertex_functions,
@@ -763,13 +765,14 @@ def test_van_der_corput_equals_reference_at_verify_ranges():
 
 
 def halving_unit_vectors(rng, count, dim, weights=None):
-    """random_unit_vectors as first written: halve until the norm fits.
-    Returns the vectors and how often each was halved."""
+    """random_unit_vectors as first written: halve until the norm fits,
+    the coordinates read as the draw reads them.  Returns the vectors and
+    how often each was halved."""
     if weights is None:
         weights = [Fraction(1)] * dim
     out, halvings = [], []
     for _ in range(count):
-        v = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)]
+        v = [Fraction(a, 6) for a in _picks(rng, _SIXTHS_TABLE, dim)]
         k = 0
         while sum((w * c * c for w, c in zip(weights, v)), Fraction(0)) > 1:
             v = [c / 2 for c in v]

@@ -39,7 +39,7 @@ reader that derived its own copy would be a second copy of that view.
 A property suite draws thousands of values per run; a ``randint`` pair and
 a Fraction built per value were most of its time on small systems, so the
 draws read whole tables of Fractions instead, picked by ``rng.getrandbits``
-in one helper as ``rng.choice`` would pick them, and the checks run on
+in one helper, and the checks run on
 every draw decide in integers, building Fractions only for their results.
 Every CLI run pays for its imports: ``dataclasses`` loads ``inspect`` and
 its helpers and generates and compiles the methods of each class at start,

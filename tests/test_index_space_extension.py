@@ -570,6 +570,7 @@ def test_hypothesis_laws_and_index_permutations_pass_as_before(drawn):
     assert fraction_laws(sys, order) is None
     suite = boxlab.verify._Suite(sys, order, 0, 1)
     suite.check_box_measure_laws()
+    suite.rng = suite.stream("index-permutation")
     suite.check_index_permutation()
 
 

@@ -1,8 +1,10 @@
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -314,17 +316,27 @@ def test_outcome_serialization():
 GOLDEN_STREAM = Path(__file__).parent / "data" / "verify_stream_golden.json"
 
 
+def run_keeping_streams(sys, order, seed: int, draws: int):
+    """The suite's outcomes and, per property, the stream it drew from,
+    in the state the property left it."""
+    suite = boxlab.verify._Suite(sys, order, seed, draws)
+    streams = {}
+    stream = suite.stream
+    suite.stream = lambda name: streams.setdefault(name, stream(name))
+    return suite.run(), streams
+
+
 def stream_digests(tmp_path) -> dict[str, dict[str, str]]:
     """Per roster system, the sha256 of the suite's outcomes at seed 0 and
-    20 draws, as ``verify`` prints them, followed by the state of its rng
-    after the last draw; and of ``magic-check --draws 5``'s exit code and
-    stdout."""
+    20 draws, as ``verify`` prints them, followed by each property's name
+    and the state of its stream after its last draw; and of ``magic-check
+    --draws 5``'s exit code and stdout."""
     out: dict[str, dict[str, str]] = {"verify": {}, "magic-check": {}}
     for name, sys, order in ROSTER:
-        suite = boxlab.verify._Suite(sys.replace(), order, 0, 20)
-        lines = "".join(json.dumps(o.as_dict(), sort_keys=True) + "\n" for o in suite.run())
-        out["verify"][name] = hashlib.sha256(
-            f"{lines}{suite.rng.getstate()!r}".encode()).hexdigest()
+        outcomes, streams = run_keeping_streams(sys.replace(), order, 0, 20)
+        lines = "".join(json.dumps(o.as_dict(), sort_keys=True) + "\n" for o in outcomes)
+        states = [(prop, rng.getstate()) for prop, rng in streams.items()]
+        out["verify"][name] = hashlib.sha256(f"{lines}{states!r}".encode()).hexdigest()
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(system_to_dict(sys)))
         stdout = io.StringIO()
@@ -339,3 +351,94 @@ def stream_digests(tmp_path) -> dict[str, dict[str, str]]:
 def test_verify_stream_matches_golden_digests(tmp_path):
     """Every draw, check and outcome of the suite, pinned on the roster."""
     assert stream_digests(tmp_path) == json.loads(GOLDEN_STREAM.read_text())
+
+
+def test_each_property_draws_from_the_seed_and_its_name():
+    _, streams = run_keeping_streams(Z4_TWO.replace(), (0, 1), 7, 2)
+    assert list(streams) == EXPECTED_PROPERTIES
+    suite = boxlab.verify._Suite(Z4_TWO, (0, 1), 7, 2)
+    for prop in EXPECTED_PROPERTIES:
+        assert suite.stream(prop).getstate() == random.Random(f"7:{prop}").getstate()
+
+
+# The draw functions that verify and magic import, each spied on below.
+DRAW_FUNCTIONS = [
+    "random_bounded_observable",
+    "random_observable",
+    "random_unit_vector_numerators",
+    "random_vertex_functions",
+    "random_zero_expectation_observable",
+]
+
+
+def spy_on_draws(monkeypatch) -> dict[str, list]:
+    """Per property, the ``(function, result)`` of every draw it makes,
+    recorded by a spy on each draw function that ``verify`` and ``magic``
+    import, while that property's check runs."""
+    drawn: dict[str, list] = {}
+    running: list[str] = []
+    for module in (boxlab.verify, boxlab.magic):
+        for name in DRAW_FUNCTIONS:
+            real = getattr(module, name, None)
+            if real is None:
+                continue
+
+            def spy(*args, real=real, name=name):
+                out = real(*args)
+                drawn.setdefault(running[-1], []).append((name, out))
+                return out
+
+            monkeypatch.setattr(module, name, spy)
+    for attr, check in list(vars(boxlab.verify._Suite).items()):
+        if not attr.startswith("check_"):
+            continue
+
+        @functools.wraps(check)
+        def entered(self, check=check, prop=attr.removeprefix("check_").replace("_", "-")):
+            running.append(prop)
+            try:
+                return check(self)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(boxlab.verify._Suite, attr, entered)
+    return drawn
+
+
+def test_no_property_draws_depend_on_another(monkeypatch):
+    """csg made to read 64 more bits first moves only its own draws."""
+    drawn = spy_on_draws(monkeypatch)
+    before = {}
+    for name, sys, order in ROSTER:
+        drawn.clear()
+        run_suite(sys.replace(), order, seed=0, draws=4)
+        before[name] = dict(drawn)
+        # every property but the two exhaustive laws draws
+        assert set(drawn) == set(EXPECTED_PROPERTIES[2:]), name
+    csg = boxlab.verify._Suite.check_csg
+
+    @functools.wraps(csg)
+    def greedy_csg(self):
+        self.rng.getrandbits(64)
+        return csg(self)
+
+    monkeypatch.setattr(boxlab.verify._Suite, "check_csg", greedy_csg)
+    for name, sys, order in ROSTER:
+        drawn.clear()
+        run_suite(sys.replace(), order, seed=0, draws=4)
+        assert drawn.pop("csg") != before[name].pop("csg"), name
+        assert drawn == before[name], name
+
+
+def test_a_check_called_alone_draws_what_it_draws_in_the_run(monkeypatch):
+    drawn = spy_on_draws(monkeypatch)
+    for name, sys, order in ROSTER:
+        drawn.clear()
+        run_suite(sys.replace(), order, seed=0, draws=4)
+        in_run = dict(drawn)
+        for prop, recorded in in_run.items():
+            drawn.clear()
+            suite = boxlab.verify._Suite(sys.replace(), order, 0, 4)
+            suite.rng = suite.stream(prop)
+            getattr(suite, "check_" + prop.replace("-", "_"))()
+            assert drawn == {prop: recorded}, (name, prop)
