@@ -16,17 +16,31 @@ every diagonal transformation (the same permutation on all coordinates) and
 every side transformation (the permutation on coordinates whose digit i is
 0, identity elsewhere), and re-indexing the digits by a permutation maps
 the cube measure of one transformation order to the cube measure of the
-permuted order.  A stage finds its cells in index space: it sorts its
-support once, maps it in one column-wise pass to an int step and walks
-:func:`~boxlab.perms.cycles` of that step, calling no per-point tuple map.
+permuted order.
+
+:func:`build_box_measure` walks the stages in index space, each built
+already sorted, in integer columns and masses.  A stage's points are
+positions in the sorted order of their cube points, with one coordinate
+column per vertex and the masses as integer numerators over one
+denominator.  Stage j+1 lists, for each point i of stage j in order, the
+members q of i's cell in sorted order, which is the sorted order of the
+points i + q, so no stage is sorted.  A transform's step on stage j+1,
+the position of each point's image, comes from its step s on stage j:
+(i, q) goes to position base[s(i)] + rank[s(q)], once s(q) is checked to
+share the cell of s(i) and the pair masses to agree.  The cells are the
+:func:`~boxlab.perms.cycles` of the step, which checks that it is
+injective.  The walk builds no Fraction and sorts no cube points; a
+violation that it finds is reported as the reference reports it.
+:func:`relative_self_product` over :func:`_orbit_cells` stays the
+constructor for an arbitrary measure and that reference.
 
 Integrals and output need not build the last stage: it couples two
 copies of the previous stage independently inside each orbit cell C,
-giving every pair of C the one mass m(y) / |C|.  :func:`coupled_cells`
-returns those cells and pair masses, and feeds both the writer of
-``box-measure`` and :func:`cube_integral`, which keeps them flat, one
-coordinate column per vertex over the points in cell order, and takes the
-integrand's sum per cell from prefix sums in integer numerators.
+giving every pair of C the one mass m(y) / |C|.  The walk keeps those
+cells and pair masses per order; they feed :func:`coupled_cells`, the
+writer of ``box-measure`` and :func:`cube_integral`, which keeps them
+flat, one coordinate column per vertex over the points in cell order, and
+takes the integrand's sum per cell from prefix sums in integer numerators.
 :func:`integrate_product` stays the plain reference over a built measure.
 
 The symmetries above are given here as per-point maps
@@ -35,19 +49,22 @@ re-indexing) with :func:`push_forward` and :func:`marginal`.  These are the
 references: the measure laws of ``verify`` and the magic extension map the
 coordinate columns of the index view that a built measure keeps,
 :attr:`SparseCubeMeasure.indexed`, and tests pin the two against each
-other.  A stage walk indexes its stage itself: it builds what the laws check.
+other.  A built measure reads that view from the stage walk's last stage:
+the walk builds what the laws check.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+import weakref
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .errors import InvariantViolationError, StructuralError, SupportCapError
+from .errors import BoxlabError, InvariantViolationError, StructuralError, SupportCapError
 from .perms import Perm, cycles, inverse, is_permutation, orbits
 from .system import (
     SUPPORT_CAP_DEFAULT,
@@ -166,10 +183,22 @@ class SparseCubeMeasure(Record):
     def indexed(self):
         """``(points, index, columns, masses, den)``: the sorted support,
         each point's position, one coordinate column per vertex, and the
-        masses as :func:`integer_numerators`; kept, not in ==, hash or repr."""
-        points = tuple(sorted(self.entries))
-        masses, den = integer_numerators(list(map(self.entries.__getitem__, points)))
-        return points, dict(zip(points, range(len(points)))), tuple(zip(*points)), masses, den
+        masses as :func:`integer_numerators`; kept, not in ==, hash or repr.
+
+        A measure from :func:`build_box_measure` reads the view from the
+        last stage of the stage walk, its entries put in sorted order by
+        position, while its system keeps that stage; any other measure
+        sorts its entries."""
+        walked = vars(self).get("_walked")
+        stage = None if walked is None else walked()
+        if stage is None:
+            points = tuple(sorted(self.entries))
+            masses, den = integer_numerators(list(map(self.entries.__getitem__, points)))
+            columns = tuple(zip(*points))
+        else:
+            points = _pick(tuple(self.entries), stage.cells.inserted())
+            columns, masses, den = stage.columns, stage.masses, stage.den
+        return points, dict(zip(points, range(len(points)))), columns, masses, den
 
     def items_sorted(self) -> list[tuple[CubePoint, Fraction]]:
         entries = self.entries
@@ -260,20 +289,224 @@ def relative_self_product(
 
     ``perm`` preserving ``m`` makes the mass constant on each cell, so
     m(C) = |C| * m(y) and every pair of a cell has mass m(y) / |C|: one
-    Fraction per cell, shared by its |C|^2 entries.
+    Fraction per cell, shared by its |C|^2 entries.  This is the
+    constructor for an arbitrary measure and the reference that the stage
+    walk of :func:`build_box_measure` is tested against.
     """
     entries: dict[CubePoint, Fraction] = {}
-    for mass, cell in _coupled(m, _orbit_cells(m, perm, cap)):
+    for cell in _orbit_cells(m, perm, cap):
+        mass = m.entries[cell[0]] / len(cell)
         entries.update((p + q, mass) for p in cell for q in cell)
     return SparseCubeMeasure(m.k + 1, m.base_n, entries)
 
 
-def _coupled(
-    m: SparseCubeMeasure, cells: list[tuple[CubePoint, ...]]
-) -> list[tuple[Fraction, tuple[CubePoint, ...]]]:
-    """Each orbit cell of ``m`` with the mass m(y) / |C| that the
-    self-coupling gives every pair of its points."""
-    return [(m.entries[cell[0]] / len(cell), cell) for cell in cells]
+def _picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The map from a sequence to the tuple of its values at ``positions``,
+    one :func:`operator.itemgetter` call per sequence."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    return lambda values: tuple([values[i] for i in positions])
+
+
+def _pick(values: Sequence, positions: Sequence[int]) -> tuple:
+    return _picker(positions)(values)
+
+
+def _repeated(values: Sequence, counts: Sequence[int]) -> list:
+    """Each of ``values`` as many times in a row as its count says."""
+    return list(itertools.chain.from_iterable(map(itertools.repeat, values, counts)))
+
+
+def _places(cells: Sequence[Sequence[int]], size: int) -> tuple[int, ...]:
+    """Per point 0..size-1, its place in the one of ``cells`` that holds it."""
+    places = dict(zip(itertools.chain.from_iterable(cells),
+                      itertools.chain.from_iterable(map(range, map(len, cells)))))
+    return _pick(places, range(size))
+
+
+class _Stage:
+    """Stage k of a cube measure in index space.
+
+    Its points are the positions 0..size-1, in the sorted order of their
+    cube points.  ``masses`` holds each point's mass as an integer numerator
+    over ``den``, the least common denominator, and ``columns`` the
+    coordinates, one tuple per vertex.  Stage 0 lists the base points of
+    positive weight.  Stage k + 1 lists, for each point i of stage k in
+    order, the pairs (i, q) for q in the cell of i in sorted order: the
+    cube points i + q come out sorted, and their columns are read from
+    stage k's by position, when first asked for.
+    """
+
+    def __init__(self, k: int, masses: tuple[int, ...], den: int, columns=None,
+                 before: "_Stage | None" = None, cells: "_Cells | None" = None):
+        self.k, self.size, self.masses, self.den = k, len(masses), masses, den
+        self.before, self.cells = before, cells
+        if columns is not None:
+            self.columns = columns
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        pickers = list(map(_picker, self.cells.pairs()))
+        return tuple(pick(column) for pick in pickers for column in self.before.columns)
+
+
+class _Cells:
+    """The orbit cells of one transform acting diagonally on a stage.
+
+    ``walk`` lists them as :func:`~boxlab.perms.cycles` gives them and
+    ``members`` each in sorted order; ``cell_of[i]`` is the cell of point i
+    and ``counts[i]`` its size.  ``pair[c]`` is the mass m(y) / |C| that
+    the self-coupling gives every pair of cell c, as an integer numerator
+    over ``den``, the least common denominator.
+    """
+
+    def __init__(self, before: _Stage, walk: list[tuple[int, ...]]):
+        sizes = tuple(map(len, walk))
+        ids = dict(zip(itertools.chain.from_iterable(walk), _repeated(range(len(walk)), sizes)))
+        self.walk = walk
+        self.members = [tuple(sorted(cell)) for cell in walk]
+        self.cell_of = _pick(ids, range(before.size))
+        self.counts = _pick(sizes, self.cell_of)
+        # m(y) / |C| over den * L, with L the lcm of the sizes, then reduced
+        scale = math.lcm(*sizes)
+        pair = [before.masses[cell[0]] * (scale // len(cell)) for cell in walk]
+        den = before.den * scale
+        common = math.gcd(den, *pair)
+        self.pair = tuple([p // common for p in pair])
+        self.den = den // common
+
+    def pairs(self) -> tuple[list[int], list[int]]:
+        """The stage after as two position lists into the stage before:
+        each point i repeated once per member of its cell, and those
+        members, in sorted order."""
+        return (_repeated(range(len(self.cell_of)), self.counts),
+                list(itertools.chain.from_iterable(_pick(self.members, self.cell_of))))
+
+    def inserted(self) -> list[int]:
+        """Per pair of the stage after, in its order, its place in the
+        order of :func:`relative_self_product`: per cell in walk order, per
+        p and then q of the cell in cycle order, the pair (p, q)."""
+        place = _places(self.walk, len(self.cell_of))
+        starts = list(itertools.accumulate([len(cell) ** 2 for cell in self.walk], initial=0))
+        firsts = map(operator.add, _pick(starts, self.cell_of),
+                     map(operator.mul, place, self.counts))
+        seconds = [_pick(place, cell) for cell in self.members]
+        return list(map(operator.add, _repeated(list(firsts), self.counts),
+                        itertools.chain.from_iterable(_pick(seconds, self.cell_of))))
+
+    @cached_property
+    def base(self) -> list[int]:
+        """Per point i of the stage before, where i's pairs start."""
+        return list(itertools.accumulate(self.counts, initial=0))
+
+    @cached_property
+    def rank(self) -> tuple[int, ...]:
+        """Per point q of the stage before, its place in its sorted cell."""
+        return _places(self.members, len(self.cell_of))
+
+
+def _stage(sys: FiniteSystem, order: tuple[int, ...]) -> _Stage:
+    """Stage ``order`` in index space, kept on ``sys`` per order."""
+    if not order:
+        return sys.memo(("stage", order), lambda: _base_stage(sys))
+    return sys.memo(("stage", order), lambda: _pair_stage(
+        _stage(sys, order[:-1]), _cells(sys, order)))
+
+
+def _base_stage(sys: FiniteSystem) -> _Stage:
+    weights, den = sys.weight_numerators()
+    support = tuple([x for x, w in enumerate(weights) if w > 0])
+    masses = _pick(weights, support)
+    common = math.gcd(den, *masses)
+    return _Stage(0, tuple([w // common for w in masses]), den // common, (support,))
+
+
+def _pair_stage(before: _Stage, cells: _Cells) -> _Stage:
+    """The stage after ``before``: its pairs within ``cells``, each with
+    its cell's pair mass."""
+    masses = tuple(_repeated(_pick(cells.pair, cells.cell_of), cells.counts))
+    return _Stage(before.k + 1, masses, cells.den, before=before, cells=cells)
+
+
+def _cells(sys: FiniteSystem, order: tuple[int, ...]) -> _Cells:
+    """The orbit cells of transform order[-1] on stage order[:-1], kept on
+    ``sys`` per order: one walk serves both the stage ``order`` and the
+    readers of a last stage."""
+    return sys.memo(("cells", order), lambda: _walk(sys, order))
+
+
+def _walk(sys: FiniteSystem, order: tuple[int, ...]) -> _Cells:
+    """Walk the cycles of the transform's step on the stage before.
+
+    A step that leaves the support, changes a mass or is not injective
+    raises the reference's error; cells whose self-coupling would exceed
+    ``sys.cap`` raise SupportCapError.
+    """
+    before = _stage(sys, order[:-1])
+    step = _step(sys, order[:-1], order[-1])
+    try:
+        walk = None if step is None else cycles(step)
+    except InvariantViolationError:
+        walk = None
+    if walk is None:
+        raise _reference_error(sys, order)
+    needed = sum(len(cell) * len(cell) for cell in walk)
+    if needed > sys.cap:
+        raise SupportCapError(needed, sys.cap)
+    return _Cells(before, walk)
+
+
+def _step(sys: FiniteSystem, order: tuple[int, ...], t: int) -> tuple[int, ...] | None:
+    """The diagonal action of transform ``t`` on stage ``order`` as the
+    position of each point's image, kept on ``sys``; ``None`` when the
+    image leaves the support or changes a mass.
+
+    On stage 0 the positions are looked up.  On a later stage it is derived
+    from the step s on the stage before: the pair (i, q) goes to
+    (s(i), s(q)), which lies on the stage when s(q) shares the cell of
+    s(i), at position base[s(i)] + rank[s(q)].
+    """
+    return sys.memo(("step", order, t), lambda: _derive_step(sys, order, t))
+
+
+def _derive_step(sys: FiniteSystem, order: tuple[int, ...], t: int) -> tuple[int, ...] | None:
+    if not order:
+        stage = _stage(sys, ())
+        support = stage.columns[0]
+        position = dict(zip(support, itertools.count()))
+        step = tuple(map(position.get, _pick(sys.transforms[t], support)))
+        if None in step or _pick(stage.masses, step) != stage.masses:
+            return None
+        return step
+    s = _step(sys, order[:-1], t)
+    if s is None:
+        return None
+    cells = _cells(sys, order)
+    # every pair of a cell lands on the stage when the cells of its points'
+    # images agree, and keeps its mass when that cell's pair mass is its own
+    image = _pick(cells.cell_of, s)
+    target = _pick(image, [cell[0] for cell in cells.walk])
+    if _pick(target, cells.cell_of) != image or _pick(cells.pair, target) != cells.pair:
+        return None
+    rank = _pick(cells.rank, s)
+    ranks = [_pick(rank, cell) for cell in cells.members]
+    return tuple(map(operator.add, _repeated(_pick(cells.base, s), cells.counts),
+                     itertools.chain.from_iterable(_pick(ranks, cells.cell_of))))
+
+
+def _reference_error(sys: FiniteSystem, order: tuple[int, ...]) -> BoxlabError:
+    """The error that the reference chain of :func:`relative_self_product`
+    raises at the stage where the walk found a transform that does not
+    keep the stage: the same class and message, naming the cube point."""
+    m = measure_from_weights(sys.weights)
+    try:
+        for t in order[:-1]:
+            m = relative_self_product(m, sys.transforms[t], sys.cap)
+        _orbit_cells(m, sys.transforms[order[-1]], sys.cap)
+    except BoxlabError as error:
+        return error
+    # not reached: a transform that keeps a stage keeps every stage before it
+    return InvariantViolationError(f"transform {order[-1]} does not keep stage {order[:-1]}")
 
 
 def build_box_measure(sys: FiniteSystem, order: Sequence[int]) -> SparseCubeMeasure:
@@ -283,18 +516,47 @@ def build_box_measure(sys: FiniteSystem, order: Sequence[int]) -> SparseCubeMeas
     cells of transform order[j-1] acting diagonally, writing the copies
     into digit j.  All 2^d marginals of the result equal the base weights.
     Every stage runs under the system's support cap ``sys.cap``.  Each
-    stage is kept on ``sys`` per order prefix, so repeated calls return
-    the same immutable measure and orders sharing a prefix share its
-    stages; a stage that raises keeps nothing.
+    stage is kept on ``sys`` per order prefix, in index space, and the
+    measure's entries are made from it when this is first called; so
+    repeated calls return the same immutable measure and orders sharing a
+    prefix share its stages; a stage that raises keeps nothing.  The
+    measure's :attr:`SparseCubeMeasure.indexed` view is read from its last
+    stage, kept on ``sys``.
     """
-    return _build(sys, normalize_order(sys, order))
+    order = normalize_order(sys, order)
+    return sys.memo(("measure", order), lambda: _measure(sys.n, _stage(sys, order)))
 
 
-def _build(sys: FiniteSystem, order: tuple[int, ...]) -> SparseCubeMeasure:
-    if not order:
-        return measure_from_weights(sys.weights)
-    return sys.memo(("stage", order), lambda: relative_self_product(
-        _build(sys, order[:-1]), sys.transforms[order[-1]], sys.cap))
+def _measure(base_n: int, stage: "_Stage") -> SparseCubeMeasure:
+    """The measure of a stage after the first, which reads its ``indexed``
+    view from the stage while the system keeps it.  The reference is weak:
+    a measure that outlives its system keeps no stage.
+
+    The entries are inserted in the order of :func:`relative_self_product`:
+    per cell in walk order, per p and then q of the cell in cycle order,
+    the concatenation of the points p and q of the stage before, with the
+    cell's pair mass.
+    """
+    cells = stage.cells
+    before = tuple(zip(*stage.before.columns))
+    sizes = list(map(len, cells.walk))
+    flat = list(itertools.chain.from_iterable(cells.walk))
+    first = _repeated(flat, _pick(cells.counts, flat))
+    second = list(itertools.chain.from_iterable(_repeated(cells.walk, sizes)))
+    pair = [Fraction(w, cells.den) for w in cells.pair]
+    m = SparseCubeMeasure(stage.k, base_n, dict(zip(
+        map(operator.add, _pick(before, first), _pick(before, second)),
+        _repeated(pair, [size * size for size in sizes]))))
+    m._set(_walked=weakref.ref(stage))
+    return m
+
+
+def _last_stage(sys: FiniteSystem, order: Sequence[int]) -> tuple[_Stage, _Cells]:
+    """The stage before the last of ``order`` and the orbit cells on it of
+    transform order[-1], checked exactly as the build of the last stage
+    would check them, under ``sys.cap``."""
+    order = normalize_order(sys, order)
+    return _stage(sys, order[:-1]), _cells(sys, order)
 
 
 def coupled_cells(
@@ -304,13 +566,16 @@ def coupled_cells(
 
     Returns k = len(order) and, per orbit cell C of transform order[-1] on
     the stage before, the pair (m(y) / |C|, C): the cube measure gives that
-    mass to p + q for every p and q of C, and nothing else.  Builds the
-    stages before the last as :func:`build_box_measure` does, and checks
-    the last one exactly as its build would, under ``sys.cap``.
+    mass to p + q for every p and q of C, and nothing else.  Cells come in
+    the order of their least points and each in the order of its cycle.
+    Read from the stage walk of :func:`build_box_measure`, which checks the
+    last stage exactly as its build would, under ``sys.cap``.
     """
-    order = normalize_order(sys, order)
-    m = _build(sys, order[:-1])
-    return len(order), _coupled(m, _orbit_cells(m, sys.transforms[order[-1]], sys.cap))
+    before, cells = _last_stage(sys, order)
+    points = list(zip(*before.columns))
+    return before.k + 1, [
+        (Fraction(pair, cells.den), tuple(map(points.__getitem__, cell)))
+        for pair, cell in zip(cells.pair, cells.walk)]
 
 
 def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...]):
@@ -322,17 +587,17 @@ def _last_stage_cells(sys: FiniteSystem, order: tuple[int, ...]):
     vertex of that stage, the tuple of their coordinates there, and cell i
     is the slice ``ends[i - 1]:ends[i]`` of every column (from 0 for the
     first).  ``masses[i]`` is the numerator of cell i's pair mass
-    m(y) / |C| over the one common denominator ``den``.  Read by
-    :func:`_cube_numerators` and by the component partition.
+    m(y) / |C| over the one common denominator ``den``.  Read from the
+    stage walk by position, and read by :func:`_cube_numerators` and by
+    the component partition.
     """
-    return sys.memo(("cells", order), lambda: _flat_cells(coupled_cells(sys, order)[1]))
+    return sys.memo(("flat cells", order), lambda: _flat_cells(*_last_stage(sys, order)))
 
 
-def _flat_cells(cells: list[tuple[Fraction, tuple[CubePoint, ...]]]):
-    masses, den = integer_numerators([mass for mass, _ in cells])
-    points = [point for _, cell in cells for point in cell]
-    ends = tuple(itertools.accumulate(len(cell) for _, cell in cells))
-    return tuple(zip(*points)), ends, masses, den
+def _flat_cells(before: _Stage, cells: _Cells):
+    flat = _picker(list(itertools.chain.from_iterable(cells.walk)))
+    return (tuple(map(flat, before.columns)), tuple(itertools.accumulate(map(len, cells.walk))),
+            cells.pair, cells.den)
 
 
 def cube_integral(sys: FiniteSystem, order: Sequence[int], fs: Mapping) -> Fraction:

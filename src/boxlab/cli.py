@@ -147,6 +147,14 @@ def cmd_seminorm(args) -> int:
 def cmd_gowers(args) -> int:
     cap = _cap(args)
     f = load_observable(args.observable, args.N)
+    # the direct sum has N^(d+1) outer terms: refuse before the first when
+    # they pass the cap (a bad N or d is gowers_norm_pow's to report).  Past
+    # the exponent at which even 2^e exceeds the cap, N^e is compared and
+    # reported as a lower bound instead of a number too long to print.
+    exponent = min(args.d + 1, max(cap.bit_length(), 64) + 1)
+    if args.N >= 1 and args.d >= 1 and args.N ** exponent > cap:
+        unit = "terms" if exponent == args.d + 1 else "terms or more"
+        raise SupportCapError(args.N ** exponent, cap, "the Gowers direct sum", unit)
     value = gowers_norm_pow(args.N, args.d, f)
     payload = {
         "N": args.N,

@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from typing import Any, Sequence, TextIO
 
-from .box_measure import SparseCubeMeasure, coupled_cells
+from .box_measure import SparseCubeMeasure, _last_stage
 from .errors import StructuralError
 from .seminorm import SeminormValue, approx_root
 from .system import FiniteSystem, Observable, as_fraction
@@ -114,30 +114,28 @@ def write_box_measure(sys: FiniteSystem, order: Sequence[int], out: TextIO) -> N
     """Write ``dumps(measure_to_dict(build_box_measure(sys, order)))`` and a
     newline to ``out`` without building the last stage.
 
-    That stage gives the mass of p's cell to p + q for each q of the orbit
-    cell of p, and every point of the stage before has the same length, so
-    the sorted entries are: per point p in sorted order, per q of its cell
-    in sorted order, the entry p + q.  Each q's coordinate text is made
-    once, and each p writes its entries with one join over its cell's.
-    Raises before the first byte where the build would raise.
+    That stage gives the pair mass of p's cell to p + q for each q of the
+    orbit cell of p, and every point of the stage before has the same
+    length, so the sorted entries are: per point p of the stage before, in
+    its order, which is sorted, per q of its cell in sorted order, the
+    entry p + q.  Each point's coordinate text is made once, from one text
+    per base point, and each p writes its entries with one join over its
+    cell's.  Raises before the first byte where the build would raise.
     """
-    k, cells = coupled_cells(sys, order)
+    before, cells = _last_stage(sys, order)
     coords = ",\n        "
-    blocks = {}  # point -> (mass text, its coordinate text, its cell's, sorted)
-    for mass, cell in cells:
-        cell = sorted(cell)
-        texts = [coords.join(map(str, q)) for q in cell]
-        mass = format_rational(mass)
-        blocks.update((p, (mass, text, texts)) for p, text in zip(cell, texts))
+    digits = list(map(str, range(sys.n)))
+    texts = list(map(coords.join, zip(*[map(digits.__getitem__, c) for c in before.columns])))
+    masses = [format_rational(Fraction(pair, cells.den)) for pair in cells.pair]
+    members = [list(map(texts.__getitem__, cell)) for cell in cells.members]
     out.write('{\n  "entries": [')
     sep = "\n    "
     tail = "\n      ]\n    }"
-    for p in sorted(blocks):
-        mass, text, texts = blocks[p]
-        head = '{\n      "mass": "' + mass + '",\n      "tuple": [\n        ' + text + coords
-        out.write(sep + head + (tail + ",\n    " + head).join(texts) + tail)
+    for text, c in zip(texts, cells.cell_of):
+        head = '{\n      "mass": "' + masses[c] + '",\n      "tuple": [\n        ' + text + coords
+        out.write(sep + head + (tail + ",\n    " + head).join(members[c]) + tail)
         sep = ",\n    "
-    out.write(f'\n  ],\n  "k": {k}\n}}\n')
+    out.write(f'\n  ],\n  "k": {before.k + 1}\n}}\n')
 
 
 def measure_from_dict(payload: dict, base_n: int | None = None) -> SparseCubeMeasure:

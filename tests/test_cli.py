@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from boxlab.serialize import system_to_dict
 from boxlab.system import FiniteSystem, Observable
 from conftest import NONUNIFORM, Z4_TWO, Z5_THREE, count_calls
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).parent / "data"
 
 
@@ -163,7 +167,7 @@ def test_box_measure_cap_equal_to_the_last_stage_passes(z4_file):
 def test_box_measure_builds_every_stage_but_the_last(tmp_path, monkeypatch):
     path = tmp_path / "z5.json"
     path.write_text(json.dumps(system_to_dict(Z5_THREE)))
-    stages = count_calls(monkeypatch, boxlab.box_measure, "relative_self_product")
+    stages = count_calls(monkeypatch, boxlab.box_measure, "_pair_stage")
     code, _, _ = run_cli(["box-measure", str(path)])
     assert code == 0
     assert [m.k for m in stages] == [0, 1]
@@ -290,6 +294,34 @@ def test_gowers_root_beyond_the_float_range(tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["root_approx"] == "5e+199" and payload["cross_check"] is True
+
+
+def test_gowers_refuses_a_direct_sum_past_the_cap(tmp_path):
+    # 4^31 outer terms against a cap of 1000: exit 3 before summing, in a
+    # child process that would otherwise run for years
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"values": ["1", "-1", "0", "1"]}))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "boxlab.cli", "gowers", "4", "30", str(path), "--cap", "1000"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3 and done.stdout == ""
+    assert str(SupportCapError(4 ** 31, 1000, "the Gowers direct sum", "terms")) in done.stderr
+
+
+def test_gowers_names_a_lower_bound_past_the_printable(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"values": ["1", "-1", "0", "1"]}))
+    code, out, err = run_cli(["gowers", "4", "100000", str(path), "--cap", "1000"])
+    assert (code, out) == (3, "")
+    assert str(SupportCapError(4 ** 65, 1000, "the Gowers direct sum", "terms or more")) in err
+
+
+def test_gowers_cap_met_by_the_direct_sum_passes(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"values": ["1", "-1"]}))
+    assert run_cli(["gowers", "2", "2", str(path), "--cap", "8"])[0] == 0
+    assert run_cli(["gowers", "2", "2", str(path), "--cap", "7"])[:2] == (3, "")
 
 
 def test_gowers_injected_fault_exits_4(tmp_path, monkeypatch):

@@ -3,9 +3,9 @@ module imports anything inside a function or imports ``dataclasses``,
 importing the CLI loads neither ``dataclasses`` nor ``inspect``, only
 ``box_measure`` reads vertex keys, no function that is given a system
 takes a support cap, only ``verify._Suite.run`` builds a property
-outcome, only ``system.integer_numerators`` takes an lcm of denominators, only
-``relative_self_product`` and ``coupled_cells`` walk the orbit cells of a
-stage, the oracle route reaches none of the cube-measure kernels and the
+outcome, only ``system.integer_numerators`` takes an lcm of denominators, the
+orbit cells of a stage are walked in one place, which builds no Fraction and
+sorts no cube points, the oracle route reaches none of the cube-measure kernels and the
 recursion route none of the oracle's table code, the component partition
 builds no cube measure, the orbit-cell walk,
 the magic extension's build, its off-origin view, a measure's kept view and
@@ -23,8 +23,9 @@ binds a name, and that name must be read somewhere else in the module.
 ``__init__.py`` re-exports on purpose and is exempt from that half.
 Per-vertex observable maps have one reader, ``vertex_functions``; a second
 module naming ``vertex_bits`` would be a second reader of the format.
-The last stage of a cube measure has one statement, ``coupled_cells``: a
-third caller of ``_orbit_cells`` or ``_coupled`` would be a second one.
+The orbit cells of a stage have one statement, ``box_measure._walk``, kept
+per order: a second caller of it, or a third of the reference walk
+``_orbit_cells``, would be a second one.
 Exact values are scaled to integer numerators in one function; a second
 lcm over denominators, read as ``.denominator`` or ``as_integer_ratio()``,
 would be a second copy of that format.
@@ -405,36 +406,43 @@ def test_check_flags_an_lcm_of_denominators():
     assert "period" in callers(tree, "lcm") and "outer" in callers(tree, "lcm")
 
 
-STAGE_WALKERS = ["relative_self_product", "coupled_cells"]
+# The orbit cells of a stage are walked in one place, ``_walk``, kept per
+# order by ``_cells``: the stage after them, the readers of a last stage and
+# the build all read that one walk.  The reference walk ``_orbit_cells`` is
+# called by ``relative_self_product`` and by ``_reference_error``, which
+# names a violation that the walk found in the reference's words.
+STAGE_WALKERS = {
+    "_walk": ["_cells.<lambda>"],
+    "_orbit_cells": ["relative_self_product", "_reference_error"],
+}
 
 
 def stage_walkers(tree: ast.Module) -> dict[str, list[str]]:
-    """The callers of the orbit-cell walk and of the pair-mass coupling."""
-    return {name: callers(tree, name) for name in ("_orbit_cells", "_coupled")}
+    """The callers of the stage walk and of the reference walk."""
+    return {name: callers(tree, name) for name in STAGE_WALKERS}
 
 
-def test_only_the_build_and_coupled_cells_walk_orbit_cells():
+def test_each_stage_is_walked_in_one_place():
     tree = ast.parse((SRC / "box_measure.py").read_text(encoding="utf-8"))
-    assert stage_walkers(tree) == {
-        "_orbit_cells": STAGE_WALKERS, "_coupled": STAGE_WALKERS,
-    }
+    assert stage_walkers(tree) == STAGE_WALKERS
 
 
 def test_check_flags_a_second_walk_of_the_last_stage():
     tree = ast.parse(
         "def relative_self_product(m, perm, cap):\n"
-        "    return _coupled(m, _orbit_cells(m, perm, cap))\n"
+        "    return _orbit_cells(m, perm, cap)\n"
+        "def _reference_error(sys, order):\n"
+        "    return _orbit_cells(m, t, sys.cap)\n"
+        "def _cells(sys, order):\n"
+        "    return sys.memo(('cells', order), lambda: _walk(sys, order))\n"
         "def coupled_cells(sys, order):\n"
-        "    return _coupled(m, _orbit_cells(m, t, sys.cap))\n"
+        "    return _walk(sys, order)\n"
         "def _last_stage_cells(sys, order):\n"
         "    return box_measure._orbit_cells(m, t, sys.cap)\n"
-        "class C:\n"
-        "    def f(self):\n"
-        "        return lambda m: _coupled(m, [])\n"
     )
     assert stage_walkers(tree) == {
-        "_orbit_cells": [*STAGE_WALKERS, "_last_stage_cells"],
-        "_coupled": [*STAGE_WALKERS, "C.f.<lambda>"],
+        "_walk": ["_cells.<lambda>", "coupled_cells"],
+        "_orbit_cells": ["relative_self_product", "_reference_error", "_last_stage_cells"],
     }
 
 
@@ -445,10 +453,11 @@ MEASURE_KERNELS = {
 }
 
 
-def reached_names(tree: ast.Module, roots: list[str]) -> set[str]:
-    """Names and attributes that the top-level functions ``roots`` read,
-    together with the module's own functions and classes they reach.  A
-    root may also be a method of a top-level class, as ``Class.method``."""
+def reached_defs(tree: ast.Module, roots: list[str], beyond=frozenset()) -> dict[str, ast.AST]:
+    """The top-level functions ``roots`` and the module's own functions and
+    classes that they reach, by name, not following the names in
+    ``beyond``.  A root may also be a method of a top-level class, as
+    ``Class.method``."""
     defs = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -457,19 +466,30 @@ def reached_names(tree: ast.Module, roots: list[str]) -> set[str]:
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     defs[f"{node.name}.{item.name}"] = item
-    names: set[str] = set()
-    todo, seen = list(roots), set()
+    out: dict[str, ast.AST] = {}
+    todo = list(roots)
     while todo:
         name = todo.pop()
-        if name in seen:
+        if name in out:
             continue
-        seen.add(name)
+        out[name] = defs[name]
         for node in ast.walk(defs[name]):
+            ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ref in defs and ref not in beyond:
+                todo.append(ref)
+    return out
+
+
+def reached_names(tree: ast.Module, roots: list[str]) -> set[str]:
+    """Names and attributes that the top-level functions ``roots`` read,
+    together with the module's own functions and classes they reach (see
+    :func:`reached_defs`)."""
+    names: set[str] = set()
+    for definition in reached_defs(tree, roots).values():
+        for node in ast.walk(definition):
             ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
             if ref is not None:
                 names.add(ref)
-                if ref in defs:
-                    todo.append(ref)
     return names
 
 
@@ -593,8 +613,8 @@ POINT_MAPS = {
 
 def test_the_stage_walk_reaches_no_point_map():
     tree = ast.parse((SRC / "box_measure.py").read_text(encoding="utf-8"))
-    shared = reached_names(tree, ["_orbit_cells"]) & POINT_MAPS
-    assert not shared, f"_orbit_cells references {sorted(shared)}"
+    shared = reached_names(tree, STAGE_WALK) & POINT_MAPS
+    assert not shared, f"the stage walk references {sorted(shared)}"
 
 
 def test_check_flags_a_point_map_reached_by_the_stage_walk():
@@ -725,8 +745,10 @@ def test_check_flags_a_point_map_reached_by_the_measure_view():
 
 # The stage walk builds the measures whose view the laws check: it indexes
 # its stage itself and never reads a measure's kept view, and neither do
-# the two statements of a stage that call it.
-STAGE_WALK = ["_orbit_cells", *STAGE_WALKERS]
+# the build and the readers of a last stage that call it, nor the
+# reference walk.
+STAGE_WALK = ["_stage", "_cells", "build_box_measure", "coupled_cells", "_last_stage_cells",
+              "_orbit_cells", "relative_self_product"]
 
 
 def test_the_stage_walk_reads_no_measure_view():
@@ -745,7 +767,62 @@ def test_check_flags_a_measure_view_read_by_the_stage_walk():
         "    points, index, columns, _, _ = m.indexed\n"
         "    return [index[p] for p in zip(*columns)]\n"
     )
-    assert "indexed" in reached_names(tree, STAGE_WALK[:1])
+    assert "indexed" in reached_names(tree, ["_orbit_cells"])
+
+
+# The stage walk runs in integers over positions: it builds no Fraction,
+# by name or by a true division, and forms no cube-point tuple to sort,
+# since it reads no measure's entries and zips no columns into points.  A
+# violation it finds is handed to the reference chain, which names the cube
+# point in its own words: ``_reference_error`` is not followed.
+WALK_ROOTS = ["_stage", "_cells"]
+HANDOVER = {"_reference_error"}
+
+
+def fractions_or_points(tree: ast.Module, roots: list[str]) -> list[str]:
+    """The functions and classes that ``roots`` reach, short of
+    :data:`HANDOVER`, that name ``Fraction``, divide with ``/``, read
+    ``.entries`` or call ``zip`` on a starred argument, once per node."""
+    def hit(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "Fraction"
+                or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                or isinstance(node, ast.Attribute) and node.attr == "entries"
+                or isinstance(node, ast.Call) and called_name(node) == "zip"
+                and any(isinstance(arg, ast.Starred) for arg in node.args))
+
+    return sorted(name for name, definition in reached_defs(tree, roots, HANDOVER).items()
+                  for node in ast.walk(definition) if hit(node))
+
+
+def test_the_stage_walk_builds_no_fraction_and_sorts_no_points():
+    tree = ast.parse((SRC / "box_measure.py").read_text(encoding="utf-8"))
+    assert fractions_or_points(tree, WALK_ROOTS) == []
+
+
+def test_check_flags_the_walk_over_cube_points_and_fractions():
+    # the pair masses and the sorted-support walk that the stage walk replaced
+    tree = ast.parse(
+        "def _stage(sys, order):\n"
+        "    return relative_self_product(_stage(sys, order[:-1]), sys.transforms[order[-1]])\n"
+        "def _cells(sys, order):\n"
+        "    m = _stage(sys, order[:-1])\n"
+        "    return _coupled(m, _orbit_cells(m, sys.transforms[order[-1]], sys.cap))\n"
+        "def relative_self_product(m, perm, cap):\n"
+        "    return SparseCubeMeasure(m.k + 1, m.base_n, {})\n"
+        "def _coupled(m, cells):\n"
+        "    return [(m.entries[cell[0]] / len(cell), cell) for cell in cells]\n"
+        "def _orbit_cells(m, perm, cap):\n"
+        "    points = sorted(m.entries)\n"
+        "    index = dict(zip(points, range(len(points))))\n"
+        "    images = zip(*[map(perm.__getitem__, c) for c in zip(*points)])\n"
+        "    return cycles(list(map(index.get, images)))\n"
+        "def _reference_error(sys, order):\n"
+        "    return Fraction(1)\n"
+        "def _measure(stage):\n"
+        "    return Fraction(1)\n"
+    )
+    assert fractions_or_points(tree, WALK_ROOTS) == [
+        "_coupled", "_coupled", "_orbit_cells", "_orbit_cells", "_orbit_cells"]
 
 
 # The views are derived where they are kept.  A scope derives one when it

@@ -321,7 +321,7 @@ def test_zed_raises_at_the_caps_of_the_built_measure():
 
 
 def test_zed_builds_no_last_stage(monkeypatch):
-    stages = count_calls(monkeypatch, boxlab.box_measure, "relative_self_product")
+    stages = count_calls(monkeypatch, boxlab.box_measure, "_pair_stage")
     zed_partition(FiniteSystem(Z5_THREE.weights, Z5_THREE.transforms), (0, 1, 2))
     assert [m.k for m in stages] == [0, 1]
 

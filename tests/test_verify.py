@@ -130,16 +130,16 @@ def test_suite_builds_the_extension_and_its_partition_once(monkeypatch):
 
 def test_suite_builds_every_base_measure_under_the_run_cap(monkeypatch):
     # every stage of every cube measure, and every last stage read as
-    # cells, is walked by _orbit_cells under the cap it is given
+    # cells, is walked by the stage walk under the cap of its system
     sys = FiniteSystem(Z4_TWO.weights, Z4_TWO.transforms)
-    real = boxlab.box_measure._orbit_cells
+    real = boxlab.box_measure._walk
     caps = []
 
-    def recording(m, perm, cap):
-        caps.append(cap)
-        return real(m, perm, cap)
+    def recording(walked, order):
+        caps.append(walked.cap)
+        return real(walked, order)
 
-    monkeypatch.setattr(boxlab.box_measure, "_orbit_cells", recording)
+    monkeypatch.setattr(boxlab.box_measure, "_walk", recording)
     outcomes = run_suite(sys.replace(cap=1000), (0, 1), draws=20)
     assert all(o.status == "PASS" for o in outcomes)
     assert caps and set(caps) == {1000}
@@ -150,7 +150,7 @@ def test_suite_leaves_every_order_built_on_its_system(monkeypatch):
 
     sys = FiniteSystem(Z5_THREE.weights, Z5_THREE.transforms)
     run_suite(sys, (0, 1, 2), seed=0, draws=20)
-    stages = count_calls(monkeypatch, boxlab.box_measure, "relative_self_product")
+    stages = count_calls(monkeypatch, boxlab.box_measure, "_walk")
     f = Observable((Fraction(1), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1)))
     for order in itertools.permutations(range(3)):
         build_box_measure(sys, order)
@@ -283,9 +283,9 @@ def test_a_broken_stage_walk_fails_properties_instead_of_the_run(monkeypatch):
     seminorm routes FAIL by their own checks, and the extension's build
     raises, which FAILs each property that reads the extension with the
     error's class and message; every property still reports."""
-    real = boxlab.box_measure._orbit_cells
-    monkeypatch.setattr(boxlab.box_measure, "_orbit_cells", lambda m, perm, cap: [
-        (point,) for cell in real(m, perm, cap) for point in cell])
+    real = boxlab.box_measure.cycles
+    monkeypatch.setattr(boxlab.box_measure, "cycles", lambda step: [
+        (point,) for cell in real(step) for point in cell])
     reading_the_extension = {"lemma-z", "magic", "span0", "normstar"}
     raised = []
     for name, sys, order in ROSTER:
