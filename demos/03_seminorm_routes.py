@@ -56,8 +56,8 @@ fs = {
 res = csg_check(z4, (0, 1), fs)
 print("product bound:", str(res.lhs_pow), "<=", str(res.rhs_pow), "->", res.holds)
 
-# Subadditivity is the single toleranced check in the package (roots are
-# irrational in general).
+# Subadditivity compares irrational roots in general; it is decided exactly
+# from the powers.
 g2 = Observable(tuple(Fraction(rng.randint(-2, 2), 2) for _ in range(4)))
 print("triangle inequality:", triangle_check(z4, (0, 1), f, g2))
 

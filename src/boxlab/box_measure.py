@@ -47,10 +47,12 @@ The symmetries above are given here as per-point maps
 (:func:`side_transform`, :func:`diagonal_transform`, the digit flip and
 re-indexing) with :func:`push_forward` and :func:`marginal`.  These are the
 references: the measure laws of ``verify`` and the magic extension map the
-coordinate columns of the index view that a built measure keeps,
+coordinate columns of the index view that a measure keeps,
 :attr:`SparseCubeMeasure.indexed`, and tests pin the two against each
-other.  A built measure reads that view from the stage walk's last stage:
-the walk builds what the laws check.
+other.  A measure is held as its sorted support, the columns, masses and
+denominator of a stage; a built measure holds those of the stage walk's
+last stage, so the walk builds what the laws check, and its entries, a
+map from cube points to Fractions, are made from them on first read.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import weakref
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -71,6 +72,7 @@ from .system import (
     FiniteSystem,
     Observable,
     Record,
+    fractions_of,
     index_tuple,
     integer_numerators,
 )
@@ -151,13 +153,21 @@ def vertex_functions(fs: Mapping, k: int, n: int) -> dict[int, Observable]:
 
 
 class SparseCubeMeasure(Record):
-    """Probability measure on X^(2^k) as a map from cube points to masses.
+    """Probability measure on X^(2^k), held as its sorted support.
+
+    ``support`` is ``(columns, masses, den)``: the cube points of positive
+    mass in sorted order, as one coordinate column per vertex, and their
+    masses as integer numerators over ``den``, the least common
+    denominator.  A measure built from a mapping of cube points to masses
+    keeps a read-only copy of it as ``entries``, in its own order, and
+    sorts it when ``support`` is first read.  A measure from
+    :func:`build_box_measure` holds its last stage's support and makes
+    ``entries`` from it, in sorted order, when they are first read.
 
     Entries are pruned to strictly positive mass and must sum to exactly 1.
-    Instances are immutable: ``entries`` is a read-only copy of the mapping
-    passed in, so one built measure can be shared by every caller.  Equal
-    measures hash equal: the hash is over ``k``, ``base_n`` and the set of
-    entries.
+    Instances are immutable, so one built measure can be shared by every
+    caller.  ``==`` and the hash compare ``k``, ``base_n`` and ``support``,
+    which is canonical: a reduced least common denominator is unique.
     """
 
     _fields = ("k", "base_n", "entries")
@@ -165,44 +175,42 @@ class SparseCubeMeasure(Record):
     def __init__(self, k: int, base_n: int, entries: Mapping[CubePoint, Fraction]):
         self._set(k=k, base_n=base_n, entries=MappingProxyType(dict(entries)))
 
-    def __hash__(self) -> int:
-        # a mappingproxy has no hash; equal mappings have equal item sets
-        return hash((self.k, self.base_n, frozenset(self.entries.items())))
+    def _key(self) -> tuple:
+        return self.k, self.base_n, self.support
+
+    @cached_property
+    def support(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+        points = sorted(self.entries)
+        masses, den = integer_numerators(list(map(self.entries.__getitem__, points)))
+        return tuple(zip(*points)), masses, den
+
+    @cached_property
+    def entries(self) -> Mapping[CubePoint, Fraction]:
+        return MappingProxyType(dict(self.items_sorted()))
 
     @property
     def width(self) -> int:
         return 1 << self.k
 
     def support_size(self) -> int:
-        return len(self.entries)
+        return len(self.support[1])
 
     def total_mass(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
+        _, masses, den = self.support
+        return Fraction(sum(masses), den)
 
     @cached_property
     def indexed(self):
-        """``(points, index, columns, masses, den)``: the sorted support,
-        each point's position, one coordinate column per vertex, and the
-        masses as :func:`integer_numerators`; kept, not in ==, hash or repr.
-
-        A measure from :func:`build_box_measure` reads the view from the
-        last stage of the stage walk, its entries put in sorted order by
-        position, while its system keeps that stage; any other measure
-        sorts its entries."""
-        walked = vars(self).get("_walked")
-        stage = None if walked is None else walked()
-        if stage is None:
-            points = tuple(sorted(self.entries))
-            masses, den = integer_numerators(list(map(self.entries.__getitem__, points)))
-            columns = tuple(zip(*points))
-        else:
-            points = _pick(tuple(self.entries), stage.cells.inserted())
-            columns, masses, den = stage.columns, stage.masses, stage.den
+        """``(points, index, columns, masses, den)``: the ``support`` with
+        its points as tuples and each point's position; kept, not in ==,
+        hash or repr."""
+        columns, masses, den = self.support
+        points = tuple(zip(*columns))
         return points, dict(zip(points, range(len(points)))), columns, masses, den
 
     def items_sorted(self) -> list[tuple[CubePoint, Fraction]]:
-        entries = self.entries
-        return [(point, entries[point]) for point in sorted(entries)]
+        columns, masses, den = self.support
+        return list(zip(zip(*columns), fractions_of(masses, den)))
 
     def check(self) -> "SparseCubeMeasure":
         """Raise unless masses are positive, normalized, and well-indexed."""
@@ -382,18 +390,6 @@ class _Cells:
         return (_repeated(range(len(self.cell_of)), self.counts),
                 list(itertools.chain.from_iterable(_pick(self.members, self.cell_of))))
 
-    def inserted(self) -> list[int]:
-        """Per pair of the stage after, in its order, its place in the
-        order of :func:`relative_self_product`: per cell in walk order, per
-        p and then q of the cell in cycle order, the pair (p, q)."""
-        place = _places(self.walk, len(self.cell_of))
-        starts = list(itertools.accumulate([len(cell) ** 2 for cell in self.walk], initial=0))
-        firsts = map(operator.add, _pick(starts, self.cell_of),
-                     map(operator.mul, place, self.counts))
-        seconds = [_pick(place, cell) for cell in self.members]
-        return list(map(operator.add, _repeated(list(firsts), self.counts),
-                        itertools.chain.from_iterable(_pick(seconds, self.cell_of))))
-
     @cached_property
     def base(self) -> list[int]:
         """Per point i of the stage before, where i's pairs start."""
@@ -517,37 +513,21 @@ def build_box_measure(sys: FiniteSystem, order: Sequence[int]) -> SparseCubeMeas
     into digit j.  All 2^d marginals of the result equal the base weights.
     Every stage runs under the system's support cap ``sys.cap``.  Each
     stage is kept on ``sys`` per order prefix, in index space, and the
-    measure's entries are made from it when this is first called; so
-    repeated calls return the same immutable measure and orders sharing a
-    prefix share its stages; a stage that raises keeps nothing.  The
-    measure's :attr:`SparseCubeMeasure.indexed` view is read from its last
-    stage, kept on ``sys``.
+    measure, kept on ``sys`` per order, holds its last stage's columns,
+    masses and denominator as its support; so repeated calls return the
+    same immutable measure and orders sharing a prefix share its stages; a
+    stage that raises keeps nothing.  The measure's entries are made from
+    its support only when they are first read.
     """
     order = normalize_order(sys, order)
     return sys.memo(("measure", order), lambda: _measure(sys.n, _stage(sys, order)))
 
 
-def _measure(base_n: int, stage: "_Stage") -> SparseCubeMeasure:
-    """The measure of a stage after the first, which reads its ``indexed``
-    view from the stage while the system keeps it.  The reference is weak:
-    a measure that outlives its system keeps no stage.
-
-    The entries are inserted in the order of :func:`relative_self_product`:
-    per cell in walk order, per p and then q of the cell in cycle order,
-    the concatenation of the points p and q of the stage before, with the
-    cell's pair mass.
-    """
-    cells = stage.cells
-    before = tuple(zip(*stage.before.columns))
-    sizes = list(map(len, cells.walk))
-    flat = list(itertools.chain.from_iterable(cells.walk))
-    first = _repeated(flat, _pick(cells.counts, flat))
-    second = list(itertools.chain.from_iterable(_repeated(cells.walk, sizes)))
-    pair = [Fraction(w, cells.den) for w in cells.pair]
-    m = SparseCubeMeasure(stage.k, base_n, dict(zip(
-        map(operator.add, _pick(before, first), _pick(before, second)),
-        _repeated(pair, [size * size for size in sizes]))))
-    m._set(_walked=weakref.ref(stage))
+def _measure(base_n: int, stage: _Stage) -> SparseCubeMeasure:
+    """The measure of a stage: its support is the stage's columns, masses
+    and den, which it keeps after the system and its stages are freed."""
+    m = object.__new__(SparseCubeMeasure)
+    m._set(k=stage.k, base_n=base_n, support=(stage.columns, stage.masses, stage.den))
     return m
 
 

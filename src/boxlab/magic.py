@@ -63,6 +63,7 @@ from .system import (
     Partition,
     Record,
     conditional_expectation,
+    fractions_of,
     group_orbit_partition,
     join_partitions,
     orbit_partition,
@@ -178,8 +179,8 @@ def build_star_system(sys: FiniteSystem, order: Sequence[int]) -> StarSystem:
     """
     order = normalize_order(sys, order)
     m = build_box_measure(sys, order)
-    carrier, index, columns, _, _ = m.indexed
-    weights = tuple(map(m.entries.__getitem__, carrier))
+    carrier, index, columns, masses, den = m.indexed
+    weights = fractions_of(masses, den)
     star, diag = [], []
     for pos, idx in enumerate(order):
         perm = sys.transforms[idx]

@@ -4,7 +4,8 @@ The seminorm of an observable f for a sequence of d commuting transforms is
 the 2^d-th root of the integral of f placed on every cube vertex against
 the cube measure.  This module stores and compares seminorms through that
 2^d-th power, which is a non-negative exact rational, so every inequality
-here except the explicitly toleranced triangle check is decided exactly.
+here is decided exactly; the triangle check compares sums of roots by exact
+integer root brackets.
 
 Three routes compute the same power:
 
@@ -404,18 +405,53 @@ def triangle_check(
     order: Sequence[int],
     f: Observable,
     g: Observable,
-    tol: float = 1e-9,
 ) -> bool:
-    """Subadditivity of the seminorm, checked in floating point.
+    """Subadditivity of the seminorm, decided exactly.
 
-    The only non-exact comparison in the package: 2^d-th roots of exact
-    rationals are irrational in general, so the sum is compared with a
-    tolerance (default 1e-9, generous at desk scale).
+    With A, B and C the powers of f + g, f and g, this is
+    :func:`_roots_subadditive` of the three at the order's d.
     """
-    a = seminorm_pow(sys, order, f + g).root()
-    b = seminorm_pow(sys, order, f).root()
-    c = seminorm_pow(sys, order, g).root()
-    return a <= b + c + tol
+    a, b, c = (seminorm_pow(sys, order, h) for h in (f + g, f, g))
+    return _roots_subadditive(a.pow, b.pow, c.pow, a.d)
+
+
+def _roots_subadditive(a: Fraction, b: Fraction, c: Fraction, d: int) -> bool:
+    """Whether a^(1/m) <= b^(1/m) + c^(1/m) for m = 2^d and rationals
+    a, b, c >= 0, decided exactly.
+
+    When b or c is 0 the roots compare as the powers do.  When b/c = r^m
+    for a rational r, the claim is a <= c(1 + r)^m; only in this case can
+    the two sides be equal (Besicovitch, J. London Math. Soc. 15 (1940)).
+    Otherwise they differ, and the floors of the roots scaled by 2^p,
+    taken by nested :func:`math.isqrt`, separate them once p is large
+    enough: p doubles until they do.
+    """
+    if not b or not c:
+        return a <= b + c
+    m = 1 << d
+    p, q = (b / c).as_integer_ratio()
+    rp, rq = _floor_root(p, d), _floor_root(q, d)
+    if rp ** m == p and rq ** m == q:
+        return a <= c * (1 + Fraction(rp, rq)) ** m
+    bits = 32
+    while True:
+        # root(x) * 2^bits lies in [lo, lo + 1) for lo the floor of root(x * 2^(bits * m))
+        lo_a, lo_b, lo_c = (_floor_root((x.numerator << bits * m) // x.denominator, d)
+                            for x in (a, b, c))
+        if lo_a + 1 <= lo_b + lo_c:
+            return True
+        if lo_a >= lo_b + lo_c + 2:
+            return False
+        bits *= 2
+
+
+def _floor_root(n: int, d: int) -> int:
+    """The floor of the 2^d-th root of an int n >= 0, by d nested
+    :func:`math.isqrt`: the floor of the square root of a floor is the
+    floor of the square root."""
+    for _ in range(d):
+        n = math.isqrt(n)
+    return n
 
 
 def zed_partition(sys: FiniteSystem, order: Sequence[int]) -> Partition:

@@ -106,6 +106,14 @@ def integer_numerators(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int
     return tuple([p * (den // q) for p, q in ratios]), den
 
 
+def fractions_of(numerators: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    """The values ``numerators`` over ``den``, the inverse of
+    :func:`integer_numerators`: one Fraction per distinct numerator, shared
+    by every place that holds it."""
+    shared = {p: Fraction(p, den) for p in set(numerators)}
+    return tuple(map(shared.__getitem__, numerators))
+
+
 def index_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
     """``values`` read once into a tuple, each an exact int: floats, bools
     and strings are rejected, not truncated or parsed."""

@@ -144,7 +144,7 @@ def test_equal_builds_share_one_measure(roster_case):
     for idx in order:
         fresh = relative_self_product(fresh, sys.transforms[idx])
     assert m == fresh
-    assert list(m.entries) == list(fresh.entries)
+    assert dict(m.entries) == dict(fresh.entries) and m.items_sorted() == fresh.items_sorted()
 
 
 def test_measure_entries_are_read_only():

@@ -10,7 +10,8 @@ recursion route none of the oracle's table code, the component partition
 builds no cube measure, the orbit-cell walk,
 the magic extension's build, its off-origin view, a measure's kept view and
 the measure laws reach none of the per-point maps that check their output,
-the stage walk reads no kept measure view, ``verify`` derives neither
+the stage walk reads no kept measure view, the CLI's readers of a measure
+read no ``.entries``, ``verify`` derives neither
 index-space view and ``magic`` only the one its extension keeps, the value
 draws read the rng only by ``rng.getrandbits`` in one pick helper and
 build no Fraction per value, and the per-draw checks ``csg_check``,
@@ -768,6 +769,39 @@ def test_check_flags_a_measure_view_read_by_the_stage_walk():
         "    return [index[p] for p in zip(*columns)]\n"
     )
     assert "indexed" in reached_names(tree, ["_orbit_cells"])
+
+
+# A cube measure is held as its sorted support, and its entries, a map from
+# cube points to Fractions, are made only when they are read.  The readers
+# of a measure on a CLI path read the support and its index view: a read of
+# ``.entries`` there would make that map for every measure it reaches.
+SUPPORT_READERS = ["cli.py", "magic.py", "serialize.py", "verify.py"]
+
+
+def attribute_reads(tree: ast.Module, name: str) -> list[int]:
+    """Lines that read the attribute ``name`` of any object."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == name})
+
+
+@pytest.mark.parametrize("module", SUPPORT_READERS)
+def test_the_measure_readers_read_no_entries(module):
+    lines = attribute_reads(ast.parse((SRC / module).read_text(encoding="utf-8")), "entries")
+    assert not lines, f"{module}: .entries read at lines {lines}"
+
+
+def test_check_flags_an_entries_read():
+    # the extension's weights as they were read, and a sorted dump; a key
+    # or a local named entries is no read of the attribute
+    tree = ast.parse(
+        "def build_star_system(sys, order):\n"
+        "    m = build_box_measure(sys, order)\n"
+        "    weights = tuple(map(m.entries.__getitem__, carrier))\n"
+        "    entries = {'entries': weights}\n"
+        "    return entries, sorted(\n"
+        "        build_box_measure(sys, order).entries.items())\n"
+    )
+    assert attribute_reads(tree, "entries") == [3, 6]
 
 
 # The stage walk runs in integers over positions: it builds no Fraction,

@@ -163,3 +163,14 @@ def test_a_run_computes_every_view_once(monkeypatch, sys, order, draws):
              for sigma in itertools.permutations(range(len(order)))]
     assert sorted(map(id, measures)) == sorted(map(id, built))
     assert len(stars) == 1 and stars[0].order == order
+
+
+@pytest.mark.parametrize("name, sys, order", ROSTER, ids=[c[0] for c in ROSTER])
+def test_a_run_makes_no_entries_of_a_built_measure(name, sys, order):
+    # the laws and the extension read a built measure's support; its map
+    # from cube points to Fractions is made only when entries are read
+    sys = sys.replace()
+    run_suite(sys, order, seed=0, draws=3)
+    for sigma in itertools.permutations(range(len(order))):
+        m = build_box_measure(sys, permute_order(order, sigma))
+        assert "entries" not in vars(m), sigma

@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,12 @@ from boxlab.draws import (
     random_zero_expectation_observable,
 )
 import boxlab.box_measure
+import boxlab.seminorm
 from boxlab.box_measure import build_box_measure
 from boxlab.errors import PreconditionError, StructuralError, SupportCapError
 from boxlab.seminorm import (
     SeminormValue,
+    _roots_subadditive,
     csg_check,
     gowers_norm_pow,
     seminorm_oracle_pow,
@@ -242,11 +245,8 @@ def test_triangle_zero_and_scaling():
     rng = random.Random(61)
     f = random_observable(rng, 4)
     assert triangle_check(Z4_TWO, (0, 1), f, Observable.zero(4))
-    # homogeneity: doubling the function doubles the seminorm
-    two_f = f + f
-    a = seminorm_pow(Z4_TWO, (0, 1), two_f).root()
-    b = seminorm_pow(Z4_TWO, (0, 1), f).root()
-    assert abs(a - 2 * b) < 1e-9
+    # homogeneity: doubling the function multiplies the power by 2^(2^d)
+    assert seminorm_pow(Z4_TWO, (0, 1), f + f).pow == 2 ** 4 * seminorm_pow(Z4_TWO, (0, 1), f).pow
 
 
 def test_triangle_random_pairs():
@@ -255,6 +255,54 @@ def test_triangle_random_pairs():
         f = random_observable(rng, 4)
         g = random_observable(rng, 4)
         assert triangle_check(Z4_TWO, (0, 1), f, g)
+
+
+def test_triangle_holds_with_equality_on_multiples():
+    # g = c f makes B/C a fourth power: the roots add exactly
+    rng = random.Random(71)
+    for c in (Fraction(1), Fraction(1, 3), Fraction(5, 2)):
+        f = random_observable(rng, 4)
+        g = Observable(tuple(c * v for v in f.values))
+        assert triangle_check(Z4_TWO, (0, 1), f, g)
+
+
+def test_triangle_decides_roots_that_a_float_cannot_tell_apart(monkeypatch):
+    # A = 16 + 10^-30 and B = C = 1 at d = 2: the fourth root of A exceeds
+    # 1 + 1 by about 10^-32, far below a float's resolution
+    f, g = Observable((1, 0, 0, 0)), Observable((0, 1, 0, 0))
+    pows = {f + g: 16 + Fraction(1, 10 ** 30), f: Fraction(1), g: Fraction(1)}
+    monkeypatch.setattr(boxlab.seminorm, "seminorm_pow",
+                        lambda sys, order, h: SeminormValue(2, pows[h], (0, 1)))
+    assert not triangle_check(Z4_TWO, (0, 1), f, g)
+    pows[f + g] = Fraction(16)
+    assert triangle_check(Z4_TWO, (0, 1), f, g)
+
+
+def decimal_root(x: Fraction, d: int) -> Decimal:
+    return (Decimal(x.numerator) / Decimal(x.denominator)) ** (Decimal(1) / (1 << d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_exact_triangle_agrees_with_a_wide_decimal_root(d):
+    # near the boundary, on both sides; equality is reached only when B/C
+    # is a 2^d-th power, which the last cases take
+    rng = random.Random(73 + d)
+    with localcontext() as context:
+        context.prec = 90
+        for _ in range(200):
+            b = Fraction(rng.randint(0, 60), rng.randint(1, 60))
+            c = Fraction(rng.randint(0, 60), rng.randint(1, 60))
+            edge = (decimal_root(b, d) + decimal_root(c, d)) ** (1 << d)
+            a = max(Fraction(edge).limit_denominator(10 ** 12)
+                    + Fraction(rng.randint(-5, 5), 10 ** 9), Fraction(0))
+            gap = decimal_root(a, d) - decimal_root(b, d) - decimal_root(c, d)
+            # a gap below the decimal's resolution is an equality, which holds
+            assert _roots_subadditive(a, b, c, d) == (gap < Decimal(10) ** -70), (a, b, c)
+    for r, c in ((Fraction(2, 3), Fraction(7, 5)), (Fraction(1), Fraction(1, 9))):
+        b, edge = c * r ** (1 << d), c * (1 + r) ** (1 << d)
+        assert _roots_subadditive(edge, b, c, d)
+        assert not _roots_subadditive(edge + Fraction(1, 10 ** 40), b, c, d)
+        assert _roots_subadditive(edge - Fraction(1, 10 ** 40), b, c, d)
 
 
 # ------------------------------------------------------------ component algebra
