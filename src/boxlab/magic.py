@@ -190,6 +190,9 @@ def build_star_system(sys: FiniteSystem, order: Sequence[int]) -> StarSystem:
             for e, (column, image) in enumerate(zip(columns, moved))]))
         diag.append(_column_step(carrier, index, moved))
     out = StarSystem(sys, order, carrier, columns, weights, tuple(star), tuple(diag))
+    # the weights are the masses over den, the least common denominator,
+    # so the carrier keeps them as its weight numerators
+    out.as_finite_system().memo("weight numerators", lambda: (tuple(masses), den))
     _check_star_invariants(out)
     return out
 
@@ -198,9 +201,11 @@ def _check_star_invariants(star: StarSystem) -> None:
     # the side transforms (indices 0..d-1) and the diagonal ones (d..2d-1)
     # together form a valid system on the carrier: weights non-negative and
     # summing to 1, every map a bijection that preserves them, every pair
-    # commuting; validate_system decides all of it on weight numerators
-    checked = require_valid(
-        FiniteSystem(star.weights, star.star_transforms + star.diag_transforms))
+    # commuting; validate_system decides all of it on weight numerators,
+    # which are the carrier's
+    checked = FiniteSystem(star.weights, star.star_transforms + star.diag_transforms)
+    checked.memo("weight numerators", star.as_finite_system().weight_numerators)
+    require_valid(checked)
     # factor map: origin projection pushes weights to the base and
     # intertwines each side transformation with its base transform, in the
     # integers num / den of the carrier and b / base_den of the base

@@ -4,9 +4,10 @@ Rationals travel as strings, either "p/q" or a plain integer string.
 Sparse measures serialize in canonical tuple order so identical inputs
 produce byte-identical output regardless of construction order.
 :func:`write_box_measure` writes the same bytes for a cube measure from
-the orbit cells of its last stage, without building that stage.  Parse
-failures raise StructuralError (the CLI maps those to its parse-error exit
-code); JSON booleans are never read as numbers.
+the orbit cells of its last stage, without building that stage, in blocks
+of :data:`WRITE_BLOCK` characters.  Parse failures raise StructuralError
+(the CLI maps those to its parse-error exit code); JSON booleans are never
+read as numbers.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from .box_measure import SparseCubeMeasure, _last_stage
 from .errors import StructuralError
 from .seminorm import SeminormValue, approx_root
 from .system import FiniteSystem, Observable, as_fraction
+
+# Characters that write_box_measure gathers before one write to its stream.
+WRITE_BLOCK = 1 << 16
 
 
 def format_rational(q: Fraction) -> str:
@@ -119,8 +123,12 @@ def write_box_measure(sys: FiniteSystem, order: Sequence[int], out: TextIO) -> N
     length, so the sorted entries are: per point p of the stage before, in
     its order, which is sorted, per q of its cell in sorted order, the
     entry p + q.  Each point's coordinate text is made once, from one text
-    per base point, and each p writes its entries with one join over its
-    cell's.  Raises before the first byte where the build would raise.
+    per base point, and each p makes its entries with one join over its
+    cell's.  Those texts reach ``out`` joined into blocks of at least
+    :data:`WRITE_BLOCK` characters, the last one shorter: an unbuffered
+    stream makes one system call per ``write``, and one call per base
+    point cost more than building the text.  Raises before the first byte
+    where the build would raise.
     """
     before, cells = _last_stage(sys, order)
     coords = ",\n        "
@@ -128,14 +136,20 @@ def write_box_measure(sys: FiniteSystem, order: Sequence[int], out: TextIO) -> N
     texts = list(map(coords.join, zip(*[map(digits.__getitem__, c) for c in before.columns])))
     masses = [format_rational(Fraction(pair, cells.den)) for pair in cells.pair]
     members = [list(map(texts.__getitem__, cell)) for cell in cells.members]
-    out.write('{\n  "entries": [')
+    block, size = ['{\n  "entries": ['], 0
     sep = "\n    "
     tail = "\n      ]\n    }"
     for text, c in zip(texts, cells.cell_of):
         head = '{\n      "mass": "' + masses[c] + '",\n      "tuple": [\n        ' + text + coords
-        out.write(sep + head + (tail + ",\n    " + head).join(members[c]) + tail)
+        entries = (tail + ",\n    " + head).join(members[c])
+        block += (sep, head, entries, tail)
+        size += len(head) + len(entries)
+        if size >= WRITE_BLOCK:
+            out.write("".join(block))
+            block, size = [], 0
         sep = ",\n    "
-    out.write(f'\n  ],\n  "k": {before.k + 1}\n}}\n')
+    block.append(f'\n  ],\n  "k": {before.k + 1}\n}}\n')
+    out.write("".join(block))
 
 
 def measure_from_dict(payload: dict, base_n: int | None = None) -> SparseCubeMeasure:

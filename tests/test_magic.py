@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import boxlab.magic
+import boxlab.system
 from boxlab.box_measure import build_box_measure
 from boxlab.draws import (
     random_bounded_observable,
@@ -42,6 +43,7 @@ from boxlab.system import (
     Partition,
     conditional_expectation,
     group_orbit_partition,
+    integer_numerators,
     orbit_partition,
 )
 from boxlab.verify import run_suite
@@ -139,6 +141,21 @@ def test_as_finite_system_is_built_once():
     system = star.as_finite_system()
     assert star.as_finite_system() is system
     assert system.weights == star.weights and system.transforms == star.star_transforms
+
+
+def test_the_extension_keeps_the_measures_numerators(roster_case, monkeypatch):
+    # the carrier's weights are the measure's masses over its den: the build
+    # and its checks derive no numerators back from the Fractions, and the
+    # carrier keeps the pair integer_numerators would give
+    _, sys, order = roster_case
+    sys = sys.replace()
+    sys.weight_numerators()
+    calls = count_calls(monkeypatch, boxlab.system, "integer_numerators")
+    star = build_star_system(sys, order)
+    kept = star.as_finite_system().weight_numerators()
+    assert calls == []
+    monkeypatch.undo()
+    assert kept == integer_numerators(star.weights)
 
 
 # ------------------------------------------------------------- tampered extensions

@@ -12,6 +12,7 @@ from boxlab.box_measure import build_box_measure
 from boxlab.errors import InvariantViolationError, StructuralError
 from boxlab.seminorm import SeminormValue, seminorm_pow
 from boxlab.serialize import (
+    WRITE_BLOCK,
     approx_root_str,
     dumps,
     format_rational,
@@ -25,7 +26,7 @@ from boxlab.serialize import (
     write_box_measure,
 )
 from boxlab.system import FiniteSystem, Observable
-from conftest import NONUNIFORM, Z4_TWO, Z5_THREE, commuting_systems
+from conftest import NONUNIFORM, Z4_TWO, Z5_THREE, commuting_systems, shift, uniform
 
 
 def test_rational_strings():
@@ -155,6 +156,78 @@ def test_writer_renders_a_one_point_system_as_dumps_does():
     assert json.loads(written(sys, (0,))) == {
         "entries": [{"mass": "1", "tuple": [0, 0]}], "k": 1,
     }
+
+
+class WriteSpy(io.StringIO):
+    """A text stream that records the length of each text written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def spied(sys, order) -> tuple[str, list[int]]:
+    out = WriteSpy()
+    write_box_measure(sys, order, out)
+    return out.getvalue(), out.sizes
+
+
+def dumped(sys, order) -> str:
+    return dumps(measure_to_dict(build_box_measure(sys, order))) + "\n"
+
+
+def assert_blocks(sizes: list[int]) -> None:
+    """Every write but the last holds a block or more, so there are at most
+    total / WRITE_BLOCK + 1 of them, and none holds two: a block ends with
+    the base point that fills it, whose text is far shorter than a block."""
+    assert all(size >= WRITE_BLOCK for size in sizes[:-1])
+    assert all(size < 2 * WRITE_BLOCK for size in sizes)
+    assert len(sizes) <= sum(sizes) // WRITE_BLOCK + 2
+
+
+def test_writer_hands_the_roster_to_out_in_blocks(roster_case):
+    _, sys, order = roster_case
+    text, sizes = spied(sys, order)
+    assert text == dumped(sys, order)
+    assert_blocks(sizes)
+
+
+def test_writer_hands_a_measure_smaller_than_a_block_to_one_write():
+    text, sizes = spied(Z4_TWO, (0, 1))
+    assert text == dumped(Z4_TWO, (0, 1))
+    assert len(text) < WRITE_BLOCK and sizes == [len(text)]
+
+
+def test_writer_counts_the_text_of_one_point_cells_toward_a_block():
+    # the identity's cells are single points, so almost all of each point's
+    # text is the mass and tuple before its one entry
+    sys = FiniteSystem(uniform(3000), (shift(3000, 0),))
+    text, sizes = spied(sys, (0,))
+    assert text == dumped(sys, (0,))
+    assert len(text) > 3 * WRITE_BLOCK
+    assert_blocks(sizes)
+
+
+SHIFTS_123 = {n: FiniteSystem(uniform(n), (shift(n, 1), shift(n, 2), shift(n, 3)))
+              for n in (16, 20)}
+EVERY_ORDER = [order for k in (1, 2, 3) for order in itertools.permutations(range(3), k)]
+
+
+@pytest.mark.parametrize("order", EVERY_ORDER, ids=lambda o: ",".join(map(str, o)))
+@pytest.mark.parametrize("n", [16, 20])
+def test_writer_on_shifts_123_in_every_order(n, order):
+    # on Z/20 with all three transforms that is 4000 base points, and
+    # fewer than 200 writes
+    sys = SHIFTS_123[n]
+    text, sizes = spied(sys, order)
+    assert text == dumped(sys, order)
+    assert_blocks(sizes)
+    if n == 20 and len(order) == 3:
+        assert len(sizes) < 200
 
 
 def test_measure_parse_errors():

@@ -209,8 +209,9 @@ def test_one_orbit_cell_walk_per_order_prefix(monkeypatch):
 
 
 def test_a_measure_that_outlives_its_system_keeps_no_stage():
-    # the view is read from the last stage while the system keeps it, and
-    # from the entries, sorted, once the system and its stages are gone
+    # a built measure holds the last stage's columns, masses and den
+    # itself, not the stage: the stage goes with the system that keeps it,
+    # and the measure's view stays that of its entries
     _, sys, order = CASES[-1]
     sys = sys.replace()
     m = build_box_measure(sys, order)
