@@ -2,11 +2,11 @@
 
 A point of the k-cube power is a tuple of 2^k base-point ids indexed by
 vertex bitmask: bit i-1 of the mask holds digit i of the vertex, and the
-all-zeros mask is the origin vertex.  Measures store only strictly positive
-masses.  The central constructor is the relative self-product over the
-invariant sets of a permutation: inside each orbit cell of the permutation
-(restricted to the support) the two copies are coupled independently and
-normalized by the cell mass.  Iterating this once per transformation yields
+all-zeros mask is the origin vertex.  Measures store no zero masses.  The
+central constructor is the relative self-product over the invariant sets
+of a permutation: inside each orbit cell of the permutation (restricted to
+the support) the two copies are coupled independently and normalized by
+the cell mass.  Iterating this once per transformation yields
 the cube measure of the system, whose support grows per stage by at most a
 factor of the acting permutation's period, never by squaring.
 
@@ -46,13 +46,14 @@ takes the integrand's sum per cell from prefix sums in integer numerators.
 The symmetries above are given here as per-point maps
 (:func:`side_transform`, :func:`diagonal_transform`, the digit flip and
 re-indexing) with :func:`push_forward` and :func:`marginal`.  These are the
-references: the measure laws of ``verify`` and the magic extension map the
-coordinate columns of the index view that a measure keeps,
-:attr:`SparseCubeMeasure.indexed`, and tests pin the two against each
-other.  A measure is held as its sorted support, the columns, masses and
-denominator of a stage; a built measure holds those of the stage walk's
-last stage, so the walk builds what the laws check, and its entries, a
-map from cube points to Fractions, are made from them on first read.
+references: the measure laws of ``verify``, which compare sorted rows of
+a measure's support, and the magic extension, which indexes its own
+carrier, map its coordinate columns, and tests pin the two against each
+other.  A measure is held only as its sorted support, the columns, masses
+and denominator of a stage; a built measure holds those of the stage
+walk's last stage, so the walk builds what the laws check, and its
+entries, a map from cube points to Fractions, are made from them on first
+read.
 """
 
 from __future__ import annotations
@@ -155,25 +156,28 @@ def vertex_functions(fs: Mapping, k: int, n: int) -> dict[int, Observable]:
 class SparseCubeMeasure(Record):
     """Probability measure on X^(2^k), held as its sorted support.
 
-    ``support`` is ``(columns, masses, den)``: the cube points of positive
+    ``support`` is ``(columns, masses, den)``: the cube points of nonzero
     mass in sorted order, as one coordinate column per vertex, and their
     masses as integer numerators over ``den``, the least common
-    denominator.  A measure built from a mapping of cube points to masses
-    keeps a read-only copy of it as ``entries``, in its own order, and
-    sorts it when ``support`` is first read.  A measure from
-    :func:`build_box_measure` holds its last stage's support and makes
-    ``entries`` from it, in sorted order, when they are first read.
+    denominator; no other view of the points is kept.  A measure built
+    from a mapping of cube points to masses keeps a read-only copy of it
+    as ``entries``, in its own order, and sorts it when ``support`` is
+    first read.  A measure from :func:`build_box_measure` holds its last
+    stage's support and makes ``entries`` from it, in sorted order, when
+    they are first read.
 
-    Entries are pruned to strictly positive mass and must sum to exactly 1.
-    Instances are immutable, so one built measure can be shared by every
-    caller.  ``==`` and the hash compare ``k``, ``base_n`` and ``support``,
-    which is canonical: a reduced least common denominator is unique.
+    Zero masses are dropped, and a negative one is kept for :meth:`check`
+    to refuse; the masses must sum to exactly 1.  Instances are immutable,
+    so one built measure can be shared by every caller.  ``==`` and the
+    hash compare ``k``, ``base_n`` and ``support``, which is canonical: a
+    reduced least common denominator is unique.
     """
 
     _fields = ("k", "base_n", "entries")
 
     def __init__(self, k: int, base_n: int, entries: Mapping[CubePoint, Fraction]):
-        self._set(k=k, base_n=base_n, entries=MappingProxyType(dict(entries)))
+        kept = {point: mass for point, mass in entries.items() if mass != 0}
+        self._set(k=k, base_n=base_n, entries=MappingProxyType(kept))
 
     def _key(self) -> tuple:
         return self.k, self.base_n, self.support
@@ -198,15 +202,6 @@ class SparseCubeMeasure(Record):
     def total_mass(self) -> Fraction:
         _, masses, den = self.support
         return Fraction(sum(masses), den)
-
-    @cached_property
-    def indexed(self):
-        """``(points, index, columns, masses, den)``: the ``support`` with
-        its points as tuples and each point's position; kept, not in ==,
-        hash or repr."""
-        columns, masses, den = self.support
-        points = tuple(zip(*columns))
-        return points, dict(zip(points, range(len(points)))), columns, masses, den
 
     def items_sorted(self) -> list[tuple[CubePoint, Fraction]]:
         columns, masses, den = self.support

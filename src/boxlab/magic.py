@@ -13,11 +13,11 @@ vertex products, and vanishing of the extended seminorm when the origin
 factor has seminorm zero).  Seminorms on the extension take the oracle
 route, under the base system's cap like the build itself.
 
-The extension is built on the cube measure's kept index view
-(``SparseCubeMeasure.indexed``): its coordinate columns are mapped once
-per base transform and looked up together, and no map runs per carrier
-tuple.  Its invariants are checked on integer weight numerators.  The
-extension holds that view's columns, and keeps its own off-origin view,
+The extension is built on the cube measure's sorted support, whose points
+the build indexes itself: the coordinate columns are mapped once per base
+transform and looked up together, and no map runs per carrier tuple.  Its
+invariants are checked on integer weight numerators.  The extension holds
+the support's columns, and keeps its own off-origin view,
 ``StarSystem.off_origin``, whose index :func:`sharp_space` hands on and
 which the two partitions from it and span0 read.  The three checks run
 per draw, :func:`magic_failures`,
@@ -104,7 +104,7 @@ class StarSystem:
         self.weights = weights
         self.star_transforms = star_transforms
         self.diag_transforms = diag_transforms
-        self._system = FiniteSystem(weights, star_transforms, cap=base.cap)
+        self._system = FiniteSystem(weights, star_transforms + diag_transforms, cap=base.cap)
 
     @property
     def d(self) -> int:
@@ -140,8 +140,9 @@ class StarSystem:
         return tuples, index, cells, tuple(transforms)
 
     def as_finite_system(self) -> FiniteSystem:
-        """The carrier weights with the side transforms, under the base's cap,
-        built once and shared by every seminorm evaluated on it."""
+        """The carrier weights with the side transforms (indices 0..d-1) and
+        the diagonal ones after them, under the base's cap, built once and
+        shared by every seminorm evaluated on it, which reads the sides."""
         return self._system
 
     def box_measure(self) -> SparseCubeMeasure:
@@ -178,8 +179,9 @@ def build_star_system(sys: FiniteSystem, order: Sequence[int]) -> StarSystem:
     diagonal one takes them all.
     """
     order = normalize_order(sys, order)
-    m = build_box_measure(sys, order)
-    carrier, index, columns, masses, den = m.indexed
+    columns, masses, den = build_box_measure(sys, order).support
+    carrier = tuple(zip(*columns))
+    index = dict(zip(carrier, range(len(carrier))))
     weights = fractions_of(masses, den)
     star, diag = [], []
     for pos, idx in enumerate(order):
@@ -198,14 +200,10 @@ def build_star_system(sys: FiniteSystem, order: Sequence[int]) -> StarSystem:
 
 
 def _check_star_invariants(star: StarSystem) -> None:
-    # the side transforms (indices 0..d-1) and the diagonal ones (d..2d-1)
-    # together form a valid system on the carrier: weights non-negative and
-    # summing to 1, every map a bijection that preserves them, every pair
-    # commuting; validate_system decides all of it on weight numerators,
-    # which are the carrier's
-    checked = FiniteSystem(star.weights, star.star_transforms + star.diag_transforms)
-    checked.memo("weight numerators", star.as_finite_system().weight_numerators)
-    require_valid(checked)
+    # the carrier system, side and diagonal transforms, is valid: weights
+    # non-negative and summing to 1, every map a bijection that preserves
+    # them, every pair commuting, decided on the weight numerators
+    checked = require_valid(star.as_finite_system())
     # factor map: origin projection pushes weights to the base and
     # intertwines each side transformation with its base transform, in the
     # integers num / den of the carrier and b / base_den of the base

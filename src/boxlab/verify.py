@@ -13,7 +13,7 @@ or raises: ``_Fail`` with the detail and counterexample, or
 :class:`SupportCapError` for a SKIP; any other library error is a FAIL
 with the detail ``"<ErrorClass>: <message>"``.  ``_Suite.run`` alone
 turns those results into :class:`PropertyOutcome`s.  The measure laws
-read the views that measures keep (``SparseCubeMeasure.indexed``).
+read each measure's sorted support and compare sorted rows of it.
 """
 
 from __future__ import annotations
@@ -91,28 +91,31 @@ def _fs_json(fs: dict[int, Observable]) -> dict[str, list[str]]:
     return {str(bits): _obs_json(f) for bits, f in sorted(fs.items())}
 
 
-# The measure laws in index space, on SparseCubeMeasure.indexed views.  A
-# law is a bijection T of cube points
-# that maps coordinate columns: image vertex e reads one source vertex,
-# through one base permutation or none.  T pushes m onto m' exactly when
-# the images of m's support are as many distinct points of the support of
-# m' as it has, and each carries the mass of its source point.  The
-# public push_forward, marginal, apply_digit_flip and
-# apply_index_permutation are the per-point references for these.
+# The measure laws in index space, on the sorted supports of measures.  A
+# law is a bijection T of cube points that maps coordinate columns: image
+# vertex e reads one source vertex, through one base permutation or none.
+# T pushes m onto m' exactly when the rows of m's support, each an image
+# point with its source's mass, sorted, are the rows of the support of m'
+# over the same den; each den is the least common denominator of its
+# masses, so a map that keeps every mass keeps the den.  The public
+# push_forward, marginal, apply_digit_flip and apply_index_permutation are
+# the per-point references for these.
+
+def _rows(support):
+    """``(rows, den)``: each sorted point of ``support`` with its mass, and den."""
+    columns, masses, den = support
+    return list(zip(*columns, masses)), den
+
 
 def _pushes_onto(source, image, target) -> bool:
-    """Whether the map taking point i of ``source`` to the point with
-    coordinate ``image[e][i]`` at each vertex e pushes the measure of
-    ``source`` onto that of ``target``, both ``SparseCubeMeasure.indexed``."""
-    *_, masses, den = source
-    _, index, _, target_masses, target_den = target
-    at = list(map(index.get, zip(*image)))
-    if len(at) != len(index) or None in at or len(set(at)) != len(at):
-        return False
-    moved = tuple(map(target_masses.__getitem__, at))
-    if den == target_den:
-        return moved == masses
-    return tuple(map(den.__mul__, moved)) == tuple(map(target_den.__mul__, masses))
+    """Whether the map taking point i of the support ``source`` to the
+    point with coordinate ``image[e][i]`` at each vertex e pushes its
+    measure onto the one whose :func:`_rows` are ``target``: whether the
+    image rows, sorted, are the target's over the same den.  The target's
+    points are distinct, so a map that merges two points is refused."""
+    _, masses, den = source
+    rows, target_den = target
+    return den == target_den and sorted(zip(*image, masses)) == rows
 
 
 def _marginal(column, masses, n: int) -> list[int]:
@@ -208,7 +211,7 @@ class _Suite:
 
     def check_box_measure_laws(self) -> str:
         m = build_box_measure(self.sys, self.order)
-        law = _, _, columns, masses, den = m.indexed
+        law = columns, masses, den = m.support
         if sum(masses) != den:
             raise _Fail("total mass differs from 1")
         # a marginal m / den equals the weights w / w_den when m * w_den = w * den
@@ -218,21 +221,22 @@ class _Suite:
         for bits in range(1 << self.d):
             if _marginal(columns[bits], scaled, self.sys.n) != expected:
                 raise _Fail(f"marginal at vertex {bits} differs", {"vertex": bits})
+        rows = _rows(law)
         for pos in range(1, self.d + 1):
             perm = self.sys.transforms[self.order[pos - 1]]
             mask = 1 << (pos - 1)
             for name, table in (("side", perm), ("side-inverse", inverse(perm))):
-                if not _pushes_onto(law, _moved_columns(columns, table, mask), law):
+                if not _pushes_onto(law, _moved_columns(columns, table, mask), rows):
                     raise _Fail(f"not invariant under {name} transformation at digit {pos}")
-            if not _pushes_onto(law, _flipped_columns(columns, mask), law):
+            if not _pushes_onto(law, _flipped_columns(columns, mask), rows):
                 raise _Fail(f"digit flip {pos} changes the measure")
         for i in range(self.sys.d):
-            if not _pushes_onto(law, _moved_columns(columns, self.sys.transforms[i], 0), law):
+            if not _pushes_onto(law, _moved_columns(columns, self.sys.transforms[i], 0), rows):
                 raise _Fail(f"not invariant under diagonal transformation {i}")
         return f"support={m.support_size()} marginals+symmetries exact"
 
     def check_index_permutation(self) -> str:
-        law = build_box_measure(self.sys, self.order).indexed
+        law = build_box_measure(self.sys, self.order).support
         sigmas = list(itertools.permutations(range(self.d)))
         if self.d > 3:
             sigmas = [tuple(self.rng.sample(range(self.d), self.d)) for _ in range(6)]
@@ -240,8 +244,8 @@ class _Suite:
         base_pow = seminorm_pow(self.sys, self.order, f).pow
         for sigma in sigmas:
             target = permute_order(self.order, sigma)
-            image = _reindexed_columns(law[2], sigma)
-            if not _pushes_onto(law, image, build_box_measure(self.sys, target).indexed):
+            image = _reindexed_columns(law[0], sigma)
+            if not _pushes_onto(law, image, _rows(build_box_measure(self.sys, target).support)):
                 raise _Fail(f"measure equality fails for digit permutation {sigma}",
                             {"sigma": list(sigma)})
             if seminorm_pow(self.sys, target, f).pow != base_pow:

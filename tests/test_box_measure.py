@@ -204,6 +204,18 @@ def test_measure_copies_the_entries_it_is_given():
     assert m.entries == {(0,): F(1)}
 
 
+def test_zero_masses_are_dropped_and_negative_ones_kept_for_check():
+    with_zero = SparseCubeMeasure(0, 2, {(0,): F(1), (1,): F(0)})
+    plain = SparseCubeMeasure(0, 2, {(0,): F(1)})
+    assert with_zero == plain and hash(with_zero) == hash(plain)
+    assert with_zero.support_size() == 1 and with_zero.entries == {(0,): F(1)}
+    assert with_zero.check() is with_zero
+    negative = SparseCubeMeasure(0, 2, {(0,): Fraction(3, 2), (1,): Fraction(-1, 2)})
+    assert negative.support_size() == 2
+    with pytest.raises(InvariantViolationError, match="non-positive mass -1/2"):
+        negative.check()
+
+
 # ------------------------------------------------------ tuple maps
 
 def test_diagonal_transform_examples():

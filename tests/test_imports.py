@@ -8,11 +8,11 @@ orbit cells of a stage are walked in one place, which builds no Fraction and
 sorts no cube points, the oracle route reaches none of the cube-measure kernels and the
 recursion route none of the oracle's table code, the component partition
 builds no cube measure, the orbit-cell walk,
-the magic extension's build, its off-origin view, a measure's kept view and
-the measure laws reach none of the per-point maps that check their output,
-the stage walk reads no kept measure view, the CLI's readers of a measure
-read no ``.entries``, ``verify`` derives neither
-index-space view and ``magic`` only the one its extension keeps, the value
+the magic extension's build, its off-origin view, the measure laws and the
+helpers they decide with reach none of the per-point maps that check their
+output, the laws look no cube point up, the CLI's readers of a measure
+read no ``.entries``, ``verify`` derives no index-space view and ``magic``
+only its extension's carrier index and off-origin view, the value
 draws read the rng only by ``rng.getrandbits`` in one pick helper and
 build no Fraction per value, and the per-draw checks ``csg_check``,
 ``characteristic_bound_check``, ``zed_equivalence_check``,
@@ -612,6 +612,12 @@ POINT_MAPS = {
 }
 
 
+# The stage walk, the build and the readers of a last stage that call it,
+# and the reference walk.
+STAGE_WALK = ["_stage", "_cells", "build_box_measure", "coupled_cells", "_last_stage_cells",
+              "_orbit_cells", "relative_self_product"]
+
+
 def test_the_stage_walk_reaches_no_point_map():
     tree = ast.parse((SRC / "box_measure.py").read_text(encoding="utf-8"))
     shared = reached_names(tree, STAGE_WALK) & POINT_MAPS
@@ -721,60 +727,89 @@ def test_check_follows_the_off_origin_view_only_as_a_root():
         "side_transform"}
 
 
-# A built measure's kept view, read by the laws and the extension build, is
-# derived in index space like them: it reaches no per-point map either.
-MEASURE_VIEW = "SparseCubeMeasure.indexed"
+# The laws decide on the sorted rows of a measure's support through
+# _rows, _pushes_onto and the column helpers, which map coordinate columns:
+# they reach no per-point map either.
+LAW_HELPERS = ["_rows", "_pushes_onto", "_marginal", "_moved_columns", "_flipped_columns",
+               "_reindexed_columns"]
 
 
-def test_the_measure_view_reaches_no_point_map():
-    tree = ast.parse((SRC / "box_measure.py").read_text(encoding="utf-8"))
-    shared = reached_names(tree, [MEASURE_VIEW]) & PER_POINT
-    assert not shared, f"the measure view references {sorted(shared)}"
+def test_the_law_helpers_reach_no_point_map():
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    shared = reached_names(tree, LAW_HELPERS) & PER_POINT
+    assert not shared, f"the law helpers reference {sorted(shared)}"
 
 
-def test_check_flags_a_point_map_reached_by_the_measure_view():
+def test_check_flags_a_point_map_reached_by_a_law_helper():
     tree = ast.parse(
-        "class SparseCubeMeasure:\n"
-        "    def indexed(self):\n"
-        "        return _columns(self), marginal(self, 0)\n"
-        "def _columns(m):\n"
-        "    return push_forward(m, diagonal_transform(perm, m.k)).entries\n"
+        "def _rows(support):\n"
+        "    return support\n"
+        "def _pushes_onto(source, image, target):\n"
+        "    return push_forward(source, _act(image)) == target\n"
+        "def _act(image):\n"
+        "    return diagonal_transform(image, 1)\n"
+        "def _marginal(column, masses, n):\n"
+        "    return marginal(masses, 0)\n"
+        "def _moved_columns(columns, table, mask):\n"
+        "    return columns\n"
+        "def _flipped_columns(columns, mask):\n"
+        "    return columns\n"
+        "def _reindexed_columns(columns, sigma):\n"
+        "    return columns\n"
     )
-    assert reached_names(tree, [MEASURE_VIEW]) & PER_POINT == {
+    assert reached_names(tree, LAW_HELPERS) & PER_POINT == {
         "marginal", "push_forward", "diagonal_transform"}
 
 
-# The stage walk builds the measures whose view the laws check: it indexes
-# its stage itself and never reads a measure's kept view, and neither do
-# the build and the readers of a last stage that call it, nor the
-# reference walk.
-STAGE_WALK = ["_stage", "_cells", "build_box_measure", "coupled_cells", "_last_stage_cells",
-              "_orbit_cells", "relative_self_product"]
+# Nor do the laws look a cube point up: sorted rows need no position of a
+# point, so the laws and the helpers they reach build no dict, by
+# ``dict(...)`` or a comprehension, and read none by ``.get``.  The
+# extension's carrier index is built by the extension build alone.
+def point_lookups(tree: ast.Module, roots: list[str]) -> list[str]:
+    """The functions and classes that ``roots`` reach that call ``dict``,
+    hold a dict comprehension or read a ``.get``, once per node."""
+    def hit(node: ast.AST) -> bool:
+        return (isinstance(node, ast.DictComp)
+                or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict"
+                or isinstance(node, ast.Attribute) and node.attr == "get")
+
+    return sorted(name for name, definition in reached_defs(tree, roots).items()
+                  for node in ast.walk(definition) if hit(node))
 
 
-def test_the_stage_walk_reads_no_measure_view():
-    tree = ast.parse((SRC / "box_measure.py").read_text(encoding="utf-8"))
-    assert "indexed" not in reached_names(tree, STAGE_WALK)
+def test_the_laws_look_no_cube_point_up():
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    assert point_lookups(tree, MEASURE_LAWS) == []
 
 
-def test_check_flags_a_measure_view_read_by_the_stage_walk():
+def test_check_flags_a_cube_point_looked_up_by_the_laws():
+    # the position index that the laws read from a kept view of the measure
     tree = ast.parse(
-        "class SparseCubeMeasure:\n"
-        "    def indexed(self):\n"
-        "        return sorted(self.entries)\n"
-        "def _orbit_cells(m, perm, cap):\n"
-        "    return cycles(_step(m, perm))\n"
-        "def _step(m, perm):\n"
-        "    points, index, columns, _, _ = m.indexed\n"
-        "    return [index[p] for p in zip(*columns)]\n"
+        "class _Suite:\n"
+        "    def check_box_measure_laws(self):\n"
+        "        law = build_box_measure(self.sys, self.order).support\n"
+        "        return _pushes_onto(_indexed(law), _flipped_columns(law[0], 1), law)\n"
+        "    def check_index_permutation(self):\n"
+        "        return {'sigma': sigma}\n"
+        "def _indexed(support):\n"
+        "    points = tuple(zip(*support[0]))\n"
+        "    return points, dict(zip(points, range(len(points))))\n"
+        "def _pushes_onto(source, image, target):\n"
+        "    points, index = source\n"
+        "    at = list(map(index.get, zip(*image)))\n"
+        "    return None not in at and len(set(at)) == len(at)\n"
+        "def _flipped_columns(columns, mask):\n"
+        "    return [columns[e ^ mask] for e in range(len(columns))]\n"
+        "def _elsewhere(points):\n"
+        "    return {p: i for i, p in enumerate(points)}\n"
     )
-    assert "indexed" in reached_names(tree, ["_orbit_cells"])
+    assert point_lookups(tree, MEASURE_LAWS) == ["_indexed", "_pushes_onto"]
 
 
 # A cube measure is held as its sorted support, and its entries, a map from
 # cube points to Fractions, are made only when they are read.  The readers
-# of a measure on a CLI path read the support and its index view: a read of
-# ``.entries`` there would make that map for every measure it reaches.
+# of a measure on a CLI path read the support: a read of ``.entries`` there
+# would make that map for every measure it reaches.
 SUPPORT_READERS = ["cli.py", "magic.py", "serialize.py", "verify.py"]
 
 
@@ -863,10 +898,10 @@ def test_check_flags_the_walk_over_cube_points_and_fractions():
 # builds a position index, as dict(zip(points, range(...))) or
 # {p: i for i, p in enumerate(points)}, takes the carrier's off-origin
 # blocks as the slice columns[1:], or transposes a carrier into columns as
-# zip(*<x>.carrier).  verify derives none, and magic only the extension's
-# off-origin view: the extension keeps the measure view's columns, and
-# SharpSpace is handed the off-origin view's index.
-VIEW_DERIVATIONS = {"verify.py": [], "magic.py": ["StarSystem.off_origin"]}
+# zip(*<x>.carrier).  verify derives none, and magic only the extension's:
+# the build indexes its carrier, whose columns are the measure's support,
+# and SharpSpace is handed the off-origin view's index.
+VIEW_DERIVATIONS = {"verify.py": [], "magic.py": ["StarSystem.off_origin", "build_star_system"]}
 
 
 def derives_a_view(node: ast.AST) -> bool:

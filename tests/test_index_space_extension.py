@@ -78,6 +78,7 @@ from boxlab.verify import (
     _moved_columns,
     _pushes_onto,
     _reindexed_columns,
+    _rows,
 )
 from conftest import BLOCKS4, ROSTER, Z4_TWO, blocks_system, commuting_systems, fractions_in
 
@@ -301,7 +302,7 @@ def test_extension_equals_the_per_tuple_build(case):
 def test_the_extension_holds_the_kept_views_once(case):
     name, sys, order = case
     star = build_star_system(sys, order)
-    assert star.columns is build_box_measure(sys, order).indexed[2], name
+    assert star.columns is build_box_measure(sys, order).support[0], name
     assert sharp_space(star).index is star.off_origin[1], name
 
 
@@ -557,7 +558,7 @@ def test_box_measure_laws_equal_the_push_forward_version(case):
     assert fraction_laws(sys, order) is None
     assert suite.check_box_measure_laws().startswith("support=")
     m = build_box_measure(sys, order)
-    _, _, columns, masses, den = m.indexed
+    columns, masses, den = m.support
     for bits in range(1 << len(order)):
         assert [Fraction(v, den) for v in _marginal(columns[bits], masses, sys.n)] == list(
             marginal(m, bits)), (name, bits)
@@ -637,12 +638,16 @@ def perturbed_masses(m, point=None):
     return SparseCubeMeasure(m.k, m.base_n, entries)
 
 
+def support_points(m):
+    """The points of ``m``'s support as cube-point tuples, in sorted order."""
+    return list(zip(*m.support[0]))
+
+
 def assert_pushes_as_push_forward(m, target, images_by_kind, seen):
-    """``images_by_kind`` lists images in the order of ``m.indexed``."""
-    source, goal = m.indexed, target.indexed
-    points = source[0]
+    """``images_by_kind`` lists images in the order of ``support_points(m)``."""
+    points = support_points(m)
     for kind, images in images_by_kind.items():
-        decided = _pushes_onto(source, list(zip(*images)), goal)
+        decided = _pushes_onto(m.support, list(zip(*images)), _rows(target.support))
         assert decided == (push_forward(m, dict(zip(points, images)).__getitem__) == target), kind
         seen.add((kind, decided))
 
@@ -650,7 +655,7 @@ def assert_pushes_as_push_forward(m, target, images_by_kind, seen):
 def test_law_decisions_equal_push_forward_on_broken_maps_and_masses(case):
     name, sys, order = case
     m = build_box_measure(sys, order)
-    points = m.indexed[0]
+    points = support_points(m)
     masses = [m.entries[p] for p in points]
     seen = set()
     for law, tmap, builder in law_maps(sys, order):
@@ -670,7 +675,7 @@ def test_law_decisions_equal_push_forward_on_broken_maps_and_masses(case):
 def test_index_permutation_decisions_equal_push_forward(case):
     name, sys, order = case
     m = build_box_measure(sys, order)
-    points = m.indexed[0]
+    points = support_points(m)
     masses = [m.entries[p] for p in points]
     seen = set()
     for sigma in itertools.permutations(range(len(order))):
@@ -689,14 +694,17 @@ def test_index_permutation_decisions_equal_push_forward(case):
 def test_a_merged_image_is_refused_by_its_count_of_distinct_points():
     """Two points of equal mass sent to one image: every image lies in the
     support and carries its source's mass, so only the count of distinct
-    images refuses the map; a perturbed target mass is refused by the mass."""
+    images, one fewer than the target's points, refuses the map; a
+    perturbed target mass is refused by the mass."""
     sys, order = Z4_TWO, (0, 1)
     m = build_box_measure(sys, order)
-    source = points, index, _, masses, _ = m.indexed
+    source = _, masses, _ = m.support
+    points = support_points(m)
+    index = dict(zip(points, range(len(points))))
     _, tmap, _ = law_maps(sys, order)[0]
     images = [tmap(p) for p in points]
     merged = perturbed_images(points, images, [m.entries[p] for p in points])["non-injective"]
     at = [index[p] for p in merged]
     assert [masses[i] for i in at] == list(masses) and len(set(at)) < len(at)
-    assert not _pushes_onto(source, list(zip(*merged)), source)
-    assert not _pushes_onto(source, list(zip(*images)), perturbed_masses(m).indexed)
+    assert not _pushes_onto(source, list(zip(*merged)), _rows(source))
+    assert not _pushes_onto(source, list(zip(*images)), _rows(perturbed_masses(m).support))

@@ -1,13 +1,16 @@
-"""The index-space views that a built cube measure and a magic extension
-keep: ``SparseCubeMeasure.indexed`` and ``StarSystem.off_origin``.
+"""The one form a built cube measure is held in, ``SparseCubeMeasure.support``,
+and the index-space view that a magic extension keeps,
+``StarSystem.off_origin``.
 
-Each view is pinned against a test-local copy of the derivations it
-replaced: the measure laws' per-call indexing (in the measure's insertion
-order) and the extension build's own sort, and, for the off-origin view,
-the per-call block steps with the per-draw grouping of the carrier by
-block.  A view is computed on first read and kept: a second read returns
-the same object, and the view is not part of ``==``, the hash or the repr.
-One ``verify`` run computes each view once per object that it reads.
+Each is pinned against a test-local copy of the derivations it replaced:
+for the support, the measure laws' per-call indexing (in the measure's
+insertion order) and the extension build's own sort; for the off-origin
+view, the per-call block steps with the per-draw grouping of the carrier
+by block.  Both are computed on first read and kept: a second read
+returns the same object.  The support is what ``==``, the hash and the
+repr read.  One ``verify`` run computes the off-origin view once per
+extension that it reads, and a built measure keeps no view at all: after
+a run it holds its sorted support and nothing else.
 """
 
 import functools
@@ -36,7 +39,7 @@ def case(request):
     return name, sys.replace(), order  # a fresh memo per test
 
 
-# -- the derivations the views replaced ----------------------------------------
+# -- the derivations the support and the view replaced ------------------------
 
 def laws_indexing(m):
     """``(columns, index, masses, den)`` as the measure laws took it per
@@ -76,43 +79,47 @@ def span0_blocks(star):
     return blocks
 
 
-# -- the measure's view ----------------------------------------------------------
+# -- the measure's support -------------------------------------------------------
 
-def assert_measure_view_as_before(m):
-    points, index, columns, masses, den = m.indexed
-    assert (points, index, columns) == build_indexing(m)
-    old_columns, old_index, old_masses, old_den = laws_indexing(m)
+def assert_support_as_before(m):
+    columns, masses, den = m.support
+    carrier, index, build_columns = build_indexing(m)
+    assert columns == build_columns
+    # the laws indexed a measure in its insertion order; a twin that holds
+    # the entries in reverse order sorts them into the same support
+    twin = SparseCubeMeasure(m.k, m.base_n, dict(reversed(m.entries.items())))
+    old_columns, old_index, old_masses, old_den = laws_indexing(twin)
     assert den == old_den
     assert {p: masses[i] for p, i in index.items()} == {
         p: old_masses[i] for p, i in old_index.items()}
-    assert sorted(zip(*old_columns)) == list(points)
-    assert all(type(w) is int for w in masses)
-    assert [Fraction(w, den) for w in masses] == [m.entries[p] for p in points]
+    assert sorted(zip(*old_columns)) == list(zip(*columns)) == list(carrier)
+    assert all(type(w) is int and w > 0 for w in masses) and sum(masses) == den
+    assert [Fraction(w, den) for w in masses] == [m.entries[p] for p in carrier]
+    assert twin.support == m.support
 
 
-def test_the_measure_view_equals_the_derivations_it_replaced(case):
+def test_the_support_equals_the_derivations_it_replaced(case):
     name, sys, order = case
     for sigma in itertools.permutations(range(len(order))):
-        assert_measure_view_as_before(build_box_measure(sys, permute_order(order, sigma)))
+        assert_support_as_before(build_box_measure(sys, permute_order(order, sigma)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(commuting_systems())
-def test_hypothesis_measure_view_equals_the_derivations_it_replaced(drawn):
+def test_hypothesis_support_equals_the_derivations_it_replaced(drawn):
     sys, order = drawn
-    assert_measure_view_as_before(build_box_measure(sys, order))
+    assert_support_as_before(build_box_measure(sys, order))
 
 
-def test_the_measure_view_is_kept_and_outside_equality(case):
+def test_the_support_is_kept_and_is_what_equality_reads(case):
     name, sys, order = case
     m = build_box_measure(sys, order)
     twin = SparseCubeMeasure(m.k, m.base_n, m.entries)
-    before = hash(m), repr(m)
-    view = m.indexed
-    assert m.indexed is view
-    assert m == twin and twin == m and (hash(m), repr(m)) == before == (hash(twin), repr(twin))
-    assert "indexed" not in vars(twin)  # reading one copy's view computes no other's
-    assert twin.indexed == view and twin.indexed is not view
+    assert "support" not in vars(twin)  # reading one copy's support computes no other's
+    assert m.support is m.support
+    assert m == twin and twin == m and (hash(m), repr(m)) == (hash(twin), repr(twin))
+    assert twin.support == m.support and twin.support is not m.support
+    assert twin.support is twin.support
 
 
 # -- the extension's off-origin view ---------------------------------------------
@@ -153,15 +160,9 @@ def count_view(monkeypatch, cls, name):
                          ids=["z8-two", "z5-three"])
 def test_a_run_computes_every_view_once(monkeypatch, sys, order, draws):
     sys = sys.replace()  # no view kept from another test
-    measures = count_view(monkeypatch, SparseCubeMeasure, "indexed")
     stars = count_view(monkeypatch, StarSystem, "off_origin")
     outcomes = run_suite(sys, order, seed=0, draws=draws)
     assert all(o.status == "PASS" for o in outcomes)
-    # the laws' source, which the extension build reads too, and one
-    # re-indexing target per other order of the digits
-    built = [build_box_measure(sys, permute_order(order, sigma))
-             for sigma in itertools.permutations(range(len(order)))]
-    assert sorted(map(id, measures)) == sorted(map(id, built))
     assert len(stars) == 1 and stars[0].order == order
 
 
@@ -174,3 +175,14 @@ def test_a_run_makes_no_entries_of_a_built_measure(name, sys, order):
     for sigma in itertools.permutations(range(len(order))):
         m = build_box_measure(sys, permute_order(order, sigma))
         assert "entries" not in vars(m), sigma
+
+
+@pytest.mark.parametrize("name, sys, order", ROSTER, ids=[c[0] for c in ROSTER])
+def test_a_run_keeps_only_the_support_on_a_built_measure(name, sys, order):
+    # the laws, the re-indexing targets and the extension build read a
+    # built measure's sorted support and keep no view of its points on it
+    sys = sys.replace()
+    run_suite(sys, order, seed=0, draws=3)
+    for sigma in itertools.permutations(range(len(order))):
+        m = build_box_measure(sys, permute_order(order, sigma))
+        assert sorted(vars(m)) == ["base_n", "k", "support"], sigma

@@ -140,7 +140,11 @@ def test_as_finite_system_is_built_once():
     star = build_star_system(Z4_TWO, (0, 1))
     system = star.as_finite_system()
     assert star.as_finite_system() is system
-    assert system.weights == star.weights and system.transforms == star.star_transforms
+    # the side transforms first, read by index by the star seminorm, then
+    # the diagonal ones, checked with them in one system
+    assert system.weights == star.weights
+    assert system.transforms[:star.d] == star.star_transforms
+    assert system.transforms[star.d:] == star.diag_transforms
 
 
 def test_the_extension_keeps_the_measures_numerators(roster_case, monkeypatch):

@@ -250,6 +250,12 @@ def test_malformed_measure_entries_are_parse_errors(entries):
         measure_from_dict({"k": 0, "entries": entries})
 
 
+def test_a_zero_mass_entry_is_read_as_absent():
+    payload = {"k": 0, "entries": [{"tuple": [0], "mass": "1"}, {"tuple": [1], "mass": "0"}]}
+    m = measure_from_dict(payload, base_n=2)
+    assert m.entries == {(0,): Fraction(1)} and m.support_size() == 1
+
+
 @pytest.mark.parametrize(
     "payload",
     [

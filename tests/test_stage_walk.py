@@ -60,7 +60,7 @@ def assert_walk_equals_reference(sys, order):
         m, ref = build_box_measure(sys, order[:j]), chain[j]
         assert m == ref and hash(m) == hash(ref)
         assert dict(m.entries) == dict(ref.entries) and m.items_sorted() == ref.items_sorted()
-        assert m.indexed == SparseCubeMeasure(ref.k, ref.base_n, ref.entries).indexed
+        assert m.support == ref.support
         stage = _stage(sys, order[:j])
         points = sorted(ref.entries)
         assert stage.columns == tuple(zip(*points))
@@ -211,13 +211,13 @@ def test_one_orbit_cell_walk_per_order_prefix(monkeypatch):
 def test_a_measure_that_outlives_its_system_keeps_no_stage():
     # a built measure holds the last stage's columns, masses and den
     # itself, not the stage: the stage goes with the system that keeps it,
-    # and the measure's view stays that of its entries
+    # and the measure's support stays that of its entries
     _, sys, order = CASES[-1]
     sys = sys.replace()
     m = build_box_measure(sys, order)
-    view = SparseCubeMeasure(m.k, m.base_n, m.entries).indexed
+    support = SparseCubeMeasure(m.k, m.base_n, m.entries).support
     stage = weakref.ref(_stage(sys, order))
     del sys
     gc.collect()
     assert stage() is None
-    assert m.indexed == view
+    assert m.support == support
